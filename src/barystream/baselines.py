@@ -12,9 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from barystream.dual_core import CostMatrix, SolverError, exact_ot, sinkhorn
+from barystream.dual_core import (
+    CostMatrix,
+    SolverError,
+    exact_ot,
+    logsumexp,
+    sinkhorn,
+)
 from barystream.measures import (
     DiscreteMeasure,
     MeasureStream,

@@ -21,34 +21,9 @@ from barystream.dual_core import (
     boxed_dual_lp,
     lambda_star,
     lambda_star_argmax,
+    logsumexp,
 )
 from barystream.measures import DiscreteMeasure
-
-
-def logsumexp(x: np.ndarray) -> np.float64:
-    """log(sum(exp(x))) of a real 1-D array, without scipy's per-call overhead.
-
-    Follows the arithmetic of scipy 1.17's `scipy.special.logsumexp` step for
-    step, so results agree with it bit for bit: take the max a and the count m
-    of entries equal to it, sum exp(x - a) over the other entries to get s,
-    divide s by m when s != 0, and return log1p(s) + log(m) + a. When the max
-    is not finite (an all -inf input, a +inf or a NaN entry) it returns
-    log(sum(exp(x))) as scipy does, so -inf, +inf and NaN come out as there.
-    scipy < 1.15 computed a + log(sum(exp(x - a))) and is not matched bit for
-    bit.
-    """
-    a = x.max()
-    if not math.isfinite(a):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.log(np.exp(x).sum())
-    at_max = x == a
-    e = np.exp(x - a)
-    e[at_max] = 0.0
-    s = e.sum()
-    m = np.count_nonzero(at_max)
-    if s != 0:
-        s = s / m
-    return np.log1p(s) + np.log(m) + a
 
 
 class NumericalAbort(RuntimeError):

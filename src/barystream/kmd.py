@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from barystream.dual_core import CostMatrix, SolverError
+from barystream.dual_core import CostMatrix, SolverError, logsumexp
 from barystream.finite_md import NumericalAbort
 from barystream.measures import MeasureStream, sample_measure
 

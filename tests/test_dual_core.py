@@ -2,7 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
+from barystream.baselines import sinkhorn_gradient
 from barystream.dual_core import (
     CostMatrix,
     SolverError,
@@ -10,11 +14,18 @@ from barystream.dual_core import (
     exact_ot,
     lambda_star,
     lambda_star_argmax,
+    logsumexp_axis,
     sinkhorn,
     squared_distance_cost,
     wasserstein_1d,
 )
 from barystream.measures import DiscreteMeasure, Grid1D, normalize
+
+# scipy < 1.15 computed a + log(sum(exp(a - a))); the helpers follow the
+# arithmetic of later versions and match those bit for bit only.
+scipy_lse_arithmetic = pytest.mark.skipif(
+    tuple(int(p) for p in scipy.__version__.split(".")[:2]) < (1, 15),
+    reason=f"scipy {scipy.__version__} < 1.15 uses another logsumexp arithmetic")
 
 
 def rand_simplex(rng, n, floor=1e-12):
@@ -219,6 +230,98 @@ def test_sinkhorn_small_gamma_near_exact():
     sol = sinkhorn(r, r, C2, gamma=1e-2, max_iter=2000, tol=1e-12)
     plan_cost = float((C2.entries * sol.plan).sum())
     assert abs(plan_cost - 0.0) <= 5e-2
+
+
+def _sinkhorn_case(n, seed):
+    grid = Grid1D.uniform(0.0, 1.0, n)
+    C = squared_distance_cost(grid, 2.0)
+    C = C.scaled(1.0 / C.inf_norm)
+    rng = np.random.default_rng(seed)
+    r = normalize(rng.random(n) + 0.01, grid)
+    c = normalize(rng.random(n) + 0.01, grid)
+    return r, c, C
+
+
+def _sinkhorn_full_plan_loop(r, c, C, gamma, max_iter, tol):
+    """Reference loop: builds the plan on every iteration to get the
+    residual and the dual value. Returns u, v, n_iter and dual values."""
+    neg_cg = -C.entries / gamma
+    u = np.zeros(C.n)
+    v = np.zeros(C.n)
+    dual_values = []
+    for it in range(1, max_iter + 1):
+        u = np.log(r.weights) - logsumexp_axis(neg_cg + v[None, :], axis=1)
+        v = np.log(c.weights) - logsumexp_axis(neg_cg + u[:, None], axis=0)
+        plan = np.exp(u[:, None] + neg_cg + v[None, :])
+        dual_values.append(gamma * (u @ r.weights + v @ c.weights - plan.sum()))
+        residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
+                    + np.abs(plan.sum(axis=0) - c.weights).sum())
+        if residual <= tol:
+            break
+    return u, v, it, np.array(dual_values)
+
+
+@pytest.mark.parametrize("gamma, converged", [
+    (1e-1, True), (1e-2, True), (1e-3, False), (5e-5, False)])
+def test_sinkhorn_matches_full_plan_loop(gamma, converged):
+    r, c, C = _sinkhorn_case(30, seed=5)
+    sol = sinkhorn(r, c, C, gamma, max_iter=1000, tol=1e-9)
+    u, v, n_iter, dual_values = _sinkhorn_full_plan_loop(r, c, C, gamma,
+                                                         1000, 1e-9)
+    assert (sol.n_iter < 1000) == converged and not sol.unstable
+    assert sol.n_iter == n_iter
+    np.testing.assert_array_equal(sol.u, u)
+    np.testing.assert_array_equal(sol.v, v)
+    # the half-step dual values differ from the plan's only in rounding;
+    # the returned iterate's own value comes from its plan
+    assert len(sol.dual_values) == sol.n_iter
+    np.testing.assert_allclose(sol.dual_values, dual_values, rtol=1e-12)
+    expected = gamma * (sol.u @ r.weights + sol.v @ c.weights - sol.plan.sum())
+    np.testing.assert_allclose(sol.dual_values[-1], expected, rtol=1e-12)
+
+
+def test_sinkhorn_gradient_seeded_guard():
+    # recorded from the loop that built the full plan on every iteration
+    # with scipy's logsumexp; a change that moves the iterates fails here
+    r, c, C = _sinkhorn_case(100, seed=2024)
+    grad, unstable = sinkhorn_gradient(r, c, C, 5e-5, inner_iters=200)
+    assert not unstable
+    np.testing.assert_allclose(grad[::10], [
+        0.0028558565976407866, 0.0004202994592852579, 3.311107742089251e-05,
+        0.0025935435739968438, 0.0036006753820953014, -0.0005891626135404711,
+        -0.002374323306341099, -0.002994356239400934, -3.213929794430024e-05,
+        -0.0017162590828804568], rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(grad), 0.020486372090596526,
+                               rtol=1e-12)
+
+
+@st.composite
+def lse_matrices(draw):
+    """Real 2-D arrays with ties at row, column and global maxima, -inf
+    entries, whole rows of -inf, and optionally +inf and NaN entries."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for i, j in draw(st.lists(cells, max_size=rows * cols)):
+        a[i, j] = draw(st.sampled_from(
+            [a[i].max(), a[:, j].max(), a.max(), -np.inf]))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
+        a[i] = -np.inf
+    for i, j in draw(st.lists(cells, max_size=2)):
+        a[i, j] = draw(st.sampled_from([np.inf, np.nan]))
+    return a
+
+
+@scipy_lse_arithmetic
+@settings(max_examples=300, deadline=None)
+@given(lse_matrices(), st.sampled_from([0, 1, None]))
+def test_logsumexp_axis_matches_scipy(a, axis):
+    expected = logsumexp(a, axis=axis)
+    got = logsumexp_axis(a, axis)
+    assert np.shape(got) == np.shape(expected)
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0,
+                               equal_nan=True)
 
 
 def test_sinkhorn_rejects():
