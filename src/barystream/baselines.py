@@ -96,6 +96,7 @@ class BaselineState:
     r_euclid: np.ndarray
     avg_num: np.ndarray
     k: int
+    unstable: int = 0               # Sinkhorn inner solves that stopped unstable
 
     @property
     def r(self) -> np.ndarray:
@@ -123,9 +124,11 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
     else:
         r_cur = state.r
     r_meas = normalize_clamped(r_cur)
+    unstable = state.unstable
     if config.method == "sinkhorn_sgd":
-        grad, _unstable = sinkhorn_gradient(r_meas, c, C, config.gamma,
-                                            config.inner_iters, config.inner_tol)
+        grad, flag = sinkhorn_gradient(r_meas, c, C, config.gamma,
+                                       config.inner_iters, config.inner_tol)
+        unstable += bool(flag)
     else:
         grad = lp_subgradient(r_meas, c, C)
     if config.stepper == "euclidean":
@@ -138,7 +141,7 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
         r_euclid = state.r_euclid
         r_new = np.exp(log_r - logsumexp(log_r))
     return BaselineState(log_r=log_r, r_euclid=r_euclid,
-                         avg_num=state.avg_num + r_new, k=k)
+                         avg_num=state.avg_num + r_new, k=k, unstable=unstable)
 
 
 def run_baseline(stream: MeasureStream, C: CostMatrix, config: BaselineConfig,

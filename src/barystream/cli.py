@@ -10,6 +10,7 @@ under (config, seed). Exit codes: 0 ok, 1 config error, 2 numerical abort,
 from __future__ import annotations
 
 import argparse
+import base64
 import copy
 import hashlib
 import json
@@ -21,6 +22,7 @@ import numpy as np
 
 from barystream import baselines, evaluation, finite_md, kmd
 from barystream.dual_core import (
+    EXACT_SOLVER_CAP,
     CostMatrix,
     SolverError,
     certify_dual_bound,
@@ -40,7 +42,9 @@ from barystream.measures import (
     save_corpus,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# the only keys a resumed run may override: they leave the run's identity alone
+RESUME_OVERRIDES = ("output", "eval", "halt_after")
 METHODS = ("finite_md", "kmd", "linear_kmd", "sinkhorn_sgd", "lp_sgd")
 
 DEFAULT_CONFIG = {
@@ -100,17 +104,22 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     return key.split("."), value
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+def _apply_override(config: dict, keys: list[str], value) -> None:
+    node = config
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = value
+
+
+def load_config(path: str | None, overrides: list[str],
+                base: dict = DEFAULT_CONFIG) -> dict:
+    """base (the defaults, or a checkpoint's config), then the file, then flags."""
+    config = copy.deepcopy(base)
     if path is not None:
         with open(path) as fh:
             config = _deep_update(config, json.load(fh))
     for item in overrides:
-        keys, value = _parse_override(item)
-        node = config
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-        node[keys[-1]] = value
+        _apply_override(config, *_parse_override(item))
     if config["seed"] is None:
         config["seed"] = int(os.environ.get("BARY_SEED", "0"))
     if config["method"] not in METHODS:
@@ -175,6 +184,26 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _encode_matrix(a: np.ndarray) -> dict:
+    """A 2-D array as its shape and the base64 of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_matrix(obj: dict) -> np.ndarray:
+    raw = base64.b64decode(obj["f8"])
+    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+
+
+def _load_checkpoint(path: str) -> dict:
+    with open(path) as fh:
+        payload = json.load(fh)
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {payload.get('version')}"
+                          f" (this version reads {CHECKPOINT_VERSION})")
+    return payload
+
+
 def _checkpoint_payload(config: dict, state, stream, rng) -> dict:
     method = config["method"]
     payload = {
@@ -189,26 +218,26 @@ def _checkpoint_payload(config: dict, state, stream, rng) -> dict:
         payload["rng"] = rng.bit_generator.state
     if method == "finite_md":
         payload["state"] = {
-            "log_r": state.log_r.tolist(), "M": state.M.tolist(),
-            "r_avg": state.r_avg.tolist(), "M_avg": state.M_avg.tolist(),
+            "log_r": state.log_r.tolist(), "M": _encode_matrix(state.M),
+            "r_avg": state.r_avg.tolist(), "M_avg": _encode_matrix(state.M_avg),
             "eta": state.eta, "alpha": state.alpha, "beta": state.beta,
         }
     elif method == "kmd":
         payload["state"] = {
             "log_r": state.log_r.tolist(),
-            "betas": state.history.betas.tolist(),
-            "samples": state.history.samples.tolist(),
+            "betas": _encode_matrix(state.history.betas),
+            "samples": _encode_matrix(state.history.samples),
             "avg_num": state.avg_num.tolist(), "avg_den": state.avg_den,
         }
     elif method == "linear_kmd":
         payload["state"] = {
-            "log_r": state.log_r.tolist(), "theta": state.theta.tolist(),
+            "log_r": state.log_r.tolist(), "theta": _encode_matrix(state.theta),
             "avg_num": state.avg_num.tolist(), "avg_den": state.avg_den,
         }
     else:
         payload["state"] = {
             "log_r": state.log_r.tolist(), "r_euclid": state.r_euclid.tolist(),
-            "avg_num": state.avg_num.tolist(),
+            "avg_num": state.avg_num.tolist(), "unstable": state.unstable,
         }
     return payload
 
@@ -219,24 +248,23 @@ def _restore_state(payload: dict):
     k = payload["k"]
     if method == "finite_md":
         return FiniteSaddleState(
-            log_r=np.array(s["log_r"]), M=np.array(s["M"]),
-            r_avg=np.array(s["r_avg"]), M_avg=np.array(s["M_avg"]),
+            log_r=np.array(s["log_r"]), M=_decode_matrix(s["M"]),
+            r_avg=np.array(s["r_avg"]), M_avg=_decode_matrix(s["M_avg"]),
             k=k, eta=s["eta"], alpha=s["alpha"], beta=s["beta"])
     if method == "kmd":
-        n = len(s["log_r"])
-        hist = _History(n, cap=max(16, k))
-        for beta, sample in zip(s["betas"], s["samples"]):
-            hist.append(np.array(beta), np.array(sample))
+        hist = _History.from_arrays(_decode_matrix(s["betas"]),
+                                    _decode_matrix(s["samples"]))
         return KmdState(log_r=np.array(s["log_r"]), history=hist,
                         avg_num=np.array(s["avg_num"]), avg_den=s["avg_den"], k=k)
     if method == "linear_kmd":
         return LinearKmdState(log_r=np.array(s["log_r"]),
-                              theta=np.array(s["theta"]),
+                              theta=_decode_matrix(s["theta"]),
                               avg_num=np.array(s["avg_num"]),
                               avg_den=s["avg_den"], k=k)
     return baselines.BaselineState(log_r=np.array(s["log_r"]),
                                    r_euclid=np.array(s["r_euclid"]),
-                                   avg_num=np.array(s["avg_num"]), k=k)
+                                   avg_num=np.array(s["avg_num"]), k=k,
+                                   unstable=s["unstable"])
 
 
 def _truth(config: dict, grid: Grid1D) -> DiscreteMeasure | None:
@@ -298,15 +326,18 @@ def _run_loop(config: dict, state, stream, rng, problem, grid, report_path,
     else:
         run_config = None
 
+    holdout = None
+    holdout_size = config["eval"]["gap_holdout"]
+    if holdout_size and C.n <= EXACT_SOLVER_CAP:
+        holdout_stream, _ = _build_stream(
+            _deep_update(config, {"seed": config["seed"] + 10_000_019}))
+        holdout = [holdout_stream.sample() for _ in range(holdout_size)]
+
     def checkpoint_and_score():
         est = normalize(state.r_avg, grid)
         w2 = evaluation.score(est, truth, grid) if truth is not None else None
         gap = None
-        holdout_size = config["eval"]["gap_holdout"]
-        if holdout_size and C.n <= 64:
-            holdout_stream, _ = _build_stream(
-                _deep_update(config, {"seed": config["seed"] + 10_000_019}))
-            holdout = [holdout_stream.sample() for _ in range(holdout_size)]
+        if holdout is not None:
             gap = evaluation.gap_surrogate(state.r_avg, holdout, C)
         report.add(state.k, w2, gap, time.monotonic_ns() - t0)
         if checkpoint_path:
@@ -356,8 +387,8 @@ def _prepare_run(config: dict, payload: dict | None = None):
         stream, grid = _build_stream(config)
         out_grid = grid
         C = _build_cost(config, grid)
-        if method == "lp_sgd" and C.n > 64:
-            raise ConfigError(f"lp_sgd requires n <= 64 (got {C.n})")
+        if method == "lp_sgd" and C.n > EXACT_SOLVER_CAP:
+            raise ConfigError(f"lp_sgd requires n <= {EXACT_SOLVER_CAP} (got {C.n})")
         problem = None
         rng = None
         if method == "kmd":
@@ -377,30 +408,33 @@ def _prepare_run(config: dict, payload: dict | None = None):
 
 def cmd_run(config: dict, payload: dict | None = None) -> int:
     state, stream, rng, problem, grid = _prepare_run(config, payload)
-    _run_loop(config, state, stream, rng, problem, grid,
-              config["output"].get("report"), config["output"].get("checkpoint"))
+    state, _report = _run_loop(config, state, stream, rng, problem, grid,
+                               config["output"].get("report"),
+                               config["output"].get("checkpoint"))
+    if getattr(state, "unstable", 0):
+        print(f"warning: {state.unstable} of {state.k} Sinkhorn inner solves "
+              "were unstable", file=sys.stderr)
     return 0
 
 
 def cmd_resume(checkpoint_path: str, overrides: list[str]) -> int:
-    with open(checkpoint_path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('version')}")
+    payload = _load_checkpoint(checkpoint_path)
     config = payload["config"]
     config["halt_after"] = None  # a resumed run continues to the full N
     for item in overrides:
         keys, value = _parse_override(item)
-        node = config
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-        node[keys[-1]] = value
+        if keys[0] not in RESUME_OVERRIDES:
+            raise ConfigError(f"resume cannot override {'.'.join(keys)!r}: only "
+                              f"{', '.join(RESUME_OVERRIDES)} keys leave the "
+                              "checkpointed run unchanged")
+        _apply_override(config, keys, value)
     return cmd_run(config, payload)
 
 
-def cmd_eval(config: dict, checkpoint_path: str) -> int:
-    with open(checkpoint_path) as fh:
-        payload = json.load(fh)
+def cmd_eval(checkpoint_path: str, config_path: str | None,
+             overrides: list[str]) -> int:
+    payload = _load_checkpoint(checkpoint_path)
+    config = load_config(config_path, overrides, base=payload["config"])
     state = _restore_state(payload)
     grid = _build_grid(config)
     truth = _truth(config, grid)
@@ -464,8 +498,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(load_config(args.config, args.overrides))
         if args.command == "eval":
-            return cmd_eval(load_config(args.config, args.overrides),
-                            args.checkpoint)
+            return cmd_eval(args.checkpoint, args.config, args.overrides)
         if args.command == "resume":
             return cmd_resume(args.checkpoint, args.overrides)
         if args.command == "certify":

@@ -124,6 +124,16 @@ class _History:
         self._samples = np.zeros((cap, n))
         self.max_size = None
 
+    @classmethod
+    def from_arrays(cls, betas: np.ndarray, samples: np.ndarray) -> "_History":
+        """A history of these k rows, in a buffer of max(16, k) rows."""
+        k, n = betas.shape
+        hist = cls(n, cap=max(16, k))
+        hist._betas[:k] = betas
+        hist._samples[:k] = samples
+        hist.size = k
+        return hist
+
     def append(self, beta: np.ndarray, sample: np.ndarray) -> None:
         if self.max_size is not None and self.size >= self.max_size:
             raise SolverError("KMD history cap exceeded; no silent forgetting")

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from barystream import baselines, cli
 from barystream.cli import (
     ConfigError,
+    _decode_matrix,
+    _encode_matrix,
     cmd_run,
     config_hash,
     load_config,
@@ -178,3 +182,131 @@ def test_gap_holdout_reporting(tmp_path):
     assert rc == 0
     last = report.read_text().strip().split("\n")[-1].split(",")
     assert float(last[2]) >= -1e-9  # gap column populated and non-negative
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               np.inf, -np.inf, np.nan, -np.nan]
+
+
+@st.composite
+def state_matrices(draw):
+    rows = draw(st.sampled_from([0, 1, 3, 17]))
+    cols = draw(st.integers(1, 9))
+    values = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                     st.floats(allow_nan=True,
+                                               allow_infinity=True)),
+                           min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_matrices())
+def test_matrix_codec_round_trip_is_bit_exact(a):
+    obj = json.loads(json.dumps(_encode_matrix(a)))
+    assert obj["shape"] == list(a.shape)
+    b = _decode_matrix(obj)
+    assert b.shape == a.shape
+    assert b.flags.writeable
+    assert np.array_equal(b.view(np.uint64), a.view(np.uint64))
+
+
+def _run_small(tmp_path, *extra, n=8, N=20):
+    report = tmp_path / "report.csv"
+    ckpt = tmp_path / "state.json"
+    rc = main(["run", "--set", f"N={N}", "--set", "checkpoint_every=10",
+               "--set", f"data.grid.n={n}", "--set", "seed=1",
+               "--set", f"output.report={report}",
+               "--set", f"output.checkpoint={ckpt}", *extra])
+    assert rc == 0
+    return report, ckpt
+
+
+def test_checkpoint_stores_matrices_as_bytes(tmp_path):
+    _, ckpt = _run_small(tmp_path, "--set", "method=kmd", "--set",
+                         'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}')
+    payload = json.loads(ckpt.read_text())
+    assert payload["version"] == cli.CHECKPOINT_VERSION == 2
+    state = payload["state"]
+    assert state["betas"]["shape"] == state["samples"]["shape"] == [20, 8]
+    assert isinstance(state["log_r"], list)
+    assert isinstance(state["avg_num"], list)
+    hist = cli._restore_state(payload).history
+    assert hist.size == 20
+    assert np.array_equal(hist.samples, _decode_matrix(state["samples"]))
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+def test_version_1_checkpoint_is_rejected(tmp_path, capsys, command):
+    _, ckpt = _run_small(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    payload["version"] = 1
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt)]) == 1
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def test_eval_uses_the_checkpoint_config(tmp_path, capsys):
+    report, ckpt = _run_small(tmp_path, n=20)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 0
+    last = report.read_text().strip().split("\n")[-1].split(",")
+    assert capsys.readouterr().out.strip() == f"w2_to_truth={last[1]}"
+    # flags still apply on top of the checkpoint's config
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--set", "data.grid.n=12"]) == 1
+
+
+def test_resume_refuses_identity_overrides(tmp_path, capsys):
+    _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    capsys.readouterr()
+    for key in ("N=1000", "seed=5", "data.grid.n=9", "eta_scale=2.0"):
+        assert main(["resume", "--checkpoint", str(ckpt), "--set", key]) == 1
+        assert repr(key.split("=")[0]) in capsys.readouterr().err
+    other = tmp_path / "resumed.csv"
+    assert main(["resume", "--checkpoint", str(ckpt),
+                 "--set", f"output.report={other}"]) == 0
+    assert other.read_text().strip().split("\n")[-1].startswith("20,")
+
+
+def test_holdout_is_built_once_per_run(tmp_path, monkeypatch):
+    builds = []
+    build_stream = cli._build_stream
+
+    def counting(config):
+        builds.append(config["seed"])
+        return build_stream(config)
+
+    monkeypatch.setattr(cli, "_build_stream", counting)
+    report, _ = _run_small(tmp_path, "--set", "eval.gap_holdout=3", N=30)
+    assert builds == [1, 1 + 10_000_019]
+    gaps = [row.split(",")[2] for row in report.read_text().split("\n")[1:-1]]
+    assert len(gaps) == 3 and all(gaps)
+
+
+def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
+    calls = []
+    sinkhorn_gradient = baselines.sinkhorn_gradient
+
+    def flaky(*args, **kwargs):
+        grad, _unstable = sinkhorn_gradient(*args, **kwargs)
+        calls.append(None)
+        return grad, len(calls) % 2 == 1
+
+    monkeypatch.setattr(baselines, "sinkhorn_gradient", flaky)
+    extra = ["--set", "method=sinkhorn_sgd", "--set", "baseline.inner_iters=5",
+             "--set", "halt_after=10"]
+    _, ckpt = _run_small(tmp_path, *extra)
+    assert json.loads(ckpt.read_text())["state"]["unstable"] == 5
+    assert ("warning: 5 of 10 Sinkhorn inner solves were unstable"
+            in capsys.readouterr().err)
+    assert main(["resume", "--checkpoint", str(ckpt)]) == 0
+    assert json.loads(ckpt.read_text())["state"]["unstable"] == 10
+    assert ("warning: 10 of 20 Sinkhorn inner solves were unstable"
+            in capsys.readouterr().err)
+
+
+def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
+    _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
+               "--set", "baseline.inner_iters=5")
+    assert "warning" not in capsys.readouterr().err
