@@ -15,7 +15,6 @@ from barystream.measures import (
     discretize_gaussian,
     load_image_measure,
     normalize,
-    sample_measure,
 )
 from barystream.dual_core import (
     CostMatrix,
@@ -43,7 +42,6 @@ from barystream.kmd import (
     f_eval,
     kernel_eval,
     kmd_run,
-    kmd_run_online,
     kmd_step,
     linear_kmd_run,
     linear_kmd_step,
@@ -83,7 +81,6 @@ __all__ = [
     "gap_surrogate",
     "kernel_eval",
     "kmd_run",
-    "kmd_run_online",
     "kmd_step",
     "lambda_star",
     "lambda_star_argmax",
@@ -95,7 +92,6 @@ __all__ = [
     "normalize",
     "run_baseline",
     "run_finite",
-    "sample_measure",
     "score",
     "sinkhorn",
     "sinkhorn_gradient",

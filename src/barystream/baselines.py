@@ -14,18 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from barystream.dual_core import (
+    AveragedIterate,
     CostMatrix,
     SolverError,
+    drive,
     exact_ot,
     logsumexp,
     sinkhorn,
 )
-from barystream.measures import (
-    DiscreteMeasure,
-    MeasureStream,
-    normalize_clamped,
-    sample_measure,
-)
+from barystream.measures import DiscreteMeasure, MeasureStream, normalize_clamped
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class BaselineState:
+class BaselineState(AveragedIterate):
     """Mutable iterate for a baseline stochastic-approximation run."""
 
     log_r: np.ndarray
@@ -99,14 +96,8 @@ class BaselineState:
     unstable: int = 0               # Sinkhorn inner solves that stopped unstable
 
     @property
-    def r(self) -> np.ndarray:
-        return np.exp(self.log_r - logsumexp(self.log_r))
-
-    @property
-    def r_avg(self) -> np.ndarray:
-        if self.k == 0:
-            return self.r
-        return self.avg_num / self.k
+    def avg_den(self) -> int:
+        return self.k               # every iterate enters avg_num with weight 1
 
     @classmethod
     def cold_start(cls, n: int) -> "BaselineState":
@@ -148,13 +139,8 @@ def run_baseline(stream: MeasureStream, C: CostMatrix, config: BaselineConfig,
                  N: int, state: BaselineState | None = None,
                  callback=None) -> tuple[np.ndarray, BaselineState]:
     """Stochastic-approximation loop over N stream samples."""
-    if N < 1:
-        raise SolverError("run_baseline: N must be >= 1")
     if state is None:
         state = BaselineState.cold_start(C.n)
-    while state.k < N:
-        c = sample_measure(stream)
-        state = baseline_step(state, config, c, C)
-        if callback is not None:
-            callback(state)
+    state = drive(state, lambda s: baseline_step(s, config, stream.sample(), C),
+                  N, callback)
     return state.r_avg, state

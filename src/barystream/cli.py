@@ -12,11 +12,14 @@ from __future__ import annotations
 import argparse
 import base64
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from barystream.dual_core import (
     CostMatrix,
     SolverError,
     certify_dual_bound,
+    drive,
     squared_distance_cost,
 )
 from barystream.finite_md import FiniteProblem, FiniteSaddleState, NumericalAbort
@@ -36,7 +40,6 @@ from barystream.measures import (
     Grid1D,
     MeasureError,
     MeasureStream,
-    discretize_gaussian,
     load_corpus,
     normalize,
     save_corpus,
@@ -45,7 +48,14 @@ from barystream.measures import (
 CHECKPOINT_VERSION = 2
 # the only keys a resumed run may override: they leave the run's identity alone
 RESUME_OVERRIDES = ("output", "eval", "halt_after")
-METHODS = ("finite_md", "kmd", "linear_kmd", "sinkhorn_sgd", "lp_sgd")
+# the values an enumerated config key may take; any other is a config error
+CHOICES = {
+    "stepsize_mode": ("constant", "dynamic"),
+    "clip": ("cost", "unit"),
+    "data.kind": ("gaussian", "corpus", "finite"),
+    "baseline.schedule": ("constant", "inverse_sqrt"),
+    "baseline.stepper": ("mirror", "euclidean"),
+}
 
 DEFAULT_CONFIG = {
     "method": "linear_kmd",
@@ -122,10 +132,24 @@ def load_config(path: str | None, overrides: list[str],
         _apply_override(config, *_parse_override(item))
     if config["seed"] is None:
         config["seed"] = int(os.environ.get("BARY_SEED", "0"))
-    if config["method"] not in METHODS:
-        raise ConfigError(f"unknown method {config['method']!r}")
-    if config["N"] < 1:
-        raise ConfigError("N must be >= 1")
+    return _check_config(config)
+
+
+def _check_config(config: dict) -> dict:
+    """Reject a config the run would misread; every command's config passes here."""
+    for key, allowed in [("method", tuple(METHODS)), *CHOICES.items()]:
+        node = config
+        for part in key.split("."):
+            node = node[part]
+        if node not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
+                              f"got {node!r}")
+    for key in ("N", "checkpoint_every", "halt_after"):
+        value = config[key]
+        if key == "halt_after" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     return config
 
 
@@ -146,6 +170,17 @@ def _build_cost(config: dict, grid: Grid1D) -> CostMatrix:
     return C
 
 
+def _load_family(data: dict) -> tuple[Grid1D, list[DiscreteMeasure]]:
+    """The measures of the corpus file at data.path, which carries a grid header."""
+    path = data.get("path")
+    if not path or not os.path.exists(path):
+        raise ConfigError(f"corpus path missing: {path!r}")
+    grid, measures = load_corpus(path)
+    if grid is None:
+        raise ConfigError(f"corpus {path} carries no grid header")
+    return grid, measures
+
+
 def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
     data = config["data"]
     seed = config["seed"]
@@ -153,22 +188,12 @@ def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
         grid = _build_grid(config)
         law = GaussianParamLaw(**data["law"])
         return MeasureStream.gaussian(law, grid, seed), grid
+    grid, measures = _load_family(data)
     if data["kind"] == "corpus":
-        if not data.get("path") or not os.path.exists(data["path"]):
-            raise ConfigError(f"corpus path missing: {data.get('path')!r}")
-        stream = MeasureStream.corpus(data["path"], seed)
-        if stream.grid is None:
-            raise ConfigError("corpus file carries no grid header")
-        return stream, stream.grid
-    if data["kind"] == "finite":
-        if not data.get("path") or not os.path.exists(data["path"]):
-            raise ConfigError(f"finite corpus path missing: {data.get('path')!r}")
-        grid, measures = load_corpus(data["path"])
-        if grid is None:
-            raise ConfigError("finite corpus file carries no grid header")
-        weights = data.get("weights") or [1.0 / len(measures)] * len(measures)
-        return MeasureStream.finite(measures, weights, seed), grid
-    raise ConfigError(f"unknown data kind {data['kind']!r}")
+        return MeasureStream(kind="corpus", seed=seed, grid=grid,
+                             measures=measures), grid
+    weights = data.get("weights") or [1.0 / len(measures)] * len(measures)
+    return MeasureStream.finite(measures, weights, seed), grid
 
 
 def _build_kernel(config: dict) -> Kernel:
@@ -204,67 +229,123 @@ def _load_checkpoint(path: str) -> dict:
     return payload
 
 
-def _checkpoint_payload(config: dict, state, stream, rng) -> dict:
-    method = config["method"]
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "method": method,
-        "config": config,
-        "k": state.k,
-    }
-    if stream is not None:
-        payload["stream"] = stream.state_dict()
-    if rng is not None:
-        payload["rng"] = rng.bit_generator.state
-    if method == "finite_md":
-        payload["state"] = {
-            "log_r": state.log_r.tolist(), "M": _encode_matrix(state.M),
-            "r_avg": state.r_avg.tolist(), "M_avg": _encode_matrix(state.M_avg),
-            "eta": state.eta, "alpha": state.alpha, "beta": state.beta,
-        }
-    elif method == "kmd":
-        payload["state"] = {
-            "log_r": state.log_r.tolist(),
-            "betas": _encode_matrix(state.history.betas),
-            "samples": _encode_matrix(state.history.samples),
-            "avg_num": state.avg_num.tolist(), "avg_den": state.avg_den,
-        }
-    elif method == "linear_kmd":
-        payload["state"] = {
-            "log_r": state.log_r.tolist(), "theta": _encode_matrix(state.theta),
-            "avg_num": state.avg_num.tolist(), "avg_den": state.avg_den,
-        }
-    else:
-        payload["state"] = {
-            "log_r": state.log_r.tolist(), "r_euclid": state.r_euclid.tolist(),
-            "avg_num": state.avg_num.tolist(), "unstable": state.unstable,
-        }
-    return payload
+def _encode_state(state) -> dict:
+    """A method state as checkpoint JSON: every field but k, a matrix through
+    _encode_matrix, a vector as a number list, the kmd history as its betas and
+    samples matrices, a scalar as it is."""
+    out = {}
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        if isinstance(value, _History):
+            out["betas"] = _encode_matrix(value.betas)
+            out["samples"] = _encode_matrix(value.samples)
+        elif isinstance(value, np.ndarray):
+            out[f.name] = _encode_matrix(value) if value.ndim == 2 else value.tolist()
+        elif f.name != "k":
+            out[f.name] = value
+    return out
 
 
 def _restore_state(payload: dict):
-    method = payload["method"]
-    s = payload["state"]
-    k = payload["k"]
-    if method == "finite_md":
-        return FiniteSaddleState(
-            log_r=np.array(s["log_r"]), M=_decode_matrix(s["M"]),
-            r_avg=np.array(s["r_avg"]), M_avg=_decode_matrix(s["M_avg"]),
-            k=k, eta=s["eta"], alpha=s["alpha"], beta=s["beta"])
-    if method == "kmd":
-        hist = _History.from_arrays(_decode_matrix(s["betas"]),
-                                    _decode_matrix(s["samples"]))
-        return KmdState(log_r=np.array(s["log_r"]), history=hist,
-                        avg_num=np.array(s["avg_num"]), avg_den=s["avg_den"], k=k)
-    if method == "linear_kmd":
-        return LinearKmdState(log_r=np.array(s["log_r"]),
-                              theta=_decode_matrix(s["theta"]),
-                              avg_num=np.array(s["avg_num"]),
-                              avg_den=s["avg_den"], k=k)
-    return baselines.BaselineState(log_r=np.array(s["log_r"]),
-                                   r_euclid=np.array(s["r_euclid"]),
-                                   avg_num=np.array(s["avg_num"]), k=k,
-                                   unstable=s["unstable"])
+    """The state a checkpoint holds: _encode_state reversed."""
+    values = {"k": payload["k"]}
+    for name, value in payload["state"].items():
+        if isinstance(value, dict):
+            value = _decode_matrix(value)
+        elif isinstance(value, list):
+            value = np.array(value)
+        values[name] = value
+    if "betas" in values:
+        values["history"] = _History.from_arrays(values.pop("betas"),
+                                                 values.pop("samples"))
+    return METHODS[payload["method"]].state_cls(**values)
+
+
+@dataclasses.dataclass
+class _Run:
+    """A method set up to run: its grid, cost and start state, and step(state)
+    -> state, which draws from stream or rng (the sources a checkpoint saves)."""
+
+    grid: Grid1D
+    C: CostMatrix
+    state: object
+    step: Callable
+    stream: MeasureStream | None = None
+    rng: np.random.Generator | None = None
+
+
+class Method(NamedTuple):
+    """A row of the method table: the class of the method's state, which the
+    checkpoint codec builds, and setup(config) -> _Run at a cold start."""
+
+    state_cls: type
+    setup: Callable[[dict], _Run]
+
+
+def _finite_md_run(config: dict) -> _Run:
+    data = config["data"]
+    if data["kind"] == "gaussian":
+        raise ConfigError("finite_md needs a finite measure family "
+                          "(data.kind corpus or finite)")
+    grid, measures = _load_family(data)
+    C = _build_cost(config, grid)
+    problem = FiniteProblem.from_measures(measures, C, data.get("weights"))
+    rng = np.random.Generator(np.random.PCG64(config["seed"]))
+    state = FiniteSaddleState.cold_start(problem, config["N"])
+    state.eta *= config["eta_scale"]
+    return _Run(grid, C, state, lambda s: finite_md.md_step(s, problem, rng),
+                rng=rng)
+
+
+def _stream_method(state_cls, make_step) -> Method:
+    """A method whose step takes one sample of the configured stream, built by
+    make_step(config, C, stream)."""
+    def setup(config: dict) -> _Run:
+        stream, grid = _build_stream(config)
+        C = _build_cost(config, grid)
+        return _Run(grid, C, state_cls.cold_start(C.n),
+                    make_step(config, C, stream), stream=stream)
+    return Method(state_cls, setup)
+
+
+def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
+    return KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
+                             clip=config["clip"], eta_scale=config["eta_scale"])
+
+
+def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
+    run_config = _kmd_config(config, _build_kernel(config), C)
+    return lambda s: kmd.kmd_step(s, run_config, stream.sample().weights, C)
+
+
+def _linear_kmd_step(config: dict, C: CostMatrix,
+                     stream: MeasureStream) -> Callable:
+    run_config = _kmd_config(config, Kernel.linear(config["kernel"].get("r_sq")), C)
+    return lambda s: kmd.linear_kmd_step(s, run_config, stream.sample().weights, C)
+
+
+def _baseline_step(config: dict, C: CostMatrix,
+                   stream: MeasureStream) -> Callable:
+    method = config["method"]
+    if method == "lp_sgd" and C.n > EXACT_SOLVER_CAP:
+        raise ConfigError(f"lp_sgd requires n <= {EXACT_SOLVER_CAP} (got {C.n})")
+    b = config["baseline"]
+    run_config = baselines.BaselineConfig(
+        method=method, gamma=b["gamma"], inner_iters=b["inner_iters"],
+        inner_tol=b["inner_tol"], schedule=b["schedule"],
+        stepsize=b["stepsize"], stepper=b["stepper"])
+    return lambda s: baselines.baseline_step(s, run_config, stream.sample(), C)
+
+
+# Steps look their method's function up on its module at every call, so a
+# function replaced there (by a test or a tracer) is the one that runs.
+METHODS = {
+    "finite_md": Method(FiniteSaddleState, _finite_md_run),
+    "kmd": _stream_method(KmdState, _kmd_step),
+    "linear_kmd": _stream_method(LinearKmdState, _linear_kmd_step),
+    "sinkhorn_sgd": _stream_method(baselines.BaselineState, _baseline_step),
+    "lp_sgd": _stream_method(baselines.BaselineState, _baseline_step),
+}
 
 
 def _truth(config: dict, grid: Grid1D) -> DiscreteMeasure | None:
@@ -280,51 +361,28 @@ def cmd_gen_data(config: dict) -> int:
     if not path:
         raise ConfigError("gen-data needs data.path")
     grid = _build_grid(config)
-    law = GaussianParamLaw(**data["law"])
-    rng = np.random.Generator(np.random.PCG64(config["seed"]))
-    measures = []
-    for _ in range(int(data["count"])):
-        mu = rng.normal(law.mu0, np.sqrt(law.sigma0_sq))
-        sigma = rng.exponential(1.0 / law.rate)
-        while sigma <= 0:
-            sigma = rng.exponential(1.0 / law.rate)
-        measures.append(discretize_gaussian(mu, sigma, grid))
+    stream = MeasureStream.gaussian(GaussianParamLaw(**data["law"]), grid,
+                                    config["seed"])
+    measures = [stream.sample() for _ in range(int(data["count"]))]
     save_corpus(path, measures, grid)
     print(f"wrote {len(measures)} measures (n={grid.n}) to {path}")
     return 0
 
 
-def _run_loop(config: dict, state, stream, rng, problem, grid, report_path,
-              checkpoint_path):
-    """Shared driver: step the selected method to N with periodic scoring."""
-    method = config["method"]
+def _run_loop(config: dict, run: _Run):
+    """Step the run to N (or halt_after), scoring and checkpointing every
+    checkpoint_every steps and at the last one; returns the last state."""
     N = config["N"]
-    target = N if not config.get("halt_after") else min(N, config["halt_after"])
+    target = N if config["halt_after"] is None else min(N, config["halt_after"])
     every = config["checkpoint_every"]
-    C = _build_cost(config, grid)
+    report_path = config["output"].get("report")
+    checkpoint_path = config["output"].get("checkpoint")
+    grid, C = run.grid, run.C
     truth = _truth(config, grid)
-    report = evaluation.ExperimentReport(method=method, seed=config["seed"],
+    report = evaluation.ExperimentReport(method=config["method"],
+                                         seed=config["seed"],
                                          config_hash=config_hash(config))
     t0 = time.monotonic_ns()
-
-    if method == "kmd":
-        run_config = KmdConfig.for_run(_build_kernel(config), C, N,
-                                       mode=config["stepsize_mode"],
-                                       clip=config["clip"],
-                                       eta_scale=config["eta_scale"])
-    elif method == "linear_kmd":
-        run_config = KmdConfig.for_run(Kernel.linear(config["kernel"].get("r_sq")),
-                                       C, N, mode=config["stepsize_mode"],
-                                       clip=config["clip"],
-                                       eta_scale=config["eta_scale"])
-    elif method in ("sinkhorn_sgd", "lp_sgd"):
-        b = config["baseline"]
-        run_config = baselines.BaselineConfig(
-            method=method, gamma=b["gamma"], inner_iters=b["inner_iters"],
-            inner_tol=b["inner_tol"], schedule=b["schedule"],
-            stepsize=b["stepsize"], stepper=b["stepper"])
-    else:
-        run_config = None
 
     holdout = None
     holdout_size = config["eval"]["gap_holdout"]
@@ -333,7 +391,9 @@ def _run_loop(config: dict, state, stream, rng, problem, grid, report_path,
             _deep_update(config, {"seed": config["seed"] + 10_000_019}))
         holdout = [holdout_stream.sample() for _ in range(holdout_size)]
 
-    def checkpoint_and_score():
+    def checkpoint_and_score(state):
+        if state.k % every and state.k != target:
+            return
         est = normalize(state.r_avg, grid)
         w2 = evaluation.score(est, truth, grid) if truth is not None else None
         gap = None
@@ -341,76 +401,31 @@ def _run_loop(config: dict, state, stream, rng, problem, grid, report_path,
             gap = evaluation.gap_surrogate(state.r_avg, holdout, C)
         report.add(state.k, w2, gap, time.monotonic_ns() - t0)
         if checkpoint_path:
-            _atomic_write_json(checkpoint_path,
-                               _checkpoint_payload(config, state, stream, rng))
+            payload = {"version": CHECKPOINT_VERSION, "method": config["method"],
+                       "config": config, "k": state.k}
+            if run.stream is not None:
+                payload["stream"] = run.stream.state_dict()
+            if run.rng is not None:
+                payload["rng"] = run.rng.bit_generator.state
+            payload["state"] = _encode_state(state)
+            _atomic_write_json(checkpoint_path, payload)
 
-    while state.k < target:
-        if method == "finite_md":
-            state = finite_md.md_step(state, problem, rng)
-        elif method == "kmd":
-            c = stream.sample().weights
-            state = kmd.kmd_step(state, run_config, c, C)
-        elif method == "linear_kmd":
-            c = stream.sample().weights
-            state = kmd.linear_kmd_step(state, run_config, c, C)
-        else:
-            c = stream.sample()
-            state = baselines.baseline_step(state, run_config, c, C)
-        if state.k % every == 0 or state.k == target:
-            checkpoint_and_score()
+    state = drive(run.state, run.step, target, checkpoint_and_score)
     if report_path:
         report.write_csv(report_path)
-    return state, report
-
-
-def _prepare_run(config: dict, payload: dict | None = None):
-    """Build stream/problem/state for a fresh run or a checkpoint resume."""
-    method = config["method"]
-    if method == "finite_md":
-        data = config["data"]
-        if data["kind"] == "gaussian":
-            raise ConfigError("finite_md needs a finite measure family "
-                              "(data.kind corpus or finite)")
-        grid, measures = load_corpus(data["path"])
-        if grid is None:
-            raise ConfigError("finite_md corpus carries no grid header")
-        C = _build_cost(config, grid)
-        weights = data.get("weights")
-        problem = FiniteProblem.from_measures(measures, C, weights)
-        stream = None
-        rng = np.random.Generator(np.random.PCG64(config["seed"]))
-        state = FiniteSaddleState.cold_start(problem, config["N"])
-        if config["eta_scale"] != 1.0:
-            state.eta *= config["eta_scale"]
-        out_grid = grid
-    else:
-        stream, grid = _build_stream(config)
-        out_grid = grid
-        C = _build_cost(config, grid)
-        if method == "lp_sgd" and C.n > EXACT_SOLVER_CAP:
-            raise ConfigError(f"lp_sgd requires n <= {EXACT_SOLVER_CAP} (got {C.n})")
-        problem = None
-        rng = None
-        if method == "kmd":
-            state = KmdState.cold_start(C.n)
-        elif method == "linear_kmd":
-            state = LinearKmdState.cold_start(C.n)
-        else:
-            state = baselines.BaselineState.cold_start(C.n)
-    if payload is not None:
-        state = _restore_state(payload)
-        if stream is not None:
-            stream.load_state(payload["stream"])
-        if rng is not None:
-            rng.bit_generator.state = payload["rng"]
-    return state, stream, rng, problem, out_grid
+    return state
 
 
 def cmd_run(config: dict, payload: dict | None = None) -> int:
-    state, stream, rng, problem, grid = _prepare_run(config, payload)
-    state, _report = _run_loop(config, state, stream, rng, problem, grid,
-                               config["output"].get("report"),
-                               config["output"].get("checkpoint"))
+    """Run the configured method from a cold start, or from a checkpoint."""
+    run = METHODS[config["method"]].setup(config)
+    if payload is not None:
+        run.state = _restore_state(payload)
+        if run.stream is not None:
+            run.stream.load_state(payload["stream"])
+        if run.rng is not None:
+            run.rng.bit_generator.state = payload["rng"]
+    state = _run_loop(config, run)
     if getattr(state, "unstable", 0):
         print(f"warning: {state.unstable} of {state.k} Sinkhorn inner solves "
               "were unstable", file=sys.stderr)
@@ -428,7 +443,7 @@ def cmd_resume(checkpoint_path: str, overrides: list[str]) -> int:
                               f"{', '.join(RESUME_OVERRIDES)} keys leave the "
                               "checkpointed run unchanged")
         _apply_override(config, keys, value)
-    return cmd_run(config, payload)
+    return cmd_run(_check_config(config), payload)
 
 
 def cmd_eval(checkpoint_path: str, config_path: str | None,

@@ -19,11 +19,41 @@ from barystream.measures import DiscreteMeasure, Grid1D
 
 EXACT_SOLVER_CAP = 64
 FEAS_TOL = 1e-9
-OPT_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
     """An exact LP solve failed or was rejected (cap, infeasible marginals)."""
+
+
+def drive(state, step, N: int, callback=None):
+    """Apply step(state) -> state until state.k reaches N; return the last state.
+
+    The one run loop of every method. callback(state), when given, runs after
+    each step. N < 1 raises before the first step.
+    """
+    if N < 1:
+        raise SolverError(f"N must be >= 1, got {N}")
+    while state.k < N:
+        state = step(state)
+        if callback is not None:
+            callback(state)
+    return state
+
+
+class AveragedIterate:
+    """r and r_avg of a stream-method state: the softmax of log_r, and the
+    running sum avg_num of iterates over its total weight avg_den (r before
+    any step)."""
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.exp(self.log_r - logsumexp(self.log_r))
+
+    @property
+    def r_avg(self) -> np.ndarray:
+        if self.avg_den == 0:
+            return self.r
+        return self.avg_num / self.avg_den
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ M_(t), then updates the running averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from barystream.dual_core import (
     EXACT_SOLVER_CAP,
     SolverError,
     boxed_dual_lp,
+    drive,
     lambda_star,
     lambda_star_argmax,
     logsumexp,
@@ -93,6 +94,9 @@ class FiniteSaddleState:
 
     @classmethod
     def cold_start(cls, problem: FiniteProblem, N: int) -> "FiniteSaddleState":
+        """The start state of an N-step run; eta is the N-step stepsize."""
+        if N < 1:
+            raise SolverError(f"N must be >= 1, got {N}")
         n, m = problem.n, problem.m
         c_inf = problem.C.inf_norm
         alpha = 2.0 * math.log(n)
@@ -156,18 +160,17 @@ def run_finite(problem: FiniteProblem, N: int, seed: int,
     Returns (r_avg, M_avg, trace) where trace holds (k, gap) pairs when
     gap_every > 0 and the problem is small enough for the exact evaluator.
     """
-    if N < 1:
-        raise SolverError("run_finite: N must be >= 1")
     if state is None:
         state = FiniteSaddleState.cold_start(problem, N)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
     trace = []
-    while state.k < N:
-        state = md_step(state, problem, rng)
-        if gap_every and state.k % gap_every == 0:
-            trace.append((state.k, duality_gap_finite(state.r_avg, state.M_avg,
-                                                      problem)))
+
+    def record_gap(s: FiniteSaddleState) -> None:
+        if gap_every and s.k % gap_every == 0:
+            trace.append((s.k, duality_gap_finite(s.r_avg, s.M_avg, problem)))
+
+    state = drive(state, lambda s: md_step(s, problem, rng), N, record_gap)
     return state.r_avg, state.M_avg, trace
 
 

@@ -11,13 +11,19 @@ with the general path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from barystream.dual_core import CostMatrix, SolverError, logsumexp
+from barystream.dual_core import (
+    AveragedIterate,
+    CostMatrix,
+    SolverError,
+    drive,
+    logsumexp,
+)
 from barystream.finite_md import NumericalAbort
-from barystream.measures import MeasureStream, sample_measure
+from barystream.measures import MeasureStream
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,9 @@ class KmdConfig:
     def for_run(cls, kernel: Kernel, C: CostMatrix, N: int,
                 mode: str = "constant", clip: str = "cost",
                 eta_scale: float = 1.0) -> "KmdConfig":
+        """The config of an N-step run; eta is the N-step constant stepsize."""
+        if N < 1:
+            raise SolverError(f"N must be >= 1, got {N}")
         n = C.n
         r_sq = kernel.resolved_r_sq(C)
         L = math.sqrt(8.0 * math.log(n) * C.inf_norm ** 2
@@ -155,7 +164,7 @@ class _History:
 
 
 @dataclass
-class KmdState:
+class KmdState(AveragedIterate):
     """Iterate of Kernel Mirror Descent: primal point plus dual history."""
 
     log_r: np.ndarray
@@ -163,16 +172,6 @@ class KmdState:
     avg_num: np.ndarray          # stepsize-weighted (or plain) sum of iterates
     avg_den: float
     k: int
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.exp(self.log_r - logsumexp(self.log_r))
-
-    @property
-    def r_avg(self) -> np.ndarray:
-        if self.avg_den == 0:
-            return self.r
-        return self.avg_num / self.avg_den
 
     @classmethod
     def cold_start(cls, n: int, history_cap: int | None = None) -> "KmdState":
@@ -196,9 +195,9 @@ def _saddle_update(log_r: np.ndarray, f: np.ndarray, C: CostMatrix,
                    eta_k: float, config: KmdConfig):
     """Shared per-step algebra: argmax indices, primal gradient, updates.
 
-    Returns (new_log_r, r_pre, beta_k_over_kernel) where the beta vector is
-    eta_k * beta_scale * (-c + sum_i r_i e_{J_i}) without the -c part; the
-    caller folds in its sample.
+    Returns (new_log_r, pattern) where pattern = sum_i r_i e_{J_i} is the
+    part of beta^(k) / (eta_k * beta_scale) = pattern - c that does not
+    depend on the sample; the caller folds in its sample c.
     """
     scores = -C.entries - f[None, :]
     J = np.argmax(scores, axis=1)
@@ -209,7 +208,7 @@ def _saddle_update(log_r: np.ndarray, f: np.ndarray, C: CostMatrix,
     new_log_r -= new_log_r.max()
     if not np.all(np.isfinite(new_log_r)):
         raise NumericalAbort("non-finite primal iterate in KMD step")
-    return new_log_r, r_pre, pattern
+    return new_log_r, pattern
 
 
 def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
@@ -219,7 +218,7 @@ def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
     f = f_eval(state, config.kernel, c, config.clip_bound)
-    new_log_r, _r_pre, pattern = _saddle_update(state.log_r, f, C, eta_k, config)
+    new_log_r, pattern = _saddle_update(state.log_r, f, C, eta_k, config)
     beta_k = eta_k * config.beta_scale * (pattern - c)
     state.history.append(beta_k, c)
     r_new = np.exp(new_log_r - logsumexp(new_log_r))
@@ -231,47 +230,26 @@ def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
 
 def kmd_run(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
             state: KmdState | None = None, config: KmdConfig | None = None,
-            clip: str = "cost", eta_scale: float = 1.0,
-            callback=None) -> tuple[np.ndarray, KmdState]:
-    """Run N total constant-stepsize KMD iterations; returns (r_avg, state)."""
-    if N < 1:
-        raise SolverError("kmd_run: N must be >= 1")
+            clip: str = "cost", eta_scale: float = 1.0, callback=None,
+            mode: str = "constant") -> tuple[np.ndarray, KmdState]:
+    """Run N total KMD iterations; returns (r_avg, state).
+
+    mode "constant" takes the fixed stepsize of an N-step run and the plain
+    average; "dynamic" is the online (infinite-horizon) variant: eta_k ~
+    1/sqrt(k) and the stepsize-weighted average.
+    """
     if config is None:
-        config = KmdConfig.for_run(kernel, C, N, mode="constant", clip=clip,
+        config = KmdConfig.for_run(kernel, C, N, mode=mode, clip=clip,
                                    eta_scale=eta_scale)
     if state is None:
         state = KmdState.cold_start(C.n)
-    while state.k < N:
-        c = sample_measure(stream).weights
-        state = kmd_step(state, config, c, C)
-        if callback is not None:
-            callback(state)
-    return state.r_avg, state
-
-
-def kmd_run_online(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
-                   state: KmdState | None = None,
-                   config: KmdConfig | None = None, clip: str = "cost",
-                   eta_scale: float = 1.0,
-                   callback=None) -> tuple[np.ndarray, KmdState]:
-    """Infinite-horizon variant: eta_k ~ 1/sqrt(k), stepsize-weighted average."""
-    if N < 1:
-        raise SolverError("kmd_run_online: N must be >= 1")
-    if config is None:
-        config = KmdConfig.for_run(kernel, C, N, mode="dynamic", clip=clip,
-                                   eta_scale=eta_scale)
-    if state is None:
-        state = KmdState.cold_start(C.n)
-    while state.k < N:
-        c = sample_measure(stream).weights
-        state = kmd_step(state, config, c, C)
-        if callback is not None:
-            callback(state)
+    state = drive(state, lambda s: kmd_step(s, config, stream.sample().weights, C),
+                  N, callback)
     return state.r_avg, state
 
 
 @dataclass
-class LinearKmdState:
+class LinearKmdState(AveragedIterate):
     """Linear-kernel iterate: the dual function is the matrix map c -> theta c."""
 
     log_r: np.ndarray
@@ -279,16 +257,6 @@ class LinearKmdState:
     avg_num: np.ndarray
     avg_den: float
     k: int
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.exp(self.log_r - logsumexp(self.log_r))
-
-    @property
-    def r_avg(self) -> np.ndarray:
-        if self.avg_den == 0:
-            return self.r
-        return self.avg_num / self.avg_den
 
     @classmethod
     def cold_start(cls, n: int) -> "LinearKmdState":
@@ -308,7 +276,7 @@ def linear_kmd_step(state: LinearKmdState, config: KmdConfig,
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
     f = np.clip(state.theta @ c, -config.clip_bound, config.clip_bound)
-    new_log_r, _r_pre, pattern = _saddle_update(state.log_r, f, C, eta_k, config)
+    new_log_r, pattern = _saddle_update(state.log_r, f, C, eta_k, config)
     beta_k = eta_k * config.beta_scale * (pattern - c)
     theta = state.theta + np.outer(beta_k, c)
     r_new = np.exp(new_log_r - logsumexp(new_log_r))
@@ -324,16 +292,12 @@ def linear_kmd_run(stream: MeasureStream, C: CostMatrix, N: int,
                    eta_scale: float = 1.0, r_sq: float | None = None,
                    callback=None) -> tuple[np.ndarray, LinearKmdState]:
     """Constant-stepsize run of the matrix-form linear-kernel method."""
-    if N < 1:
-        raise SolverError("linear_kmd_run: N must be >= 1")
     if config is None:
         config = KmdConfig.for_run(Kernel.linear(r_sq), C, N, mode="constant",
                                    clip=clip, eta_scale=eta_scale)
     if state is None:
         state = LinearKmdState.cold_start(C.n)
-    while state.k < N:
-        c = sample_measure(stream).weights
-        state = linear_kmd_step(state, config, c, C)
-        if callback is not None:
-            callback(state)
+    state = drive(state,
+                  lambda s: linear_kmd_step(s, config, stream.sample().weights, C),
+                  N, callback)
     return state.r_avg, state

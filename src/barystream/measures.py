@@ -166,7 +166,6 @@ class MeasureStream:
     strict: bool = False
     _rng: np.random.Generator = field(init=False, repr=False)
     _pos: int = field(default=0, repr=False)
-    last_index: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -201,7 +200,6 @@ class MeasureStream:
     def sample(self) -> DiscreteMeasure:
         if self.kind == "finite":
             t = int(self._rng.choice(len(self.measures), p=self.weights))
-            self.last_index = t
             return self.measures[t]
         if self.kind == "gaussian":
             mu = self._rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
@@ -215,11 +213,9 @@ class MeasureStream:
                 if self._pos >= len(self.measures):
                     raise EndOfStream(f"corpus exhausted after {self._pos} draws")
                 m = self.measures[self._pos]
-                self.last_index = self._pos
                 self._pos += 1
                 return m
             t = int(self._rng.integers(len(self.measures)))
-            self.last_index = t
             return self.measures[t]
         raise MeasureError(f"unknown stream kind {self.kind!r}")
 
@@ -229,11 +225,6 @@ class MeasureStream:
     def load_state(self, state: dict) -> None:
         self._rng.bit_generator.state = state["rng"]
         self._pos = int(state["pos"])
-
-
-def sample_measure(stream: MeasureStream) -> DiscreteMeasure:
-    """Draw one measure from the stream, advancing its RNG state."""
-    return stream.sample()
 
 
 def load_image_measure(path, expected_side: int) -> DiscreteMeasure:

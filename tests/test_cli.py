@@ -1,4 +1,7 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +313,142 @@ def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
     _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
                "--set", "baseline.inner_iters=5")
     assert "warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("method", "adam"),
+    ("stepsize_mode", "foo"),
+    ("clip", "foo"),
+    ("data.kind", "foo"),
+    ("baseline.stepper", "foo"),
+    ("baseline.schedule", "foo"),
+    ("N", "2.5"),
+    ("halt_after", "-3"),
+    ("halt_after", "0"),
+    ("checkpoint_every", "0"),
+])
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    report = tmp_path / "report.csv"
+    assert main(["run", "--set", "N=4", "--set", "data.grid.n=6",
+                 "--set", f"output.report={report}",
+                 "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "abc"])
+def test_resume_rejects_a_bad_halt_after(tmp_path, capsys, value):
+    _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(ckpt),
+                 "--set", f"halt_after={value}"]) == 1
+    assert "halt_after" in capsys.readouterr().err
+    assert json.loads(ckpt.read_text())["k"] == 10
+
+
+def test_finite_md_without_a_path_is_a_config_error(capsys):
+    assert main(["run", "--set", "method=finite_md", "--set", "data.kind=finite",
+                 "--set", "N=5"]) == 1
+    assert "corpus path missing" in capsys.readouterr().err
+
+
+def _method_args(tmp_path):
+    """CLI flags of each method, at settings where its iterates move far from
+    the uniform start; finite_md runs on a 4-measure corpus made here."""
+    corpus = tmp_path / "corpus.csv"
+    if not corpus.exists():
+        assert main(["gen-data", "--set", "data.count=4", "--set", "data.grid.n=8",
+                     "--set", "seed=9", "--set", f"data.path={corpus}"]) == 0
+    rbf = 'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}'
+    return {
+        "finite_md": ["method=finite_md", "data.kind=finite",
+                      f"data.path={corpus}", "eta_scale=50.0"],
+        "kmd": ["method=kmd", rbf, "cost.normalize=true", "eta_scale=10000.0"],
+        "kmd_dynamic": ["method=kmd", rbf, "stepsize_mode=dynamic",
+                        "cost.normalize=true", "eta_scale=100.0"],
+        "linear_kmd": ["method=linear_kmd", "cost.normalize=true",
+                       "eta_scale=2000.0"],
+        "sinkhorn_sgd": ["method=sinkhorn_sgd", "baseline.inner_iters=30",
+                         "baseline.stepsize=0.05"],
+        "lp_sgd": ["method=lp_sgd", "baseline.stepsize=0.05"],
+        "lp_sgd_euclidean": ["method=lp_sgd", "baseline.stepsize=0.05",
+                             "baseline.stepper=euclidean"],
+    }
+
+
+def _sets(*items):
+    return [a for item in items for a in ("--set", item)]
+
+
+# r_avg and the sha256 of json.dumps(payload["state"]) after N=200 steps
+# (n=8, seed=3), recorded from the code before the method table, the state
+# codec and the shared run loop replaced the per-method chains and loops
+SEEDED_GUARD = {
+    "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
+                  [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
+                   0.18677162696367908, 0.34192672091788384, 0.1407247175625001,
+                   0.06525148637768098, 0.05061822516202479]),
+    "kmd": ("007022378a5568cdef6d269f7356be252d23aea4f0d6cf6222a029da6e500466",
+            [0.000625014099170272, 0.007566293439683009, 0.030258311033449746,
+             0.021466973496984777, 0.901980264001689, 0.03296954423323988,
+             0.0040240159472243655, 0.001109583748559312]),
+    "kmd_dynamic": ("cca14f5e909e3cdbf8de7909f4aeb736183f57bb82a8e956672aa51ce5cf50ab",
+                    [0.005850131821332614, 0.012887437424328798, 0.05767061294161781,
+                     0.1932169864964062, 0.4216303132501782, 0.23862699392516348,
+                     0.05333957132442007, 0.016777952816552033]),
+    "linear_kmd": ("bb53c639e35fe716187fa6bf3296bc431e0e4f65178f6da18586d04e1ec641f3",
+                   [0.0025078114503235133, 0.00575328880303214, 0.019775053396683083,
+                    0.14128641936335165, 0.6539741945800016, 0.15092569063696415,
+                    0.020073169738235048, 0.005704372031409044]),
+    "sinkhorn_sgd": ("59492a73dedb96fe483f34577ab59bf8aa535567b7741163b66036f652667a13",
+                     [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
+                      0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
+                      0.08023703758014075, 0.040553652980500975]),
+    "lp_sgd": ("2bad95cf46053eae1340e102237aa17c88475e1099c7af1bd88b8ad0cac023dd",
+               [2.874630547923718e-06, 0.00048165240847951817, 0.04119105980550865,
+                0.2813559100737693, 0.4705189475152078, 0.19441188615040608,
+                0.011540602937385092, 0.0004970664786954777]),
+    "lp_sgd_euclidean": (
+        "ad81df7604cd820601aaf693cc8ad829750f0628e09684aa6d7c2a6e868c8bc5",
+        [0.09390191857570981, 0.09347753393921489, 0.08091081839790037,
+         0.14932469884547112, 0.2331725649387997, 0.1324021975705155,
+         0.11292339333019513, 0.10388687440219346]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
+def test_seeded_checkpoint_guard(tmp_path, name):
+    ckpt = tmp_path / "state.json"
+    assert main(["run"] + _sets("N=200", "data.grid.n=8", "seed=3",
+                                "checkpoint_every=50", f"output.checkpoint={ckpt}",
+                                *_method_args(tmp_path)[name])) == 0
+    payload = json.loads(ckpt.read_text())
+    sha, r_avg = SEEDED_GUARD[name]
+    np.testing.assert_allclose(cli._restore_state(payload).r_avg, r_avg,
+                               rtol=1e-12, atol=0)
+    assert hashlib.sha256(json.dumps(payload["state"]).encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd",
+                                  "sinkhorn_sgd", "lp_sgd"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_resume_at_any_step_matches_uninterrupted(name, data):
+    N = data.draw(st.integers(2, 40), label="N")
+    halt = data.draw(st.integers(1, N - 1), label="halt_after")
+    every = data.draw(st.integers(1, N), label="checkpoint_every")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        common = _sets(f"N={N}", "data.grid.n=8", "seed=4",
+                       f"checkpoint_every={every}", *_method_args(tmp)[name])
+        full, half = tmp / "full.json", tmp / "half.json"
+        assert main(["run"] + common + _sets(f"output.checkpoint={full}")) == 0
+        assert main(["run"] + common + _sets(f"halt_after={halt}",
+                                             f"output.checkpoint={half}")) == 0
+        assert json.loads(half.read_text())["k"] == halt
+        assert main(["resume", "--checkpoint", str(half)]) == 0
+        a, b = json.loads(full.read_text()), json.loads(half.read_text())
+    assert a["k"] == b["k"] == N
+    for key in ("state", "rng", "stream"):
+        assert a.get(key) == b.get(key), key

@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from barystream import finite_md
 from barystream.dual_core import (
     CostMatrix,
+    SolverError,
     lambda_star,
     lambda_star_argmax,
     squared_distance_cost,
@@ -229,6 +230,16 @@ def test_run_finite_single_step_and_determinism():
     b = run_finite(problem, N=100, seed=9)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_run_finite_rejects_bad_n():
+    problem = toy_problem()
+    for N in (0, -3):
+        with pytest.raises(SolverError):
+            run_finite(problem, N=N, seed=1)
+    state = FiniteSaddleState.cold_start(problem, N=10)
+    with pytest.raises(SolverError):
+        run_finite(problem, N=0, seed=1, state=state)
 
 
 def test_run_finite_seeded_trajectory_guard():

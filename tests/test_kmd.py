@@ -18,7 +18,6 @@ from barystream.kmd import (
     kernel_eval,
     kernel_vec,
     kmd_run,
-    kmd_run_online,
     kmd_step,
     linear_kmd_run,
     linear_kmd_step,
@@ -200,9 +199,12 @@ def test_online_single_step_average():
     g = Grid1D.uniform(0, 1, 3)
     C = squared_distance_cost(g, 2)
     c0 = DiscreteMeasure(np.array([0.6, 0.3, 0.1]), g)
-    r_avg, state = kmd_run_online(degenerate_stream(c0),
-                                  Kernel.rbf(1.0, 25.0), C, N=1)
+    r_avg, state = kmd_run(degenerate_stream(c0), Kernel.rbf(1.0, 25.0), C,
+                           N=1, mode="dynamic")
     np.testing.assert_allclose(r_avg, state.r, atol=1e-15)
+    # the dynamic average weighs each iterate by its stepsize
+    cfg = KmdConfig.for_run(Kernel.rbf(1.0, 25.0), C, N=1, mode="dynamic")
+    assert state.avg_den == cfg.stepsize(1) != 1.0
 
 
 def test_online_degenerate_convergence():
@@ -211,8 +213,8 @@ def test_online_degenerate_convergence():
     c0 = DiscreteMeasure(np.array([0.6, 0.3, 0.1]), g)
     scores = []
     for N in (100, 10000):
-        r_avg, _ = kmd_run_online(degenerate_stream(c0),
-                                  Kernel.rbf(1.0, 25.0), C, N)
+        r_avg, _ = kmd_run(degenerate_stream(c0), Kernel.rbf(1.0, 25.0), C, N,
+                           mode="dynamic")
         scores.append(wasserstein_1d(normalize(r_avg, g), c0, g, p=1.0))
     assert scores[1] < scores[0]
 

@@ -12,7 +12,6 @@ from barystream.measures import (
     load_corpus,
     load_image_measure,
     normalize,
-    sample_measure,
     save_corpus,
 )
 
@@ -94,14 +93,14 @@ def test_finite_stream_degenerate():
     c1 = DiscreteMeasure(np.array([0.3, 0.7]))
     stream = MeasureStream.finite([c1], [1.0], seed=1)
     for _ in range(10):
-        assert sample_measure(stream) is c1
+        assert stream.sample() is c1
 
 
 def test_finite_stream_frequencies():
     c1 = DiscreteMeasure(np.array([1.0, 0.0]))
     c2 = DiscreteMeasure(np.array([0.0, 1.0]))
     stream = MeasureStream.finite([c1, c2], [0.5, 0.5], seed=7)
-    hits = sum(sample_measure(stream) is c1 for _ in range(100_000))
+    hits = sum(stream.sample() is c1 for _ in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.01  # binomial 3 sigma is ~0.005
 
 
@@ -109,7 +108,7 @@ def test_gaussian_stream_mean():
     g = Grid1D.uniform(-10, 10, 60)
     law = GaussianParamLaw(mu0=1.0, sigma0_sq=4.0, rate=0.5)
     stream = MeasureStream.gaussian(law, g, seed=3)
-    means = [sample_measure(stream).mean() for _ in range(10_000)]
+    means = [stream.sample().mean() for _ in range(10_000)]
     # CLT 3 sigma on E[mu]=1 with sd 2 (plus sigma-spread), generous
     assert abs(np.mean(means) - 1.0) < 0.07
 
