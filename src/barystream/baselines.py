@@ -42,6 +42,10 @@ class BaselineConfig:
             raise SolverError(f"unknown baseline method {self.method!r}")
         if self.method == "sinkhorn_sgd" and self.gamma <= 0:
             raise SolverError("sinkhorn_sgd requires gamma > 0")
+        if self.schedule not in ("constant", "inverse_sqrt"):
+            raise SolverError(f"unknown stepsize schedule {self.schedule!r}")
+        if self.stepper not in ("mirror", "euclidean"):
+            raise SolverError(f"unknown stepper {self.stepper!r}")
 
     def eta(self, k: int) -> float:
         if self.schedule == "constant":

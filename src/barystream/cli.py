@@ -386,7 +386,7 @@ def _run_loop(config: dict, run: _Run):
 
     holdout = None
     holdout_size = config["eval"]["gap_holdout"]
-    if holdout_size and C.n <= EXACT_SOLVER_CAP:
+    if holdout_size:
         holdout_stream, _ = _build_stream(
             _deep_update(config, {"seed": config["seed"] + 10_000_019}))
         holdout = [holdout_stream.sample() for _ in range(holdout_size)]

@@ -3,8 +3,9 @@
 The transport cost is L_C(r, c) = min <C, X> over plans X with marginals
 (r, c). Its dual in potentials (lambda, mu) with -C_ij - lambda_i - mu_j <= 0
 is max -<lambda, r> - <mu, c>; eliminating lambda gives the row-wise map
-lambda*_i(mu) = max_j(-C_ij - mu_j). Exact solves go through an LP and are
-capped at small n: they serve evaluation and certification, not speed.
+lambda*_i(mu) = max_j(-C_ij - mu_j). On a grid Monge cost the exact value
+and an optimal dual come from the staircase (quantile) coupling of the two
+CDFs; any other exact solve goes through an LP and is capped at small n.
 """
 
 from __future__ import annotations
@@ -58,10 +59,17 @@ class AveragedIterate:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Non-negative n x n cost matrix with cached sup-norm."""
+    """Non-negative n x n cost matrix with cached sup-norm.
+
+    grid_monge marks |x_i - x_j|^p (p >= 1, times a factor >= 0) on a strictly
+    increasing grid. Such a matrix is Monge, so the staircase coupling of two
+    CDFs is optimal for it and `boxed_dual` reads its duals off the staircase.
+    Only `squared_distance_cost` sets the mark and `scaled` keeps it.
+    """
 
     entries: np.ndarray
     inf_norm: float
+    grid_monge: bool = False
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -81,15 +89,17 @@ class CostMatrix:
         return self.entries.shape[0]
 
     def scaled(self, factor: float) -> "CostMatrix":
-        return CostMatrix.from_entries(self.entries * factor)
+        e = self.entries * factor
+        return CostMatrix(e, float(np.abs(e).max()), self.grid_monge)
 
 
 def squared_distance_cost(grid: Grid1D, p: float = 2.0) -> CostMatrix:
-    """C_ij = |x_i - x_j|^p for grid locations x."""
+    """C_ij = |x_i - x_j|^p for grid locations x, marked as a grid Monge cost."""
     if p < 1:
         raise SolverError("cost exponent p must be >= 1")
     x = grid.points
-    return CostMatrix.from_entries(np.abs(x[:, None] - x[None, :]) ** p)
+    e = np.abs(x[:, None] - x[None, :]) ** p
+    return CostMatrix(e, float(np.abs(e).max()), grid_monge=True)
 
 
 def lambda_star(mu, C: CostMatrix) -> np.ndarray:
@@ -157,17 +167,17 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                       gap=value - dual_value)
 
 
-def wasserstein_1d(r: DiscreteMeasure, c: DiscreteMeasure, grid: Grid1D,
-                   p: float = 2.0) -> float:
-    """Exact 1-D p-Wasserstein distance via the quantile coupling.
+def staircase(r_weights: np.ndarray, c_weights: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The north-west-corner (quantile) coupling of two weight vectors.
 
-    Both measures live on the same sorted grid, so the optimal coupling is
-    monotone: integrate |F_r^{-1}(q) - F_c^{-1}(q)|^p over quantile levels q.
+    Returns its cells (idx_r[k], idx_c[k]) and their masses widths[k], in
+    order of quantile level: the cell of each interval between consecutive
+    breakpoints of either step CDF. Both indices are non-decreasing, so the
+    cells form a staircase from the first to the last index with mass.
     """
-    if p < 1:
-        raise SolverError("wasserstein_1d: p must be >= 1")
-    cdf_r = np.cumsum(r.weights)
-    cdf_c = np.cumsum(c.weights)
+    cdf_r = np.cumsum(r_weights)
+    cdf_c = np.cumsum(c_weights)
     # all quantile breakpoints of either step CDF
     q = np.union1d(cdf_r, cdf_c)
     q = q[(q > 0) & (q <= 1 + 1e-15)]
@@ -178,9 +188,59 @@ def wasserstein_1d(r: DiscreteMeasure, c: DiscreteMeasure, grid: Grid1D,
     # rounding can leave the last cumsum entry a hair below 1
     idx_r = np.minimum(np.searchsorted(cdf_r, mid, side="left"), cdf_r.size - 1)
     idx_c = np.minimum(np.searchsorted(cdf_c, mid, side="left"), cdf_c.size - 1)
+    return idx_r, idx_c, widths
+
+
+def wasserstein_1d(r: DiscreteMeasure, c: DiscreteMeasure, grid: Grid1D,
+                   p: float = 2.0) -> float:
+    """Exact 1-D p-Wasserstein distance via the quantile coupling.
+
+    Both measures live on the same sorted grid, so the optimal coupling is
+    monotone: integrate |F_r^{-1}(q) - F_c^{-1}(q)|^p over quantile levels q.
+    """
+    if p < 1:
+        raise SolverError("wasserstein_1d: p must be >= 1")
+    idx_r, idx_c, widths = staircase(r.weights, c.weights)
     xi = grid.points[idx_r]
     xj = grid.points[idx_c]
     return float(np.sum(widths * np.abs(xi - xj) ** p) ** (1.0 / p))
+
+
+def staircase_dual(r_weights: np.ndarray, c_weights: np.ndarray,
+                   C: CostMatrix) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact OT value and an optimal dual (value, lambda, mu) for a grid Monge
+    cost, from the staircase; r and c must carry the same mass.
+
+    Complementary slackness puts lambda_i + mu_j = -C_ij on every staircase
+    cell. Consecutive cells share a column (lambda steps by the difference of
+    the two rows' costs there), share a row (lambda stays) or, where both
+    CDFs step at one level, share neither. There the duals of the two parts
+    may take any offset between those the connecting cells (i', j) and
+    (i, j') give; both are feasible for a Monge C, and their midpoint is
+    taken, which keeps lambda constant when r == c on a symmetric C. One
+    formula covers all three steps.
+
+    The rest are c-transforms: mu on the columns with mass from lambda on
+    the staircase rows, lambda on every row from those columns alone, then
+    mu on every column from lambda. Leaving the zero-mass columns out of
+    lambda is the largest mu there, which makes lambda_star(mu) smallest and
+    so the bound gap_surrogate builds from it tightest. mu is a c-transform,
+    so its range is at most |C|_inf: shifted to min mu = 0 it lies in the
+    box [0, |C|_inf]. O(n^2) for the c-transforms.
+    """
+    i, j, _ = staircase(r_weights, c_weights)
+    e = C.entries
+    step = 0.5 * ((e[i[:-1], j[:-1]] - e[i[1:], j[:-1]])
+                  + (e[i[:-1], j[1:]] - e[i[1:], j[1:]]))
+    lam = np.full(C.n, np.inf)  # an inf potential drops out of a c-transform
+    lam[i] = np.concatenate([[0.0], np.cumsum(step)])
+    mu = np.max(-e - lam[:, None], axis=0)
+    mu[np.asarray(c_weights) == 0] = np.inf
+    lam = lambda_star(mu, C)
+    mu = np.max(-e - lam[:, None], axis=0)
+    mu -= mu.min()
+    lam = lambda_star(mu, C)
+    return float(-(lam @ r_weights) - (mu @ c_weights)), lam, mu
 
 
 def logsumexp(x: np.ndarray) -> np.float64:
@@ -333,6 +393,19 @@ def boxed_dual_lp(r_weights: np.ndarray, c_weights: np.ndarray, C: CostMatrix,
     lam = res.x[:n]
     mu = res.x[n:]
     return float(-res.fun), lam, mu
+
+
+def boxed_dual(r_weights: np.ndarray, c_weights: np.ndarray,
+               C: CostMatrix) -> tuple[float, np.ndarray, np.ndarray]:
+    """An optimum (value, lambda, mu) of the dual boxed at |mu|_inf <= |C|_inf:
+    `staircase_dual` on a grid Monge cost, where the box is lossless, else
+    `boxed_dual_lp`, capped at n <= EXACT_SOLVER_CAP."""
+    if C.grid_monge:
+        return staircase_dual(r_weights, c_weights, C)
+    if C.n > EXACT_SOLVER_CAP:
+        raise SolverError(f"boxed dual: n={C.n} exceeds the exact-solver cap "
+                          f"{EXACT_SOLVER_CAP} of a cost that is not a grid cost")
+    return boxed_dual_lp(r_weights, c_weights, C, C.inf_norm)
 
 
 def certify_dual_bound(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,

@@ -16,9 +16,8 @@ import numpy as np
 
 from barystream.dual_core import (
     CostMatrix,
-    EXACT_SOLVER_CAP,
     SolverError,
-    boxed_dual_lp,
+    boxed_dual,
     lambda_star,
     wasserstein_1d,
 )
@@ -52,15 +51,16 @@ def gap_surrogate(r, holdout, C: CostMatrix) -> float:
     """Primal suboptimality of r on the holdout empirical barycenter problem.
 
     For each holdout measure the boxed dual row maximizer at r is computed
-    exactly, so the reported value is max_M F(r, M) - min_r' F(r', M*(r)):
-    zero iff r minimizes the empirical objective on the holdout.
+    exactly (`boxed_dual`), so the reported value is max_M F(r, M) -
+    min_r' F(r', M*(r)): zero iff r minimizes the empirical objective on the
+    holdout. Where r has zero-mass entries or shares a CDF breakpoint with a
+    holdout measure the maximizer is not unique, and the value depends on
+    the one taken; any of them gives an upper bound on the suboptimality.
     """
     holdout = list(holdout)
     if not holdout:
         raise SolverError("gap_surrogate: holdout must be non-empty")
     n = C.n
-    if n > EXACT_SOLVER_CAP:
-        raise SolverError("gap_surrogate: n exceeds exact-solver cap")
     r = np.asarray(r, dtype=float)
     w = 1.0 / len(holdout)
     max_part = 0.0
@@ -68,7 +68,7 @@ def gap_surrogate(r, holdout, C: CostMatrix) -> float:
     cross = 0.0
     for m in holdout:
         c = m.weights if isinstance(m, DiscreteMeasure) else np.asarray(m, float)
-        value, _, mu = boxed_dual_lp(r, c, C, C.inf_norm)
+        value, _, mu = boxed_dual(r, c, C)
         max_part += w * value
         neg_lam += w * (-lambda_star(mu, C))
         cross += w * float(mu @ c)

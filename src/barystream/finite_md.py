@@ -18,7 +18,7 @@ from barystream.dual_core import (
     CostMatrix,
     EXACT_SOLVER_CAP,
     SolverError,
-    boxed_dual_lp,
+    boxed_dual,
     drive,
     lambda_star,
     lambda_star_argmax,
@@ -158,7 +158,7 @@ def run_finite(problem: FiniteProblem, N: int, seed: int,
     """Run N total iterations from a cold start (or resume a given state).
 
     Returns (r_avg, M_avg, trace) where trace holds (k, gap) pairs when
-    gap_every > 0 and the problem is small enough for the exact evaluator.
+    gap_every > 0 (see duality_gap_finite for the cap on costs off the grid).
     """
     if state is None:
         state = FiniteSaddleState.cold_start(problem, N)
@@ -179,19 +179,20 @@ def duality_gap_finite(r: np.ndarray, M: np.ndarray,
     """Exact duality gap of (r, M) for the finite saddle objective.
 
     F(r, M) = sum_t w_t [ -<lambda*(M_t), r> - <M_t, c_t> ]. The max over
-    boxed M' decomposes per row into an LP; the min over the simplex is the
-    smallest coordinate of the averaged -lambda* vector.
+    boxed M' decomposes per row into a boxed dual OT problem (`boxed_dual`,
+    whose box is problem.box_bound); the min over the simplex is the smallest
+    coordinate of the averaged -lambda* vector. A cost that is not a grid
+    cost goes through one LP per row and is capped at n, m <= EXACT_SOLVER_CAP.
     """
     n, m = problem.n, problem.m
-    if n > EXACT_SOLVER_CAP or m > EXACT_SOLVER_CAP:
+    if not problem.C.grid_monge and max(n, m) > EXACT_SOLVER_CAP:
         raise SolverError("duality_gap_finite: problem exceeds exact-solver cap")
     w = problem.weights
-    box = problem.box_bound
     max_part = 0.0
     for t in range(m):
         if w[t] == 0:
             continue
-        value, _, _ = boxed_dual_lp(r, problem.measures[t], problem.C, box)
+        value, _, _ = boxed_dual(r, problem.measures[t], problem.C)
         max_part += w[t] * value
     neg_lam = np.zeros(n)
     cross = 0.0

@@ -111,6 +111,10 @@ class KmdConfig:
         """The config of an N-step run; eta is the N-step constant stepsize."""
         if N < 1:
             raise SolverError(f"N must be >= 1, got {N}")
+        if mode not in ("constant", "dynamic"):
+            raise SolverError(f"unknown stepsize mode {mode!r}")
+        if clip not in ("cost", "unit"):
+            raise SolverError(f"unknown clip {clip!r}")
         n = C.n
         r_sq = kernel.resolved_r_sq(C)
         L = math.sqrt(8.0 * math.log(n) * C.inf_norm ** 2

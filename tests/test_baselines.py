@@ -204,6 +204,12 @@ def test_config_validation():
                           stepsize=0.3).eta(100) == 0.3
 
 
+@pytest.mark.parametrize("key", ["schedule", "stepper"])
+def test_config_rejects_an_unknown_choice(key):
+    with pytest.raises(SolverError, match="'foo'"):
+        BaselineConfig(method="lp_sgd", **{key: "foo"})
+
+
 def test_run_baseline_rejects_bad_n():
     target = DiscreteMeasure(np.array([0.5, 0.5]))
     with pytest.raises(SolverError):

@@ -187,6 +187,18 @@ def test_gap_holdout_reporting(tmp_path):
     assert float(last[2]) >= -1e-9  # gap column populated and non-negative
 
 
+def test_gap_column_at_the_default_grid_size(tmp_path):
+    # n = 100 is past the LP cap: the gap comes from the staircase duals
+    report = tmp_path / "report.csv"
+    assert main(["run"] + _sets("N=30", "checkpoint_every=10", "eval.gap_holdout=3",
+                                f"output.report={report}")) == 0
+    rows = report.read_text().strip().split("\n")[1:]
+    assert len(rows) == 3
+    for row in rows:
+        gap = row.split(",")[2]
+        assert gap != "" and float(gap) >= 0.0
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                np.inf, -np.inf, np.nan, -np.nan]
 
@@ -353,12 +365,13 @@ def test_finite_md_without_a_path_is_a_config_error(capsys):
     assert "corpus path missing" in capsys.readouterr().err
 
 
-def _method_args(tmp_path):
+def _method_args(tmp_path, n=8):
     """CLI flags of each method, at settings where its iterates move far from
-    the uniform start; finite_md runs on a 4-measure corpus made here."""
-    corpus = tmp_path / "corpus.csv"
+    the uniform start; finite_md runs on a 4-measure corpus of grid size n
+    made here."""
+    corpus = tmp_path / f"corpus{n}.csv"
     if not corpus.exists():
-        assert main(["gen-data", "--set", "data.count=4", "--set", "data.grid.n=8",
+        assert main(["gen-data", "--set", "data.count=4", "--set", f"data.grid.n={n}",
                      "--set", "seed=9", "--set", f"data.path={corpus}"]) == 0
     rbf = 'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}'
     return {
@@ -452,3 +465,19 @@ def test_resume_at_any_step_matches_uninterrupted(name, data):
     assert a["k"] == b["k"] == N
     for key in ("state", "rng", "stream"):
         assert a.get(key) == b.get(key), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SEEDED_GUARD)), n=st.integers(2, 8),
+       seed=st.integers(0, 2 ** 16), steps=st.integers(1, 15))
+def test_every_step_stays_on_the_simplex(name, n, seed, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = load_config(None, [f"data.grid.n={n}", f"seed={seed}",
+                                    *_method_args(Path(tmp), n)[name]])
+        run = cli.METHODS[config["method"]].setup(config)
+    state = run.state
+    for _ in range(steps):
+        state = run.step(state)
+        for r in (state.r, state.r_avg):
+            assert np.all(np.isfinite(r)) and np.all(r >= 0)
+            assert abs(r.sum() - 1.0) <= 1e-9

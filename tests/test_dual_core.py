@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,8 +18,12 @@ from barystream.dual_core import (
     logsumexp_axis,
     sinkhorn,
     squared_distance_cost,
+    staircase,
+    staircase_dual,
     wasserstein_1d,
 )
+from barystream.evaluation import gap_surrogate
+from barystream.finite_md import FiniteProblem, duality_gap_finite
 from barystream.measures import DiscreteMeasure, Grid1D, normalize
 
 # scipy < 1.15 computed a + log(sum(exp(a - a))); the helpers follow the
@@ -359,3 +364,116 @@ def test_certify_random_instances():
         ok, mu = certify_dual_bound(r, c, C)
         assert ok
         assert mu.min() >= -1e-12
+
+
+def _w1d_cases():
+    """Seeded wasserstein_1d inputs on random grids with p in {1, 1.5, 2, 3}:
+    random weights, zero-mass entries, small integer counts (tied CDF
+    breakpoints) and r == c, in turn."""
+    rng = np.random.default_rng(2026)
+    for k in range(400):
+        n = int(rng.integers(2, 41))
+        grid = Grid1D(np.sort(rng.uniform(-5.0, 5.0, n)), -5.0, 5.0)
+        p = (1.0, 1.5, 2.0, 3.0)[int(rng.integers(4))]
+        raw = [rng.random(n) + 0.01,
+               rng.random(n) * (rng.random(n) < 0.5),
+               rng.integers(0, 4, n).astype(float)][k % 3]
+        raw[int(rng.integers(n))] += 1.0
+        r = normalize(raw, grid)
+        c = r if k % 4 == 3 else normalize(rng.permutation(raw), grid)
+        yield r, c, grid, p
+
+
+def test_wasserstein_1d_outputs_are_bit_identical_to_the_quantile_loop():
+    # sha256 of the float64 outputs, recorded from wasserstein_1d before its
+    # quantile cells were factored out into dual_core.staircase
+    h = hashlib.sha256()
+    for r, c, grid, p in _w1d_cases():
+        h.update(np.float64(wasserstein_1d(r, c, grid, p)).tobytes())
+    assert h.hexdigest() == (
+        "646305e07bf154f888f2f84bea487a348dca2f89df217328c8d83968eac9c812")
+
+
+def test_grid_cost_mark():
+    C = squared_distance_cost(Grid1D.uniform(0, 1, 4), 1.0)
+    assert C.grid_monge and C.scaled(0.5).grid_monge
+    assert C.scaled(0.5).inf_norm == 0.5
+    assert not CostMatrix.from_entries(C.entries).grid_monge
+
+
+@st.composite
+def grid_costs(draw):
+    """|x_i - x_j|^p, p in {1, 2}, on a random sorted grid in [-3, 3] of 2-30
+    points, scaled half of the time."""
+    n = draw(st.integers(2, 30))
+    steps = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=n - 1,
+                                   max_size=n - 1)))
+    lo = draw(st.floats(-3.0, 0.0))
+    points = lo + (3.0 - lo) * np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+    grid = Grid1D(points, points[0], points[-1])
+    C = squared_distance_cost(grid, draw(st.sampled_from([1.0, 2.0])))
+    if draw(st.booleans()):
+        C = C.scaled(draw(st.floats(0.1, 4.0)))
+    return C
+
+
+@st.composite
+def simplex_weights(draw, n):
+    """Random weights, weights with zero-mass entries, or dyadic weights k/2^m,
+    whose CDF breakpoints tie with those of other dyadic weights. A non-zero
+    entry is at least 0.01 / (n + 1): HiGHS, the oracle here, works to a
+    primal feasibility tolerance of 1e-7 and can drop masses below it."""
+    kind = draw(st.sampled_from(["random", "zero_mass", "dyadic"]))
+    if kind == "dyadic":
+        total = 2 ** draw(st.integers(1, 5))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1,
+                                    max_size=n - 1)))
+        return np.diff([0, *cuts, total]) / total
+    entry = st.floats(0.01, 1.0)
+    if kind == "zero_mass":
+        entry = st.one_of(st.just(0.0), entry)
+    raw = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    raw[draw(st.integers(0, n - 1))] += 1.0
+    return raw / raw.sum()
+
+
+def _generic_weights(seed, n):
+    """Strictly positive weights whose CDF shares no breakpoint with the drawn
+    ones (almost surely): the boxed dual's row maximizer is then unique."""
+    return normalize(np.random.default_rng(seed).random(n) + 0.01).weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_staircase_dual_matches_the_lp(data):
+    C = data.draw(grid_costs(), label="C")
+    n = C.n
+    r = data.draw(simplex_weights(n), label="r")
+    c = r if data.draw(st.booleans(), label="r == c") else data.draw(
+        simplex_weights(n), label="c")
+    value, lam, mu = staircase_dual(r, c, C)
+    exact = exact_ot(DiscreteMeasure(r), DiscreteMeasure(c), C)
+    assert abs(value - exact.value) <= 1e-9
+    i, j, widths = staircase(r, c)
+    assert abs(value - widths @ C.entries[i, j]) <= 1e-12 * (1 + value)
+    assert (-C.entries - lam[:, None] - mu[None, :]).max() <= 1e-9
+    assert np.abs(mu).max() <= C.inf_norm + 1e-9
+
+    # the evaluators agree with their LP path on the unmarked copy of C
+    lp_cost = CostMatrix.from_entries(C.entries)
+    holdout = [c] + data.draw(st.lists(simplex_weights(n), max_size=2),
+                              label="more holdout")
+    weights = np.full(len(holdout), 1.0 / len(holdout))
+    M = np.array([data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+                  for _ in holdout]) * C.inf_norm
+    gaps = [duality_gap_finite(r, M, FiniteProblem(np.array(holdout), weights, cost))
+            for cost in (C, lp_cost)]
+    assert abs(gaps[0] - gaps[1]) <= 1e-9
+    r_generic = _generic_weights(data.draw(st.integers(0, 2 ** 32 - 1)), n)
+    surrogates = [gap_surrogate(r_generic, holdout, cost) for cost in (C, lp_cost)]
+    assert abs(surrogates[0] - surrogates[1]) <= 1e-9
+    # at r itself, zero-mass or tied, the maximizer is not unique and the LP
+    # may take another one; any of them gives a non-negative bound
+    assert gap_surrogate(r, holdout, C) >= -1e-9
+    assert abs(gap_surrogate(c, [c], C)) <= 1e-9
+

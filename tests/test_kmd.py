@@ -330,3 +330,9 @@ def test_run_rejects_bad_n():
         kmd_run(degenerate_stream(c0), Kernel.rbf(1.0, 25.0), C, N=0)
     with pytest.raises(SolverError):
         linear_kmd_run(degenerate_stream(c0), C, N=0)
+
+
+@pytest.mark.parametrize("key", ["mode", "clip"])
+def test_for_run_rejects_an_unknown_choice(key):
+    with pytest.raises(SolverError, match="'foo'"):
+        KmdConfig.for_run(Kernel.linear(), C2, 10, **{key: "foo"})
