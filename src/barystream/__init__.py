@@ -13,7 +13,6 @@ from barystream.measures import (
     Grid1D,
     MeasureStream,
     discretize_gaussian,
-    load_image_measure,
     normalize,
 )
 from barystream.dual_core import (
@@ -86,7 +85,6 @@ __all__ = [
     "lambda_star_argmax",
     "linear_kmd_run",
     "linear_kmd_step",
-    "load_image_measure",
     "lp_subgradient",
     "md_step",
     "normalize",

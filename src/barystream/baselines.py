@@ -24,6 +24,9 @@ from barystream.dual_core import (
 )
 from barystream.measures import DiscreteMeasure, MeasureStream, normalize_clamped
 
+SCHEDULES = ("constant", "inverse_sqrt")
+STEPPERS = ("mirror", "euclidean")
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -42,9 +45,9 @@ class BaselineConfig:
             raise SolverError(f"unknown baseline method {self.method!r}")
         if self.method == "sinkhorn_sgd" and self.gamma <= 0:
             raise SolverError("sinkhorn_sgd requires gamma > 0")
-        if self.schedule not in ("constant", "inverse_sqrt"):
+        if self.schedule not in SCHEDULES:
             raise SolverError(f"unknown stepsize schedule {self.schedule!r}")
-        if self.stepper not in ("mirror", "euclidean"):
+        if self.stepper not in STEPPERS:
             raise SolverError(f"unknown stepper {self.stepper!r}")
 
     def eta(self, k: int) -> float:
@@ -140,11 +143,8 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
 
 
 def run_baseline(stream: MeasureStream, C: CostMatrix, config: BaselineConfig,
-                 N: int, state: BaselineState | None = None,
-                 callback=None) -> tuple[np.ndarray, BaselineState]:
-    """Stochastic-approximation loop over N stream samples."""
-    if state is None:
-        state = BaselineState.cold_start(C.n)
-    state = drive(state, lambda s: baseline_step(s, config, stream.sample(), C),
-                  N, callback)
+                 N: int) -> tuple[np.ndarray, BaselineState]:
+    """Stochastic-approximation loop over N stream samples from a cold start."""
+    state = drive(BaselineState.cold_start(C.n),
+                  lambda s: baseline_step(s, config, stream.sample(), C), N)
     return state.r_avg, state

@@ -50,11 +50,11 @@ CHECKPOINT_VERSION = 2
 RESUME_OVERRIDES = ("output", "eval", "halt_after")
 # the values an enumerated config key may take; any other is a config error
 CHOICES = {
-    "stepsize_mode": ("constant", "dynamic"),
-    "clip": ("cost", "unit"),
+    "stepsize_mode": kmd.STEPSIZE_MODES,
+    "clip": kmd.CLIPS,
     "data.kind": ("gaussian", "corpus", "finite"),
-    "baseline.schedule": ("constant", "inverse_sqrt"),
-    "baseline.stepper": ("mirror", "euclidean"),
+    "baseline.schedule": baselines.SCHEDULES,
+    "baseline.stepper": baselines.STEPPERS,
 }
 
 DEFAULT_CONFIG = {
@@ -314,6 +314,11 @@ def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
 
 
 def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
+    need = 2 * config["N"] * C.n * 8  # a beta and a sample row of n float64 per step
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"kmd history of {need} bytes (N={config['N']}, n={C.n}) "
+                          f"exceeds the {have} bytes of physical memory")
     run_config = _kmd_config(config, _build_kernel(config), C)
     return lambda s: kmd.kmd_step(s, run_config, stream.sample().weights, C)
 

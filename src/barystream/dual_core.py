@@ -408,6 +408,27 @@ def boxed_dual(r_weights: np.ndarray, c_weights: np.ndarray,
     return boxed_dual_lp(r_weights, c_weights, C, C.inf_norm)
 
 
+def saddle_gap(r, measures, weights, C: CostMatrix, M=None) -> float:
+    """max_M' F(r, M') - min_r' F(r', M) for the finite saddle objective
+    F(r, M) = sum_t w_t [ -<lambda*(M_t), r> - <M_t, c_t> ]: one boxed dual OT
+    problem per row of weight > 0 (`boxed_dual`), and the smallest coordinate
+    of the averaged -lambda*. M=None takes each row's boxed dual maximizer at
+    r, which makes the gap the primal suboptimality of r."""
+    r = np.asarray(r, dtype=float)
+    max_part = 0.0
+    neg_lam = np.zeros(C.n)
+    cross = 0.0
+    for t, (c, w) in enumerate(zip(measures, weights)):
+        if w == 0:
+            continue
+        value, _, mu = boxed_dual(r, c, C)
+        mu = mu if M is None else M[t]
+        max_part += w * value
+        neg_lam += w * (-lambda_star(mu, C))
+        cross += w * float(mu @ c)
+    return float(max_part - (float(neg_lam.min()) - cross))
+
+
 def certify_dual_bound(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                        tol: float = 1e-7) -> tuple[bool, np.ndarray]:
     """Check that boxing the dual variable at the cost sup-norm is lossless.

@@ -17,8 +17,7 @@ import numpy as np
 from barystream.dual_core import (
     CostMatrix,
     SolverError,
-    boxed_dual,
-    lambda_star,
+    saddle_gap,
     wasserstein_1d,
 )
 from barystream.measures import (
@@ -50,30 +49,18 @@ def uniform_baseline_score(truth: DiscreteMeasure, grid: Grid1D) -> float:
 def gap_surrogate(r, holdout, C: CostMatrix) -> float:
     """Primal suboptimality of r on the holdout empirical barycenter problem.
 
-    For each holdout measure the boxed dual row maximizer at r is computed
-    exactly (`boxed_dual`), so the reported value is max_M F(r, M) -
+    `saddle_gap` of the holdout, equally weighted, at the boxed dual row
+    maximizers at r, so the reported value is max_M F(r, M) -
     min_r' F(r', M*(r)): zero iff r minimizes the empirical objective on the
     holdout. Where r has zero-mass entries or shares a CDF breakpoint with a
     holdout measure the maximizer is not unique, and the value depends on
     the one taken; any of them gives an upper bound on the suboptimality.
     """
-    holdout = list(holdout)
+    holdout = [m.weights if isinstance(m, DiscreteMeasure) else np.asarray(m, float)
+               for m in holdout]
     if not holdout:
         raise SolverError("gap_surrogate: holdout must be non-empty")
-    n = C.n
-    r = np.asarray(r, dtype=float)
-    w = 1.0 / len(holdout)
-    max_part = 0.0
-    neg_lam = np.zeros(n)
-    cross = 0.0
-    for m in holdout:
-        c = m.weights if isinstance(m, DiscreteMeasure) else np.asarray(m, float)
-        value, _, mu = boxed_dual(r, c, C)
-        max_part += w * value
-        neg_lam += w * (-lambda_star(mu, C))
-        cross += w * float(mu @ c)
-    min_part = float(neg_lam.min()) - cross
-    return max_part - min_part
+    return saddle_gap(r, holdout, [1.0 / len(holdout)] * len(holdout), C)
 
 
 @dataclass

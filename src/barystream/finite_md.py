@@ -18,11 +18,10 @@ from barystream.dual_core import (
     CostMatrix,
     EXACT_SOLVER_CAP,
     SolverError,
-    boxed_dual,
     drive,
-    lambda_star,
     lambda_star_argmax,
     logsumexp,
+    saddle_gap,
 )
 from barystream.measures import DiscreteMeasure
 
@@ -178,26 +177,10 @@ def duality_gap_finite(r: np.ndarray, M: np.ndarray,
                        problem: FiniteProblem) -> float:
     """Exact duality gap of (r, M) for the finite saddle objective.
 
-    F(r, M) = sum_t w_t [ -<lambda*(M_t), r> - <M_t, c_t> ]. The max over
-    boxed M' decomposes per row into a boxed dual OT problem (`boxed_dual`,
-    whose box is problem.box_bound); the min over the simplex is the smallest
-    coordinate of the averaged -lambda* vector. A cost that is not a grid
-    cost goes through one LP per row and is capped at n, m <= EXACT_SOLVER_CAP.
+    The objective and its gap are `saddle_gap`'s, whose box is
+    problem.box_bound. A cost that is not a grid cost goes through one LP per
+    row and is capped at n, m <= EXACT_SOLVER_CAP.
     """
-    n, m = problem.n, problem.m
-    if not problem.C.grid_monge and max(n, m) > EXACT_SOLVER_CAP:
+    if not problem.C.grid_monge and max(problem.n, problem.m) > EXACT_SOLVER_CAP:
         raise SolverError("duality_gap_finite: problem exceeds exact-solver cap")
-    w = problem.weights
-    max_part = 0.0
-    for t in range(m):
-        if w[t] == 0:
-            continue
-        value, _, _ = boxed_dual(r, problem.measures[t], problem.C)
-        max_part += w[t] * value
-    neg_lam = np.zeros(n)
-    cross = 0.0
-    for t in range(m):
-        neg_lam += w[t] * (-lambda_star(M[t], problem.C))
-        cross += w[t] * float(M[t] @ problem.measures[t])
-    min_part = float(neg_lam.min()) - cross
-    return max_part - min_part
+    return saddle_gap(r, problem.measures, problem.weights, problem.C, M)

@@ -4,8 +4,8 @@ The dual function is searched in the n-fold product of an RKHS; it is
 represented by per-sample coefficient vectors beta^(k), so evaluating it
 on a fresh measure costs O(k n) at step k. A linear kernel admits an
 equivalent O(n^2)-memory representation as a single matrix applied to the
-sample, implemented separately and kept iterate-for-iterate consistent
-with the general path.
+sample. Both representations offer one dual interface, dual(config, c) and
+add(beta, c), and take the same step through it.
 """
 
 from __future__ import annotations
@@ -25,21 +25,23 @@ from barystream.dual_core import (
 from barystream.finite_md import NumericalAbort
 from barystream.measures import MeasureStream
 
+STEPSIZE_MODES = ("constant", "dynamic")
+CLIPS = ("cost", "unit")
+
 
 @dataclass(frozen=True)
 class Kernel:
     """Kernel family descriptor with its constants.
 
-    kappa_sq = sup_x k(x, x); r_sq is the squared radius of the dual
-    function ball. r_sq must be configured for rbf/diffusion (it has no
-    closed form); for the linear family it defaults to 2 n^2 |C|_inf^2
-    once the cost matrix is known.
+    r_sq is the squared radius of the dual function ball. r_sq must be
+    configured for rbf/diffusion (it has no closed form); for the linear
+    family it defaults to 2 n^2 |C|_inf^2 once the cost matrix is known.
+    sup_x k(x, x) over the simplex is 1 for all three families.
     """
 
     family: str                 # "rbf" | "diffusion" | "linear"
     param: float = 0.0
     r_sq: float | None = None
-    kappa_sq: float = 1.0
 
     def __post_init__(self):
         if self.family not in ("rbf", "diffusion", "linear"):
@@ -111,14 +113,14 @@ class KmdConfig:
         """The config of an N-step run; eta is the N-step constant stepsize."""
         if N < 1:
             raise SolverError(f"N must be >= 1, got {N}")
-        if mode not in ("constant", "dynamic"):
+        if mode not in STEPSIZE_MODES:
             raise SolverError(f"unknown stepsize mode {mode!r}")
-        if clip not in ("cost", "unit"):
+        if clip not in CLIPS:
             raise SolverError(f"unknown clip {clip!r}")
         n = C.n
         r_sq = kernel.resolved_r_sq(C)
         L = math.sqrt(8.0 * math.log(n) * C.inf_norm ** 2
-                      + 8.0 * n * n * kernel.kappa_sq * r_sq)
+                      + 8.0 * n * n * r_sq)
         eta = eta_scale * 2.0 / (L * math.sqrt(5.0 * N))
         clip_bound = 1.0 if clip == "unit" else C.inf_norm
         return cls(kernel=kernel, alpha=2.0 * math.log(n),
@@ -130,12 +132,10 @@ class _History:
     """Growing storage for beta coefficients and their samples."""
 
     def __init__(self, n: int, cap: int | None = None):
-        self.n = n
         self.size = 0
         cap = cap or 16
         self._betas = np.zeros((cap, n))
         self._samples = np.zeros((cap, n))
-        self.max_size = None
 
     @classmethod
     def from_arrays(cls, betas: np.ndarray, samples: np.ndarray) -> "_History":
@@ -148,8 +148,6 @@ class _History:
         return hist
 
     def append(self, beta: np.ndarray, sample: np.ndarray) -> None:
-        if self.max_size is not None and self.size >= self.max_size:
-            raise SolverError("KMD history cap exceeded; no silent forgetting")
         if self.size == self._betas.shape[0]:
             self._betas = np.concatenate([self._betas, np.zeros_like(self._betas)])
             self._samples = np.concatenate(
@@ -178,18 +176,21 @@ class KmdState(AveragedIterate):
     k: int
 
     @classmethod
-    def cold_start(cls, n: int, history_cap: int | None = None) -> "KmdState":
-        hist = _History(n)
-        hist.max_size = history_cap
-        return cls(log_r=np.zeros(n), history=hist,
+    def cold_start(cls, n: int) -> "KmdState":
+        return cls(log_r=np.zeros(n), history=_History(n),
                    avg_num=np.zeros(n), avg_den=0.0, k=0)
+
+    def dual(self, config: KmdConfig, c: np.ndarray) -> np.ndarray:
+        return f_eval(self, config.kernel, c, config.clip_bound)
+
+    def add(self, beta: np.ndarray, c: np.ndarray) -> dict:
+        self.history.append(beta, c)  # in place: no field to replace
+        return {}
 
 
 def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
            clip_bound: float) -> np.ndarray:
     """Dual function value at c: clipped sum of beta^(i) k(c, c^(i))."""
-    if state.history.size == 0:
-        return np.zeros(state.log_r.size)
     kvec = kernel_vec(kernel, np.asarray(c, float), state.history.samples)
     raw = kvec @ state.history.betas
     return np.clip(raw, -clip_bound, clip_bound)
@@ -215,40 +216,41 @@ def _saddle_update(log_r: np.ndarray, f: np.ndarray, C: CostMatrix,
     return new_log_r, pattern
 
 
-def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
-             C: CostMatrix) -> KmdState:
-    """One KMD iteration: evaluate the dual on the sample, step both sides."""
+def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
+    """One KMD iteration on either dual: state.dual(config, c) evaluates it on the
+    sample, state.add(beta, c) returns the fields it replaces after the step."""
     k = state.k + 1
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
-    f = f_eval(state, config.kernel, c, config.clip_bound)
-    new_log_r, pattern = _saddle_update(state.log_r, f, C, eta_k, config)
+    new_log_r, pattern = _saddle_update(state.log_r, state.dual(config, c), C,
+                                        eta_k, config)
     beta_k = eta_k * config.beta_scale * (pattern - c)
-    state.history.append(beta_k, c)
     r_new = np.exp(new_log_r - logsumexp(new_log_r))
     weight = eta_k if config.mode == "dynamic" else 1.0
-    return replace(state, log_r=new_log_r,
+    return replace(state, log_r=new_log_r, **state.add(beta_k, c),
                    avg_num=state.avg_num + weight * r_new,
                    avg_den=state.avg_den + weight, k=k)
 
 
+def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
+             C: CostMatrix) -> KmdState:
+    """One KMD iteration: evaluate the dual on the sample, step both sides."""
+    return _step(state, config, c_sample, C)
+
+
 def kmd_run(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
-            state: KmdState | None = None, config: KmdConfig | None = None,
-            clip: str = "cost", eta_scale: float = 1.0, callback=None,
+            clip: str = "cost", eta_scale: float = 1.0,
             mode: str = "constant") -> tuple[np.ndarray, KmdState]:
-    """Run N total KMD iterations; returns (r_avg, state).
+    """Run N KMD iterations from a cold start; returns (r_avg, state).
 
     mode "constant" takes the fixed stepsize of an N-step run and the plain
     average; "dynamic" is the online (infinite-horizon) variant: eta_k ~
     1/sqrt(k) and the stepsize-weighted average.
     """
-    if config is None:
-        config = KmdConfig.for_run(kernel, C, N, mode=mode, clip=clip,
-                                   eta_scale=eta_scale)
-    if state is None:
-        state = KmdState.cold_start(C.n)
-    state = drive(state, lambda s: kmd_step(s, config, stream.sample().weights, C),
-                  N, callback)
+    config = KmdConfig.for_run(kernel, C, N, mode=mode, clip=clip,
+                               eta_scale=eta_scale)
+    state = drive(KmdState.cold_start(C.n),
+                  lambda s: kmd_step(s, config, stream.sample().weights, C), N)
     return state.r_avg, state
 
 
@@ -267,41 +269,25 @@ class LinearKmdState(AveragedIterate):
         return cls(log_r=np.zeros(n), theta=np.zeros((n, n)),
                    avg_num=np.zeros(n), avg_den=0.0, k=0)
 
+    def dual(self, config: KmdConfig, c: np.ndarray) -> np.ndarray:
+        return np.clip(self.theta @ c, -config.clip_bound, config.clip_bound)
+
+    def add(self, beta: np.ndarray, c: np.ndarray) -> dict:
+        """The history entry (beta, c) of a linear kernel: theta += beta c^T."""
+        return {"theta": self.theta + np.outer(beta, c)}
+
 
 def linear_kmd_step(state: LinearKmdState, config: KmdConfig,
                     c_sample: np.ndarray, C: CostMatrix) -> LinearKmdState:
-    """kmd_step specialized to the linear kernel: O(n^2) time and memory.
-
-    Appending beta^(k) with kernel <., c^(k)> is exactly the rank-one update
-    theta += beta^(k) c^(k)^T, so the induced dual function matches the
-    history-based representation.
-    """
-    k = state.k + 1
-    eta_k = config.stepsize(k)
-    c = np.asarray(c_sample, dtype=float)
-    f = np.clip(state.theta @ c, -config.clip_bound, config.clip_bound)
-    new_log_r, pattern = _saddle_update(state.log_r, f, C, eta_k, config)
-    beta_k = eta_k * config.beta_scale * (pattern - c)
-    theta = state.theta + np.outer(beta_k, c)
-    r_new = np.exp(new_log_r - logsumexp(new_log_r))
-    weight = eta_k if config.mode == "dynamic" else 1.0
-    return replace(state, log_r=new_log_r, theta=theta,
-                   avg_num=state.avg_num + weight * r_new,
-                   avg_den=state.avg_den + weight, k=k)
+    """kmd_step specialized to the linear kernel: O(n^2) time and memory."""
+    return _step(state, config, c_sample, C)
 
 
-def linear_kmd_run(stream: MeasureStream, C: CostMatrix, N: int,
-                   state: LinearKmdState | None = None,
-                   config: KmdConfig | None = None, clip: str = "cost",
-                   eta_scale: float = 1.0, r_sq: float | None = None,
-                   callback=None) -> tuple[np.ndarray, LinearKmdState]:
+def linear_kmd_run(stream: MeasureStream, C: CostMatrix,
+                   N: int) -> tuple[np.ndarray, LinearKmdState]:
     """Constant-stepsize run of the matrix-form linear-kernel method."""
-    if config is None:
-        config = KmdConfig.for_run(Kernel.linear(r_sq), C, N, mode="constant",
-                                   clip=clip, eta_scale=eta_scale)
-    if state is None:
-        state = LinearKmdState.cold_start(C.n)
-    state = drive(state,
+    config = KmdConfig.for_run(Kernel.linear(), C, N)
+    state = drive(LinearKmdState.cold_start(C.n),
                   lambda s: linear_kmd_step(s, config, stream.sample().weights, C),
-                  N, callback)
+                  N)
     return state.r_avg, state

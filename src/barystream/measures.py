@@ -20,10 +20,6 @@ class MeasureError(ValueError):
     """Invalid measure data (negative mass, zero total, bad shape)."""
 
 
-class EndOfStream(Exception):
-    """Raised by a strict file-backed stream once its corpus is exhausted."""
-
-
 @dataclass(frozen=True)
 class Grid1D:
     """Ordered support locations on a segment [lo, hi]."""
@@ -153,8 +149,8 @@ class MeasureStream:
     Three source kinds:
       * finite   -- sample index t from given weights, emit measures[t]
       * gaussian -- draw (mu, sigma) from a GaussianParamLaw, discretize
-      * corpus   -- rows of a corpus file; i.i.d. with replacement, or
-                    sequential in strict mode (EndOfStream when exhausted)
+      * corpus   -- measures[t] for a uniform index t: the rows of a corpus
+                    file drawn i.i.d. with replacement
     """
 
     kind: str
@@ -163,9 +159,7 @@ class MeasureStream:
     measures: list[DiscreteMeasure] | None = None
     weights: np.ndarray | None = None
     law: GaussianParamLaw | None = None
-    strict: bool = False
     _rng: np.random.Generator = field(init=False, repr=False)
-    _pos: int = field(default=0, repr=False)
 
     def __post_init__(self):
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -191,12 +185,6 @@ class MeasureStream:
     def gaussian(cls, law: GaussianParamLaw, grid: Grid1D, seed: int) -> "MeasureStream":
         return cls(kind="gaussian", seed=seed, grid=grid, law=law)
 
-    @classmethod
-    def corpus(cls, path, seed: int, strict: bool = False) -> "MeasureStream":
-        grid, measures = load_corpus(path)
-        return cls(kind="corpus", seed=seed, grid=grid, measures=measures,
-                   strict=strict)
-
     def sample(self) -> DiscreteMeasure:
         if self.kind == "finite":
             t = int(self._rng.choice(len(self.measures), p=self.weights))
@@ -209,44 +197,16 @@ class MeasureStream:
                 sigma = self._rng.exponential(1.0 / self.law.rate)
             return discretize_gaussian(mu, sigma, self.grid)
         if self.kind == "corpus":
-            if self.strict:
-                if self._pos >= len(self.measures):
-                    raise EndOfStream(f"corpus exhausted after {self._pos} draws")
-                m = self.measures[self._pos]
-                self._pos += 1
-                return m
             t = int(self._rng.integers(len(self.measures)))
             return self.measures[t]
         raise MeasureError(f"unknown stream kind {self.kind!r}")
 
     def state_dict(self) -> dict:
-        return {"rng": self._rng.bit_generator.state, "pos": self._pos}
+        return {"rng": self._rng.bit_generator.state}
 
     def load_state(self, state: dict) -> None:
+        """Restore state_dict's generator; other keys (an old "pos") are ignored."""
         self._rng.bit_generator.state = state["rng"]
-        self._pos = int(state["pos"])
-
-
-def load_image_measure(path, expected_side: int) -> DiscreteMeasure:
-    """Read a grayscale image stored as CSV intensities and normalize it.
-
-    The file holds side*side values in [0, 255], row-major (possibly split
-    over several lines). All-black images are rejected (zero total mass).
-    """
-    try:
-        raw = np.loadtxt(path, delimiter=",", dtype=float).ravel()
-    except Exception as exc:
-        raise MeasureError(f"unreadable image file {path}: {exc}") from exc
-    n = expected_side * expected_side
-    if raw.size != n:
-        raise MeasureError(
-            f"image file {path}: expected {n} pixels, got {raw.size}")
-    if np.any(raw < 0):
-        raise MeasureError(f"image file {path}: negative intensity")
-    try:
-        return normalize(raw)
-    except MeasureError as exc:
-        raise MeasureError(f"image file {path}: {exc}") from exc
 
 
 def save_corpus(path, measures, grid: Grid1D | None = None) -> None:

@@ -481,3 +481,34 @@ def test_every_step_stays_on_the_simplex(name, n, seed, steps):
         for r in (state.r, state.r_avg):
             assert np.all(np.isfinite(r)) and np.all(r >= 0)
             assert abs(r.sum() - 1.0) <= 1e-9
+
+
+def test_kmd_checkpoint_with_a_stream_position_resumes(tmp_path):
+    # v2 checkpoints written while streams had a strict corpus mode carry
+    # "pos": 0 in their stream state; resume reads past it
+    common = _sets("N=30", "data.grid.n=8", "seed=5", "checkpoint_every=10",
+                   *_method_args(tmp_path)["kmd"])
+    full, half = tmp_path / "full.json", tmp_path / "half.json"
+    assert main(["run"] + common + _sets(f"output.checkpoint={full}")) == 0
+    assert main(["run"] + common + _sets("halt_after=10",
+                                         f"output.checkpoint={half}")) == 0
+    payload = json.loads(half.read_text())
+    assert "pos" not in payload["stream"]
+    payload["stream"]["pos"] = 0
+    half.write_text(json.dumps(payload))
+    assert main(["resume", "--checkpoint", str(half)]) == 0
+    a, b = json.loads(full.read_text()), json.loads(half.read_text())
+    assert a["k"] == b["k"] == 30 and b["version"] == cli.CHECKPOINT_VERSION == 2
+    for key in ("state", "rng", "stream"):
+        assert a.get(key) == b.get(key), key
+
+
+def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):
+    ckpt = tmp_path / "state.json"
+    N = 10 ** 12
+    assert main(["run"] + _sets("method=kmd", f"N={N}",
+                                f"output.checkpoint={ckpt}")) == 1
+    err = capsys.readouterr().err
+    # 2 N n float64 at the default grid size n = 100
+    assert err.startswith("config error: ") and f"{2 * N * 100 * 8} bytes" in err
+    assert not ckpt.exists()

@@ -3,14 +3,12 @@ import pytest
 
 from barystream.measures import (
     DiscreteMeasure,
-    EndOfStream,
     GaussianParamLaw,
     Grid1D,
     MeasureError,
     MeasureStream,
     discretize_gaussian,
     load_corpus,
-    load_image_measure,
     normalize,
     save_corpus,
 )
@@ -146,32 +144,3 @@ def test_corpus_roundtrip(tmp_path):
     assert grid == g
     for m, l in zip(measures, loaded):
         np.testing.assert_allclose(l.weights, m.weights, rtol=1e-15)
-
-
-def test_corpus_strict_exhaustion(tmp_path):
-    g = Grid1D.uniform(-1, 1, 4)
-    path = tmp_path / "c.csv"
-    save_corpus(path, [discretize_gaussian(0, 1, g)], g)
-    stream = MeasureStream.corpus(path, seed=0, strict=True)
-    stream.sample()
-    with pytest.raises(EndOfStream):
-        stream.sample()
-
-
-def test_load_image_measure(tmp_path):
-    path = tmp_path / "img.csv"
-    path.write_text("\n".join(",".join("255" for _ in range(3)) for _ in range(3)))
-    m = load_image_measure(path, 3)
-    np.testing.assert_allclose(m.weights, np.full(9, 1 / 9), atol=1e-15)
-
-    path.write_text("0,0,0\n0,128,0\n0,0,0")
-    m = load_image_measure(path, 3)
-    assert m.weights[4] == 1.0
-
-    path.write_text("0,0,0\n0,0,0\n0,0,0")
-    with pytest.raises(MeasureError):
-        load_image_measure(path, 3)
-
-    path.write_text("1,2\n3,4")
-    with pytest.raises(MeasureError):
-        load_image_measure(path, 3)
