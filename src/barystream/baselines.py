@@ -1,9 +1,11 @@
 """Comparison methods: SGD with entropic (Sinkhorn) gradients, and mirror
-descent with exact dual subgradients from the transportation LP.
+descent with exact dual subgradients of the unregularized transport cost.
 
 Both return descent directions for r -> distance(r, c); dual potentials are
 only defined up to an additive constant, so gradients are mean-centered
-(the simplex constraint absorbs constants).
+(the simplex constraint absorbs constants). The exact duals are
+`boxed_dual`'s: the staircase on grid costs, at any n and exact to rounding
+at any mass, and the HiGHS LP (n <= EXACT_SOLVER_CAP) on any other cost.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from barystream.dual_core import (
     AveragedIterate,
     CostMatrix,
     SolverError,
+    boxed_dual,
     drive,
-    exact_ot,
     logsumexp,
     sinkhorn,
 )
@@ -72,14 +74,14 @@ def sinkhorn_gradient(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
 
 def lp_subgradient(r: DiscreteMeasure, c: DiscreteMeasure,
                    C: CostMatrix) -> np.ndarray:
-    """Exact subgradient of r -> L_C(r, c) from the LP dual potentials.
+    """Exact subgradient of r -> L_C(r, c) from an optimal dual of `boxed_dual`.
 
-    The dual value is -<lambda, r> - <mu, c>, so -lambda is a subgradient
-    in r; it is mean-centered before being returned.
+    Every feasible dual bounds L_C(r', c) >= -<lambda, r'> - <mu, c>, with
+    equality at r for an optimal one, so -lambda is a subgradient in r; it is
+    mean-centered before being returned.
     """
-    sol = exact_ot(r, c, C)
-    grad = -sol.dual_lambda
-    return grad - grad.mean()
+    _, lam, _ = boxed_dual(r.weights, c.weights, C)
+    return lam.mean() - lam
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

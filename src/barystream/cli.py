@@ -316,9 +316,10 @@ def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
 def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
     need = 2 * config["N"] * C.n * 8  # a beta and a sample row of n float64 per step
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    if 3 * need > have:
         raise ConfigError(f"kmd history of {need} bytes (N={config['N']}, n={C.n}) "
-                          f"exceeds the {have} bytes of physical memory")
+                          f"peaks at 3x that while it grows, past the {have} "
+                          "bytes of physical memory")
     run_config = _kmd_config(config, _build_kernel(config), C)
     return lambda s: kmd.kmd_step(s, run_config, stream.sample().weights, C)
 
@@ -331,12 +332,9 @@ def _linear_kmd_step(config: dict, C: CostMatrix,
 
 def _baseline_step(config: dict, C: CostMatrix,
                    stream: MeasureStream) -> Callable:
-    method = config["method"]
-    if method == "lp_sgd" and C.n > EXACT_SOLVER_CAP:
-        raise ConfigError(f"lp_sgd requires n <= {EXACT_SOLVER_CAP} (got {C.n})")
     b = config["baseline"]
     run_config = baselines.BaselineConfig(
-        method=method, gamma=b["gamma"], inner_iters=b["inner_iters"],
+        method=config["method"], gamma=b["gamma"], inner_iters=b["inner_iters"],
         inner_tol=b["inner_tol"], schedule=b["schedule"],
         stepsize=b["stepsize"], stepper=b["stepper"])
     return lambda s: baselines.baseline_step(s, run_config, stream.sample(), C)
@@ -466,6 +464,9 @@ def cmd_eval(checkpoint_path: str, config_path: str | None,
 
 
 def cmd_certify(n_lo: int, n_hi: int, instances: int, seed: int) -> int:
+    if not 2 <= n_lo <= n_hi <= EXACT_SOLVER_CAP or instances < 0:
+        raise ConfigError(f"certify needs 2 <= n-lo <= n-hi <= {EXACT_SOLVER_CAP} and "
+                          f"instances >= 0, got [{n_lo},{n_hi}] and {instances}")
     if instances == 0:
         print("warning: 0 instances requested; vacuous pass")
         return 0

@@ -124,8 +124,7 @@ class OtSolution:
     gap: float
 
 
-def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
-             cap: int = EXACT_SOLVER_CAP) -> OtSolution:
+def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolution:
     """Solve the n x n transportation LP with a primal-dual certificate.
 
     The dual is returned in the sign convention of the potentials above:
@@ -135,9 +134,9 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     n = C.n
     if r.n != n or c.n != n:
         raise SolverError("exact_ot: dimension mismatch")
-    if n > cap:
-        raise SolverError(
-            f"exact_ot: n={n} exceeds the exact-solver cap {cap}; use sinkhorn")
+    if n > EXACT_SOLVER_CAP:
+        raise SolverError(f"exact_ot: n={n} exceeds the exact-solver cap "
+                          f"{EXACT_SOLVER_CAP}; use sinkhorn")
     if abs(r.weights.sum() - c.weights.sum()) > FEAS_TOL:
         raise SolverError("exact_ot: marginal sums differ")
 
@@ -436,11 +435,12 @@ def certify_dual_bound(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     Solves the dual LP with the extra constraint |mu|_inf <= |C|_inf and
     compares its optimum to the unrestricted exact value. The witness mu is
     shifted so that min_i mu_i = 0 (the shift moves into lambda and leaves
-    the dual value unchanged).
+    the dual value unchanged). `exact_ot` runs first, so n past the cap is
+    refused before the boxed LP builds its n^2 x 2n constraint matrix.
     """
     if np.any(r.weights <= 0) or np.any(c.weights <= 0):
         raise SolverError("certify_dual_bound: marginals must be strictly positive")
-    boxed_value, _lam, mu = boxed_dual_lp(r.weights, c.weights, C, C.inf_norm)
     exact = exact_ot(r, c, C)
+    boxed_value, _lam, mu = boxed_dual_lp(r.weights, c.weights, C, C.inf_norm)
     ok = abs(boxed_value - exact.value) <= tol * (1.0 + abs(exact.value))
     return ok, mu - mu.min()

@@ -16,7 +16,6 @@ import numpy as np
 
 from barystream.dual_core import (
     CostMatrix,
-    EXACT_SOLVER_CAP,
     SolverError,
     drive,
     lambda_star_argmax,
@@ -179,8 +178,6 @@ def duality_gap_finite(r: np.ndarray, M: np.ndarray,
 
     The objective and its gap are `saddle_gap`'s, whose box is
     problem.box_bound. A cost that is not a grid cost goes through one LP per
-    row and is capped at n, m <= EXACT_SOLVER_CAP.
+    row (`boxed_dual`) and is capped at n <= EXACT_SOLVER_CAP.
     """
-    if not problem.C.grid_monge and max(problem.n, problem.m) > EXACT_SOLVER_CAP:
-        raise SolverError("duality_gap_finite: problem exceeds exact-solver cap")
     return saddle_gap(r, problem.measures, problem.weights, problem.C, M)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from barystream.baselines import (
     BaselineConfig,
@@ -23,6 +24,7 @@ from barystream.measures import (
     Grid1D,
     MeasureStream,
     normalize,
+    normalize_clamped,
 )
 
 C2 = CostMatrix.from_entries([[0.0, 1.0], [1.0, 0.0]])
@@ -81,19 +83,40 @@ def test_sinkhorn_gradient_identity_bound():
 
 
 def test_lp_subgradient_inequality():
-    # f(r') >= f(r) + <g, r' - r> for the convex map r -> L_C(r, c)
+    # f(r') >= f(r) + <g, r' - r> for the convex map r -> L_C(r, c) = W_2^2
     rng = np.random.default_rng(3)
-    n = 5
-    g = Grid1D.uniform(0, 1, n)
-    C = squared_distance_cost(g, 2)
-    r = rand_interior_simplex(rng, n)
-    c = rand_interior_simplex(rng, n)
-    grad = lp_subgradient(r, c, C)
-    f_r = exact_ot(r, c, C).value
-    for _ in range(50):
-        rp = rand_interior_simplex(rng, n, floor=0.0)
-        f_rp = exact_ot(rp, c, C).value
-        assert f_rp >= f_r + grad @ (rp.weights - r.weights) - 1e-8
+    g5 = Grid1D.uniform(0, 1, 5)
+    interior = (g5, rand_interior_simplex(rng, 5), rand_interior_simplex(rng, 5),
+                [rand_interior_simplex(rng, 5, floor=0.0).weights for _ in range(50)])
+    # masses below HiGHS's 1e-7 tolerance: its LP dual broke the inequality
+    # at a vertex by 1.2e-5
+    g8 = Grid1D.uniform(-10, 10, 8)
+    tiny = (g8, normalize_clamped([9.018e-8, 2.103e-4, 4.743e-2, 2.677e-1, 4.444e-1,
+                                   2.280e-1, 1.236e-2, 4.332e-6], g8),
+            normalize_clamped(np.eye(8)[4], g8), np.eye(8))
+    for g, r, c, probes in (interior, tiny):
+        grad = lp_subgradient(r, c, squared_distance_cost(g, 2))
+        f_r = wasserstein_1d(r, c, g) ** 2
+        for w in probes:
+            f_rp = wasserstein_1d(DiscreteMeasure(w, g), c, g) ** 2
+            assert f_rp >= f_r + grad @ (w - r.weights) - 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), p=st.sampled_from([1.0, 2.0, 3.0]), data=st.data())
+def test_lp_subgradient_matches_the_lp_dual(n, p, data):
+    # with every staircase cell of mass >= 1e-3 the LP's dual is unique up to
+    # a constant and HiGHS resolves it
+    weights = st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)
+    r = normalize(np.array(data.draw(weights)))
+    c = normalize(np.array(data.draw(weights)))
+    cdfs = np.concatenate([[0.0, 1.0], np.cumsum(r.weights)[:-1],
+                           np.cumsum(c.weights)[:-1]])
+    assume(np.diff(np.sort(cdfs)).min() >= 1e-3)
+    C = squared_distance_cost(Grid1D.uniform(0, 1, n), p)
+    lam = exact_ot(r, c, C).dual_lambda
+    np.testing.assert_allclose(lp_subgradient(r, c, C), lam.mean() - lam,
+                               rtol=0, atol=1e-9)
 
 
 def test_lp_subgradient_is_centered():

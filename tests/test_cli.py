@@ -96,14 +96,19 @@ def test_run_rejects_finite_md_on_gaussian():
     assert main(["run", "--set", "method=finite_md", "--set", "N=5"]) == 1
 
 
-def test_run_rejects_lp_sgd_large_n():
-    assert main(["run", "--set", "method=lp_sgd", "--set", "N=2",
-                 "--set", "data.grid.n=100"]) == 1
-
-
 def test_certify_subcommand():
     assert main(["certify", "--instances", "5", "--seed", "3"]) == 0
     assert main(["certify", "--instances", "0"]) == 0
+
+
+@pytest.mark.parametrize("args", [["--n-lo", "6", "--n-hi", "3"],
+                                  ["--instances", "-3"],
+                                  ["--n-hi", "65"],
+                                  ["--n-lo", "-2", "--n-hi", "-1"]])
+def test_certify_rejects_a_bad_range(args, capsys):
+    assert main(["certify", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "passed" not in captured.out
 
 
 def test_eval_subcommand(tmp_path, capsys):
@@ -188,15 +193,18 @@ def test_gap_holdout_reporting(tmp_path):
 
 
 def test_gap_column_at_the_default_grid_size(tmp_path):
-    # n = 100 is past the LP cap: the gap comes from the staircase duals
+    # n = 100 is past the LP cap: the gap, and lp_sgd's subgradients, come
+    # from the staircase duals
     report = tmp_path / "report.csv"
-    assert main(["run"] + _sets("N=30", "checkpoint_every=10", "eval.gap_holdout=3",
-                                f"output.report={report}")) == 0
-    rows = report.read_text().strip().split("\n")[1:]
-    assert len(rows) == 3
-    for row in rows:
-        gap = row.split(",")[2]
-        assert gap != "" and float(gap) >= 0.0
+    for method in ("linear_kmd", "lp_sgd"):
+        assert main(["run"] + _sets(f"method={method}", "N=30", "checkpoint_every=10",
+                                    "eval.gap_holdout=3",
+                                    f"output.report={report}")) == 0
+        rows = report.read_text().strip().split("\n")[1:]
+        assert len(rows) == 3
+        for row in rows:
+            _, w2, gap = row.split(",")[:3]
+            assert float(w2) >= 0.0 and gap != "" and float(gap) >= 0.0
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -396,7 +404,11 @@ def _sets(*items):
 
 # r_avg and the sha256 of json.dumps(payload["state"]) after N=200 steps
 # (n=8, seed=3), recorded from the code before the method table, the state
-# codec and the shared run loop replaced the per-method chains and loops
+# codec and the shared run loop replaced the per-method chains and loops. The
+# two lp_sgd entries were re-recorded when lp_subgradient moved from the HiGHS
+# LP to the staircase dual: at steps where r or c has a mass below HiGHS's
+# 1e-7 tolerance the LP's dual broke the subgradient inequality, and the
+# staircase one does not
 SEEDED_GUARD = {
     "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -418,15 +430,15 @@ SEEDED_GUARD = {
                      [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
                       0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
                       0.08023703758014075, 0.040553652980500975]),
-    "lp_sgd": ("2bad95cf46053eae1340e102237aa17c88475e1099c7af1bd88b8ad0cac023dd",
-               [2.874630547923718e-06, 0.00048165240847951817, 0.04119105980550865,
-                0.2813559100737693, 0.4705189475152078, 0.19441188615040608,
-                0.011540602937385092, 0.0004970664786954777]),
+    "lp_sgd": ("fb7450ef778acd6dce05fb6242d6a3dbf5f51a6b580b9392f10007ecbbe9fae0",
+               [2.7805062583206718e-06, 0.0004816524295967726, 0.04119106416910067,
+                0.2813559411156282, 0.47051899822278587, 0.19441190757428867,
+                0.011540604034647179, 0.0004970519476943676]),
     "lp_sgd_euclidean": (
-        "ad81df7604cd820601aaf693cc8ad829750f0628e09684aa6d7c2a6e868c8bc5",
-        [0.09390191857570981, 0.09347753393921489, 0.08091081839790037,
-         0.14932469884547112, 0.2331725649387997, 0.1324021975705155,
-         0.11292339333019513, 0.10388687440219346]),
+        "4112a044e1cb5832c53708e8233130adbfcb73ae5beb0d9184c1e8b51d4f7395",
+        [0.09947516712753446, 0.09493329044256994, 0.08576070076275073,
+         0.13760356813786204, 0.22193177406232237, 0.14677309623359563,
+         0.11585269525783559, 0.09766970797552908]),
 }
 
 
@@ -512,3 +524,13 @@ def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):
     # 2 N n float64 at the default grid size n = 100
     assert err.startswith("config error: ") and f"{2 * N * 100 * 8} bytes" in err
     assert not ckpt.exists()
+
+
+def test_kmd_history_peak_past_physical_memory_is_refused(monkeypatch, capsys):
+    # the 2 N n float64 of the history fit, the 3x peak while it doubles does not
+    need = 2 * 10 * 8 * 8
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * need}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    assert main(["run"] + _sets("method=kmd", "N=10", "data.grid.n=8")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{need} bytes" in err

@@ -7,6 +7,7 @@ import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from barystream import dual_core
 from barystream.baselines import sinkhorn_gradient
 from barystream.dual_core import (
     CostMatrix,
@@ -175,9 +176,10 @@ def test_exact_ot_strong_duality_random():
 
 
 def test_exact_ot_rejections():
-    with pytest.raises(SolverError):
-        exact_ot(DiscreteMeasure(np.array([1.0, 0.0])),
-                 DiscreteMeasure(np.array([0.5, 0.5])), C2, cap=1)
+    # 65 points: one past the cap, refused before any LP is built
+    u = DiscreteMeasure(np.full(65, 1.0 / 65))
+    with pytest.raises(SolverError, match="exact-solver cap 64"):
+        exact_ot(u, u, squared_distance_cost(Grid1D.uniform(0, 1, 65), 2))
     g = Grid1D.uniform(0, 1, 2)
     r = DiscreteMeasure(np.array([1.0, 0.0]))
     bad = DiscreteMeasure.__new__(DiscreteMeasure)
@@ -351,6 +353,16 @@ def test_certify_rejects_zero_weight():
     c = DiscreteMeasure(np.array([0.5, 0.5]))
     with pytest.raises(SolverError):
         certify_dual_bound(r, c, C2)
+
+
+def test_certify_refuses_n_past_the_cap_before_the_boxed_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("boxed_dual_lp ran")
+
+    monkeypatch.setattr(dual_core, "boxed_dual_lp", no_lp)
+    u = DiscreteMeasure(np.full(65, 1.0 / 65))
+    with pytest.raises(SolverError, match="exact-solver cap"):
+        certify_dual_bound(u, u, squared_distance_cost(Grid1D.uniform(0, 1, 65), 2))
 
 
 def test_certify_random_instances():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from barystream.kmd import (
     KmdConfig,
     KmdState,
     LinearKmdState,
+    _History,
     f_eval,
     kernel_eval,
     kernel_vec,
@@ -321,6 +323,23 @@ def test_memory_contract_and_cap():
 
     _, lin = linear_kmd_run(degenerate_stream(c0), C, N=40)
     assert lin.theta.shape == (3, 3)
+
+
+@pytest.mark.parametrize("N", [17, 1024, 1025])
+def test_history_peak_is_within_the_memory_guard_count(N):
+    # the CLI refuses a kmd run when 3 * 2 N n float64 exceed physical memory:
+    # while the buffers double, the old, the zeros and the new one are all held
+    n = 100
+    row = np.ones(n)
+    tracemalloc.start()
+    try:
+        history = _History(n)
+        for _ in range(N):
+            history.append(row, row)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 * N * n * 8
 
 
 def test_run_rejects_bad_n():
