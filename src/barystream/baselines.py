@@ -132,16 +132,17 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
     else:
         grad = lp_subgradient(r_meas, c, C)
     if config.stepper == "euclidean":
-        log_r = state.log_r
+        log_r, r = state.log_r, state.r
         r_euclid = _project_simplex(state.r_euclid - eta * grad)
         r_new = r_euclid
     else:
         log_r = state.log_r - eta * grad
         log_r = log_r - log_r.max()
         r_euclid = state.r_euclid
-        r_new = np.exp(log_r - logsumexp(log_r))
+        r = r_new = np.exp(log_r - logsumexp(log_r))
     return BaselineState(log_r=log_r, r_euclid=r_euclid,
-                         avg_num=state.avg_num + r_new, k=k, unstable=unstable)
+                         avg_num=state.avg_num + r_new, k=k, unstable=unstable,
+                         r=r)
 
 
 def run_baseline(stream: MeasureStream, C: CostMatrix, config: BaselineConfig,

@@ -230,24 +230,28 @@ def _load_checkpoint(path: str) -> dict:
 
 
 def _encode_state(state) -> dict:
-    """A method state as checkpoint JSON: every field but k, a matrix through
-    _encode_matrix, a vector as a number list, the kmd history as its betas and
-    samples matrices, a scalar as it is."""
+    """A method state as checkpoint JSON: every field but k and r, a matrix
+    through _encode_matrix, a vector as a number list, the kmd history as its
+    betas and samples matrices, a scalar as it is. r, the softmax of log_r, is
+    rebuilt from log_r when the state is constructed again."""
     out = {}
     for f in dataclasses.fields(state):
+        if f.name in ("k", "r"):
+            continue
         value = getattr(state, f.name)
         if isinstance(value, _History):
             out["betas"] = _encode_matrix(value.betas)
             out["samples"] = _encode_matrix(value.samples)
         elif isinstance(value, np.ndarray):
             out[f.name] = _encode_matrix(value) if value.ndim == 2 else value.tolist()
-        elif f.name != "k":
+        else:
             out[f.name] = value
     return out
 
 
 def _restore_state(payload: dict):
-    """The state a checkpoint holds: _encode_state reversed."""
+    """The state a checkpoint holds: _encode_state reversed. The state class
+    rebuilds r from the restored log_r."""
     values = {"k": payload["k"]}
     for name, value in payload["state"].items():
         if isinstance(value, dict):

@@ -11,7 +11,7 @@ CDFs; any other exact solve goes through an LP and is capped at small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -41,14 +41,23 @@ def drive(state, step, N: int, callback=None):
     return state
 
 
+@dataclass
 class AveragedIterate:
     """r and r_avg of a stream-method state: the softmax of log_r, and the
     running sum avg_num of iterates over its total weight avg_den (r before
-    any step)."""
+    any step).
 
-    @property
-    def r(self) -> np.ndarray:
-        return np.exp(self.log_r - logsumexp(self.log_r))
+    r is carried from step to step: a step passes the softmax it computed for
+    its running average. A state built without r (a cold start, a checkpoint
+    restore) computes it from log_r here, with the same expression, so the
+    carried and the rebuilt r agree bit for bit. Checkpoints do not store it.
+    """
+
+    r: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+
+    def __post_init__(self):
+        if self.r is None:
+            self.r = np.exp(self.log_r - logsumexp(self.log_r))
 
     @property
     def r_avg(self) -> np.ndarray:

@@ -10,7 +10,7 @@ M_(t), then updates the running averages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from barystream.dual_core import (
     logsumexp,
     saddle_gap,
 )
-from barystream.measures import DiscreteMeasure
+from barystream.measures import DiscreteMeasure, draw_index, sampling_cdf
 
 
 class NumericalAbort(RuntimeError):
@@ -36,6 +36,7 @@ class FiniteProblem:
     measures: np.ndarray          # m x n, rows on the simplex
     weights: np.ndarray           # law of the measure index, on the m-simplex
     C: CostMatrix
+    weights_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         meas = np.asarray(self.measures, dtype=float)
@@ -44,8 +45,12 @@ class FiniteProblem:
         object.__setattr__(self, "weights", w)
         if meas.ndim != 2 or meas.shape[1] != self.C.n:
             raise SolverError("FiniteProblem: measures must be m x n matching C")
-        if w.shape != (meas.shape[0],) or np.any(w < 0) or abs(w.sum() - 1) > 1e-12:
-            raise SolverError("FiniteProblem: weights must lie on the m-simplex")
+        # a NaN fails no comparison, so finiteness is checked on its own
+        if (w.shape != (meas.shape[0],) or not np.isfinite(w).all()
+                or np.any(w < 0) or abs(w.sum() - 1) > 1e-12):
+            raise SolverError("FiniteProblem: weights must lie on the m-simplex, "
+                              f"got {w!r}")
+        object.__setattr__(self, "weights_cdf", sampling_cdf(w))
 
     @classmethod
     def from_measures(cls, measures: list[DiscreteMeasure], C: CostMatrix,
@@ -75,6 +80,12 @@ class FiniteSaddleState:
     r is kept in log-domain (exponential-weights updates only shift logs),
     read back through a softmax; M lives directly in the l_inf box. Running
     averages of both r and M are maintained for gap evaluation.
+
+    The softmax r of log_r is carried: md_step passes the one it computed for
+    the running average, and a state built without it (a cold start, a
+    checkpoint restore) computes it here with the same expression, so both
+    agree bit for bit. Checkpoints do not store it. Steps replace log_r and r
+    together; assigning log_r alone leaves r stale.
     """
 
     log_r: np.ndarray
@@ -85,10 +96,11 @@ class FiniteSaddleState:
     eta: float
     alpha: float
     beta: float
+    r: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def r(self) -> np.ndarray:
-        return np.exp(self.log_r - logsumexp(self.log_r))
+    def __post_init__(self):
+        if self.r is None:
+            self.r = np.exp(self.log_r - logsumexp(self.log_r))
 
     @classmethod
     def cold_start(cls, problem: FiniteProblem, N: int) -> "FiniteSaddleState":
@@ -109,7 +121,7 @@ class FiniteSaddleState:
 def oracle_g(M: np.ndarray, t: int, s: int, C: CostMatrix) -> tuple[int, float]:
     """Sparse primal oracle: coordinate s carries -n * max_j(-C_sj - M_tj)."""
     n = C.n
-    return s, float(-n * np.max(-C.entries[s] - M[t]))
+    return s, float(-n * (-C.entries[s] - M[t]).max())
 
 
 def oracle_h(M: np.ndarray, t: int, q: int, c_t: np.ndarray,
@@ -123,12 +135,18 @@ def oracle_h(M: np.ndarray, t: int, q: int, c_t: np.ndarray,
 
 def md_step(state: FiniteSaddleState, problem: FiniteProblem,
             rng: np.random.Generator) -> FiniteSaddleState:
-    """One sampled saddle-point mirror-descent iteration (in place on copies)."""
-    n, m = problem.n, problem.m
-    r = state.r
-    t = int(rng.choice(m, p=problem.weights))
+    """One sampled saddle-point mirror-descent iteration; state is not changed.
+
+    Draws t from problem.weights, s uniformly and q from state.r, in that
+    order, with the same indices and generator stream as rng.choice and
+    rng.integers. Every step clips all of M to the box and checks log_r and M
+    for non-finite entries; one softmax per step gives the new r, which the
+    next step reuses.
+    """
+    n = problem.n
+    t = draw_index(problem.weights_cdf, rng)
     s = int(rng.integers(n))
-    q = int(rng.choice(n, p=r))
+    q = draw_index(sampling_cdf(state.r), rng)
 
     _, g_s = oracle_g(state.M, t, s, problem.C)
     h = oracle_h(state.M, t, q, problem.measures[t], problem.C)
@@ -138,15 +156,20 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     log_r -= log_r.max()  # keep the representation bounded; softmax unchanged
     M = state.M.copy()
     M[t] -= state.beta * state.eta * h
-    np.clip(M, -problem.box_bound, problem.box_bound, out=M)
-    if not (np.all(np.isfinite(log_r)) and np.all(np.isfinite(M))):
+    bound = problem.box_bound
+    np.maximum(M, -bound, out=M)
+    np.minimum(M, bound, out=M)
+    if not (np.isfinite(log_r).all() and np.isfinite(M).all()):
         raise NumericalAbort(f"non-finite iterate at k={state.k + 1}: "
                              f"log_r={log_r!r}")
     k = state.k + 1
-    r_new = np.exp(log_r - logsumexp(log_r))
-    r_avg = r_new / k + (k - 1) / k * state.r_avg
-    M_avg = M / k + (k - 1) / k * state.M_avg
-    return replace(state, log_r=log_r, M=M, r_avg=r_avg, M_avg=M_avg, k=k)
+    r = np.exp(log_r - logsumexp(log_r))
+    r_avg = r / k
+    r_avg += (k - 1) / k * state.r_avg
+    M_avg = M / k
+    M_avg += (k - 1) / k * state.M_avg
+    return FiniteSaddleState(log_r, M, r_avg, M_avg, k, state.eta, state.alpha,
+                             state.beta, r)
 
 
 def run_finite(problem: FiniteProblem, N: int, seed: int,

@@ -183,9 +183,8 @@ class KmdState(AveragedIterate):
     def dual(self, config: KmdConfig, c: np.ndarray) -> np.ndarray:
         return f_eval(self, config.kernel, c, config.clip_bound)
 
-    def add(self, beta: np.ndarray, c: np.ndarray) -> dict:
-        self.history.append(beta, c)  # in place: no field to replace
-        return {}
+    def add(self, beta: np.ndarray, c: np.ndarray) -> None:
+        self.history.append(beta, c)
 
 
 def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
@@ -196,19 +195,19 @@ def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
     return np.clip(raw, -clip_bound, clip_bound)
 
 
-def _saddle_update(log_r: np.ndarray, f: np.ndarray, C: CostMatrix,
-                   eta_k: float, config: KmdConfig):
+def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
+                   C: CostMatrix, eta_k: float, config: KmdConfig):
     """Shared per-step algebra: argmax indices, primal gradient, updates.
 
-    Returns (new_log_r, pattern) where pattern = sum_i r_i e_{J_i} is the
-    part of beta^(k) / (eta_k * beta_scale) = pattern - c that does not
-    depend on the sample; the caller folds in its sample c.
+    r is the softmax of log_r, which the state carries. Returns (new_log_r,
+    pattern) where pattern = sum_i r_i e_{J_i} is the part of
+    beta^(k) / (eta_k * beta_scale) = pattern - c that does not depend on the
+    sample; the caller folds in its sample c.
     """
     scores = -C.entries - f[None, :]
     J = np.argmax(scores, axis=1)
     g = -np.max(scores, axis=1)
-    r_pre = np.exp(log_r - logsumexp(log_r))
-    pattern = np.bincount(J, weights=r_pre, minlength=C.n)
+    pattern = np.bincount(J, weights=r, minlength=C.n)
     new_log_r = log_r - eta_k * config.alpha * g
     new_log_r -= new_log_r.max()
     if not np.all(np.isfinite(new_log_r)):
@@ -218,16 +217,18 @@ def _saddle_update(log_r: np.ndarray, f: np.ndarray, C: CostMatrix,
 
 def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     """One KMD iteration on either dual: state.dual(config, c) evaluates it on the
-    sample, state.add(beta, c) returns the fields it replaces after the step."""
+    sample, state.add(beta, c) folds the step's history entry into the dual in
+    place, so the returned state shares it with the one passed in."""
     k = state.k + 1
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
-    new_log_r, pattern = _saddle_update(state.log_r, state.dual(config, c), C,
-                                        eta_k, config)
+    new_log_r, pattern = _saddle_update(state.log_r, state.r,
+                                        state.dual(config, c), C, eta_k, config)
     beta_k = eta_k * config.beta_scale * (pattern - c)
     r_new = np.exp(new_log_r - logsumexp(new_log_r))
     weight = eta_k if config.mode == "dynamic" else 1.0
-    return replace(state, log_r=new_log_r, **state.add(beta_k, c),
+    state.add(beta_k, c)
+    return replace(state, log_r=new_log_r, r=r_new,
                    avg_num=state.avg_num + weight * r_new,
                    avg_den=state.avg_den + weight, k=k)
 
@@ -272,9 +273,9 @@ class LinearKmdState(AveragedIterate):
     def dual(self, config: KmdConfig, c: np.ndarray) -> np.ndarray:
         return np.clip(self.theta @ c, -config.clip_bound, config.clip_bound)
 
-    def add(self, beta: np.ndarray, c: np.ndarray) -> dict:
+    def add(self, beta: np.ndarray, c: np.ndarray) -> None:
         """The history entry (beta, c) of a linear kernel: theta += beta c^T."""
-        return {"theta": self.theta + np.outer(beta, c)}
+        self.theta += beta[:, None] * c
 
 
 def linear_kmd_step(state: LinearKmdState, config: KmdConfig,

@@ -91,6 +91,25 @@ class DiscreteMeasure:
         return math.sqrt(float(self.weights @ (self.grid.points - m) ** 2))
 
 
+def sampling_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF of the index law p that `draw_index` reads: p's cumsum, scaled
+    to end at 1, as `Generator.choice` builds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn from the law whose `sampling_cdf` is cdf.
+
+    The same arithmetic and the same single uniform as
+    `rng.choice(len(p), p=p)`, so the index and the generator's next state
+    match it; the CDF is built once by the caller, not per draw, and p is not
+    re-validated here.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def normalize(raw, grid: Grid1D | None = None) -> DiscreteMeasure:
     """Scale a non-negative vector to unit mass.
 
@@ -160,17 +179,20 @@ class MeasureStream:
     weights: np.ndarray | None = None
     law: GaussianParamLaw | None = None
     _rng: np.random.Generator = field(init=False, repr=False)
+    _cdf: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        self._cdf = None if self.weights is None else sampling_cdf(self.weights)
 
     @classmethod
     def finite(cls, measures, weights, seed: int) -> "MeasureStream":
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size != len(measures):
             raise MeasureError("finite stream: weights must match measure count")
-        if np.any(w < 0) or w.sum() <= 0:
-            raise MeasureError("finite stream: invalid sampling weights")
+        if np.any(w < 0) or not 0 < w.sum() < math.inf:  # NaN and inf fail here
+            raise MeasureError("finite stream: sampling weights must be "
+                               f"non-negative with a finite positive sum, got {w!r}")
         sizes = {m.n for m in measures}
         if len(sizes) != 1:
             raise MeasureError("finite stream: mixed supports")
@@ -187,8 +209,7 @@ class MeasureStream:
 
     def sample(self) -> DiscreteMeasure:
         if self.kind == "finite":
-            t = int(self._rng.choice(len(self.measures), p=self.weights))
-            return self.measures[t]
+            return self.measures[draw_index(self._cdf, self._rng)]
         if self.kind == "gaussian":
             mu = self._rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
             sigma = self._rng.exponential(1.0 / self.law.rate)

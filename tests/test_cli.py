@@ -455,6 +455,44 @@ def test_seeded_checkpoint_guard(tmp_path, name):
     assert hashlib.sha256(json.dumps(payload["state"]).encode()).hexdigest() == sha
 
 
+@pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
+def test_checkpoint_state_holds_no_r(tmp_path, name):
+    ckpt = tmp_path / "state.json"
+    assert main(["run"] + _sets("N=5", "data.grid.n=8", "seed=3",
+                                f"output.checkpoint={ckpt}",
+                                *_method_args(tmp_path)[name])) == 0
+    state = json.loads(ckpt.read_text())["state"]
+    assert "r" not in state and "log_r" in state
+
+
+@pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd"])
+def test_restored_r_is_the_carried_r(tmp_path, name):
+    config = load_config(None, ["data.grid.n=8", "seed=3",
+                                *_method_args(tmp_path)[name]])
+    run = cli.METHODS[config["method"]].setup(config)
+    state = run.state
+    for _ in range(7):
+        state = run.step(state)
+    payload = json.loads(json.dumps({"method": name, "k": state.k,
+                                     "state": cli._encode_state(state)}))
+    restored = cli._restore_state(payload).r
+    assert restored.dtype == state.r.dtype == np.float64
+    assert np.array_equal(restored.view(np.uint64), state.r.view(np.uint64))
+
+
+@pytest.mark.parametrize("weights", ["[NaN, 0.5, 0.25, 0.25]",
+                                     "[Infinity, 0.5, 0.25, 0.25]"])
+@pytest.mark.parametrize("name", ["finite_md", "linear_kmd"])
+def test_non_finite_data_weights_exit_1(tmp_path, capsys, name, weights):
+    methods = _method_args(tmp_path)
+    # both read the finite_md corpus: finite_md's problem, linear_kmd's stream
+    args = methods[name] + [a for a in methods["finite_md"] if a.startswith("data.")]
+    capsys.readouterr()
+    assert main(["run"] + _sets("N=5", "data.grid.n=8", f"data.weights={weights}",
+                                *args)) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd",
                                   "sinkhorn_sgd", "lp_sgd"])
 @settings(max_examples=10, deadline=None)

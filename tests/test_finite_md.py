@@ -142,6 +142,16 @@ def test_oracle_h_expectation_monte_carlo():
     assert np.abs(mean - expected).max() <= sigma
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_problem_rejects_non_finite_weights(bad):
+    measures = [DiscreteMeasure(np.array([1.0, 0.0])),
+                DiscreteMeasure(np.array([0.0, 1.0]))]
+    with pytest.raises(SolverError, match="m-simplex"):
+        FiniteProblem.from_measures(measures, C2, [bad, 1.0])
+    with pytest.raises(SolverError, match="m-simplex"):
+        FiniteProblem.from_measures(measures, C2, [bad, 0.0])
+
+
 def test_md_step_hand_trace():
     problem = toy_problem()
     state = FiniteSaddleState.cold_start(problem, N=4)
@@ -152,6 +162,10 @@ def test_md_step_hand_trace():
 
         def integers(self, n):
             return 1
+
+        def random(self):
+            # t: index 0 of the one-measure law; q: index 0 of r = (0.5, 0.5)
+            return 0.25
 
     s0 = state
     s1 = md_step(s0, problem, FixedRng())
@@ -176,6 +190,10 @@ def test_md_step_hand_trace_nontrivial():
 
         def integers(self, n):
             return 0
+
+        def random(self):
+            # t: index 0 of the one-measure law; q: index 0 of r = (0.5, 0.5)
+            return 0.25
 
     s1 = md_step(state, problem, FixedRng())
     # g_0 = -2*max(0+0.5, -1-0.25) = -1; r_0 *= exp(alpha*eta)

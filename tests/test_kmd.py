@@ -260,8 +260,9 @@ def test_linear_theta_update_norm_bound():
     rng = np.random.default_rng(4)
     for k in range(1, 51):
         c = rand_simplex(rng, n)
+        theta = state.theta.copy()  # the step updates theta in place
         new = linear_kmd_step(state, cfg, c, C)
-        delta = np.linalg.norm(new.theta - state.theta)
+        delta = np.linalg.norm(new.theta - theta)
         # ||outer(beta, c)||_F = ||beta|| ||c||, ||pattern - c|| <= 2
         assert delta <= cfg.stepsize(k) * cfg.beta_scale * 2 * np.linalg.norm(c) + 1e-9
         state = new

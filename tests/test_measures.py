@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barystream.measures import (
     DiscreteMeasure,
@@ -8,8 +9,10 @@ from barystream.measures import (
     MeasureError,
     MeasureStream,
     discretize_gaussian,
+    draw_index,
     load_corpus,
     normalize,
+    sampling_cdf,
     save_corpus,
 )
 
@@ -100,6 +103,38 @@ def test_finite_stream_frequencies():
     stream = MeasureStream.finite([c1, c2], [0.5, 0.5], seed=7)
     hits = sum(stream.sample() is c1 for _ in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.01  # binomial 3 sigma is ~0.005
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0],
+                                     [-np.inf, 1.0], [1e308, 1e308]])
+def test_finite_stream_rejects_non_finite_weights(weights):
+    c1 = DiscreteMeasure(np.array([0.3, 0.7]))
+    c2 = DiscreteMeasure(np.array([0.6, 0.4]))
+    with pytest.raises(MeasureError, match="sampling weights"):
+        MeasureStream.finite([c1, c2], weights, seed=1)
+
+
+@st.composite
+def index_laws(draw):
+    """Simplex vectors of length 1-20 with zeros, tiny and subnormal masses."""
+    mass = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
+                     st.floats(1e-12, 1.0))
+    raw = np.array(draw(st.lists(mass, min_size=1, max_size=20)))
+    raw[draw(st.integers(0, raw.size - 1))] = draw(st.floats(1e-3, 1.0))
+    return raw / raw.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=index_laws(), seed=st.integers(0, 2 ** 32 - 1), draws=st.integers(1, 4))
+def test_draw_matches_generator_choice(p, seed, draws):
+    ours = np.random.Generator(np.random.PCG64(seed))
+    numpys = np.random.Generator(np.random.PCG64(seed))
+    cdf = sampling_cdf(p)
+    for _ in range(draws):
+        idx = draw_index(cdf, ours)
+        assert idx == numpys.choice(len(p), p=p) and p[idx] > 0
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def test_gaussian_stream_mean():
