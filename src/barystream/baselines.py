@@ -18,6 +18,7 @@ import numpy as np
 from barystream.dual_core import (
     AveragedIterate,
     CostMatrix,
+    NumericalAbort,
     SolverError,
     boxed_dual,
     drive,
@@ -116,7 +117,8 @@ class BaselineState(AveragedIterate):
 
 def baseline_step(state: BaselineState, config: BaselineConfig,
                   c: DiscreteMeasure, C: CostMatrix) -> BaselineState:
-    """Sampled gradient step on r for one incoming measure."""
+    """Sampled gradient step on r for one incoming measure; a non-finite new
+    iterate raises NumericalAbort."""
     k = state.k + 1
     eta = config.eta(k)
     if config.stepper == "euclidean":
@@ -140,6 +142,9 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
         log_r = log_r - log_r.max()
         r_euclid = state.r_euclid
         r = r_new = np.exp(log_r - logsumexp(log_r))
+    if not (np.isfinite(log_r).all() and np.isfinite(r_new).all()):
+        raise NumericalAbort(f"non-finite {config.stepper} iterate in "
+                             f"{config.method} step at k={k}")
     return BaselineState(log_r=log_r, r_euclid=r_euclid,
                          avg_num=state.avg_num + r_new, k=k, unstable=unstable,
                          r=r)

@@ -27,12 +27,13 @@ from barystream import baselines, evaluation, finite_md, kmd
 from barystream.dual_core import (
     EXACT_SOLVER_CAP,
     CostMatrix,
+    NumericalAbort,
     SolverError,
     certify_dual_bound,
     drive,
     squared_distance_cost,
 )
-from barystream.finite_md import FiniteProblem, FiniteSaddleState, NumericalAbort
+from barystream.finite_md import FiniteProblem, FiniteSaddleState
 from barystream.kmd import Kernel, KmdConfig, KmdState, LinearKmdState, _History
 from barystream.measures import (
     DiscreteMeasure,
@@ -52,7 +53,7 @@ RESUME_OVERRIDES = ("output", "eval", "halt_after")
 CHOICES = {
     "stepsize_mode": kmd.STEPSIZE_MODES,
     "clip": kmd.CLIPS,
-    "data.kind": ("gaussian", "corpus", "finite"),
+    "data.kind": ("gaussian", "finite"),
     "baseline.schedule": baselines.SCHEDULES,
     "baseline.stepper": baselines.STEPPERS,
 }
@@ -182,18 +183,16 @@ def _load_family(data: dict) -> tuple[Grid1D, list[DiscreteMeasure]]:
 
 
 def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
+    """The configured stream; with no data.weights a corpus file's rows are
+    drawn uniformly, with replacement."""
     data = config["data"]
-    seed = config["seed"]
     if data["kind"] == "gaussian":
         grid = _build_grid(config)
         law = GaussianParamLaw(**data["law"])
-        return MeasureStream.gaussian(law, grid, seed), grid
+        return MeasureStream.gaussian(law, grid, config["seed"]), grid
     grid, measures = _load_family(data)
-    if data["kind"] == "corpus":
-        return MeasureStream(kind="corpus", seed=seed, grid=grid,
-                             measures=measures), grid
     weights = data.get("weights") or [1.0 / len(measures)] * len(measures)
-    return MeasureStream.finite(measures, weights, seed), grid
+    return MeasureStream.finite(measures, weights, config["seed"]), grid
 
 
 def _build_kernel(config: dict) -> Kernel:
@@ -290,7 +289,7 @@ def _finite_md_run(config: dict) -> _Run:
     data = config["data"]
     if data["kind"] == "gaussian":
         raise ConfigError("finite_md needs a finite measure family "
-                          "(data.kind corpus or finite)")
+                          "(data.kind finite)")
     grid, measures = _load_family(data)
     C = _build_cost(config, grid)
     problem = FiniteProblem.from_measures(measures, C, data.get("weights"))
@@ -355,11 +354,29 @@ METHODS = {
 }
 
 
-def _truth(config: dict, grid: Grid1D) -> DiscreteMeasure | None:
-    if config["data"]["kind"] == "gaussian":
-        law = GaussianParamLaw(**config["data"]["law"])
-        return evaluation.true_gaussian_barycenter(law, grid)
-    return None
+def _scorer(config: dict, run: _Run) -> Callable:
+    """score(state) -> (w2, gap) of state.r_avg: w2 to the truth of Gaussian
+    data, gap_surrogate on eval.gap_holdout holdout measures, each None where
+    it does not apply. normalize rejects a non-finite r_avg at every score."""
+    grid, data = run.grid, config["data"]
+    truth = None
+    if data["kind"] == "gaussian":
+        truth = evaluation.true_gaussian_barycenter(GaussianParamLaw(**data["law"]),
+                                                    grid)
+    holdout = None
+    if config["eval"]["gap_holdout"]:
+        holdout_stream, _ = _build_stream(
+            _deep_update(config, {"seed": config["seed"] + 10_000_019}))
+        holdout = [holdout_stream.sample()
+                   for _ in range(config["eval"]["gap_holdout"])]
+
+    def score(state) -> tuple[float | None, float | None]:
+        est = normalize(state.r_avg, grid)
+        w2 = None if truth is None else evaluation.score(est, truth, grid)
+        gap = (None if holdout is None
+               else evaluation.gap_surrogate(state.r_avg, holdout, run.C))
+        return w2, gap
+    return score
 
 
 def cmd_gen_data(config: dict) -> int:
@@ -384,29 +401,16 @@ def _run_loop(config: dict, run: _Run):
     every = config["checkpoint_every"]
     report_path = config["output"].get("report")
     checkpoint_path = config["output"].get("checkpoint")
-    grid, C = run.grid, run.C
-    truth = _truth(config, grid)
     report = evaluation.ExperimentReport(method=config["method"],
                                          seed=config["seed"],
                                          config_hash=config_hash(config))
     t0 = time.monotonic_ns()
-
-    holdout = None
-    holdout_size = config["eval"]["gap_holdout"]
-    if holdout_size:
-        holdout_stream, _ = _build_stream(
-            _deep_update(config, {"seed": config["seed"] + 10_000_019}))
-        holdout = [holdout_stream.sample() for _ in range(holdout_size)]
+    score = _scorer(config, run)
 
     def checkpoint_and_score(state):
         if state.k % every and state.k != target:
             return
-        est = normalize(state.r_avg, grid)
-        w2 = evaluation.score(est, truth, grid) if truth is not None else None
-        gap = None
-        if holdout is not None:
-            gap = evaluation.gap_surrogate(state.r_avg, holdout, C)
-        report.add(state.k, w2, gap, time.monotonic_ns() - t0)
+        report.add(state.k, *score(state), time.monotonic_ns() - t0)
         if checkpoint_path:
             payload = {"version": CHECKPOINT_VERSION, "method": config["method"],
                        "config": config, "k": state.k}
@@ -455,15 +459,19 @@ def cmd_resume(checkpoint_path: str, overrides: list[str]) -> int:
 
 def cmd_eval(checkpoint_path: str, config_path: str | None,
              overrides: list[str]) -> int:
+    """Score a checkpoint's state as its run's report rows do, on the grid and
+    cost its method sets up."""
     payload = _load_checkpoint(checkpoint_path)
     config = load_config(config_path, overrides, base=payload["config"])
-    state = _restore_state(payload)
-    grid = _build_grid(config)
-    truth = _truth(config, grid)
-    if truth is None:
-        raise ConfigError("eval needs gaussian data to define the truth")
-    est = normalize(state.r_avg, grid)
-    print(f"w2_to_truth={evaluation.score(est, truth, grid)!r}")
+    run = METHODS[config["method"]].setup(config)
+    w2, gap = _scorer(config, run)(_restore_state(payload))
+    if w2 is None and gap is None:
+        raise ConfigError("eval needs gaussian data (w2_to_truth) or "
+                          "eval.gap_holdout >= 1 (gap_surrogate)")
+    if w2 is not None:
+        print(f"w2_to_truth={w2!r}")
+    if gap is not None:
+        print(f"gap_surrogate={gap!r}")
     return 0
 
 

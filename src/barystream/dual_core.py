@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from barystream.measures import DiscreteMeasure, Grid1D
 
@@ -24,6 +23,18 @@ FEAS_TOL = 1e-9
 
 class SolverError(RuntimeError):
     """An exact LP solve failed or was rejected (cap, infeasible marginals)."""
+
+
+class NumericalAbort(RuntimeError):
+    """A non-finite intermediate value appeared during a step."""
+
+
+def linprog(*args, **kwargs):
+    """scipy's HiGHS `linprog`, imported at the first call: only `certify` and
+    costs off the grid solve an LP, and importing scipy.optimize costs most of
+    the package's import time."""
+    from scipy.optimize import linprog as highs
+    return highs(*args, **kwargs)
 
 
 def drive(state, step, N: int, callback=None):
@@ -42,15 +53,14 @@ def drive(state, step, N: int, callback=None):
 
 
 @dataclass
-class AveragedIterate:
-    """r and r_avg of a stream-method state: the softmax of log_r, and the
-    running sum avg_num of iterates over its total weight avg_den (r before
-    any step).
+class CarriedSoftmax:
+    """r, the softmax of a state's log_r, carried from step to step.
 
-    r is carried from step to step: a step passes the softmax it computed for
-    its running average. A state built without r (a cold start, a checkpoint
-    restore) computes it from log_r here, with the same expression, so the
-    carried and the rebuilt r agree bit for bit. Checkpoints do not store it.
+    A step passes the softmax it computed for its running average. A state
+    built without r (a cold start, a checkpoint restore) computes it from
+    log_r here, with the same expression, so the carried and the rebuilt r
+    agree bit for bit. Checkpoints do not store it. Steps replace log_r and r
+    together; assigning log_r alone leaves r stale.
     """
 
     r: np.ndarray | None = field(default=None, kw_only=True, repr=False)
@@ -58,6 +68,12 @@ class AveragedIterate:
     def __post_init__(self):
         if self.r is None:
             self.r = np.exp(self.log_r - logsumexp(self.log_r))
+
+
+@dataclass
+class AveragedIterate(CarriedSoftmax):
+    """r_avg of a stream-method state: the running sum avg_num of iterates over
+    its total weight avg_den (r before any step)."""
 
     @property
     def r_avg(self) -> np.ndarray:
@@ -68,7 +84,7 @@ class AveragedIterate:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Non-negative n x n cost matrix with cached sup-norm.
+    """Non-negative n x n cost matrix with its sup-norm, computed here.
 
     grid_monge marks |x_i - x_j|^p (p >= 1, times a factor >= 0) on a strictly
     increasing grid. Such a matrix is Monge, so the staircase coupling of two
@@ -77,8 +93,8 @@ class CostMatrix:
     """
 
     entries: np.ndarray
-    inf_norm: float
     grid_monge: bool = False
+    inf_norm: float = field(init=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -87,19 +103,18 @@ class CostMatrix:
             raise SolverError("cost matrix must be square")
         if np.any(e < 0):
             raise SolverError("cost matrix must be non-negative")
+        object.__setattr__(self, "inf_norm", float(np.abs(e).max()))
 
     @classmethod
     def from_entries(cls, entries) -> "CostMatrix":
-        e = np.asarray(entries, dtype=float)
-        return cls(e, float(np.abs(e).max()))
+        return cls(entries)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def scaled(self, factor: float) -> "CostMatrix":
-        e = self.entries * factor
-        return CostMatrix(e, float(np.abs(e).max()), self.grid_monge)
+        return CostMatrix(self.entries * factor, self.grid_monge)
 
 
 def squared_distance_cost(grid: Grid1D, p: float = 2.0) -> CostMatrix:
@@ -107,8 +122,7 @@ def squared_distance_cost(grid: Grid1D, p: float = 2.0) -> CostMatrix:
     if p < 1:
         raise SolverError("cost exponent p must be >= 1")
     x = grid.points
-    e = np.abs(x[:, None] - x[None, :]) ** p
-    return CostMatrix(e, float(np.abs(e).max()), grid_monge=True)
+    return CostMatrix(np.abs(x[:, None] - x[None, :]) ** p, grid_monge=True)
 
 
 def lambda_star(mu, C: CostMatrix) -> np.ndarray:

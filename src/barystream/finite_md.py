@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from barystream.dual_core import (
+    CarriedSoftmax,
     CostMatrix,
+    NumericalAbort,
     SolverError,
     drive,
     lambda_star_argmax,
@@ -23,10 +25,6 @@ from barystream.dual_core import (
     saddle_gap,
 )
 from barystream.measures import DiscreteMeasure, draw_index, sampling_cdf
-
-
-class NumericalAbort(RuntimeError):
-    """A non-finite intermediate value appeared during a step."""
 
 
 @dataclass(frozen=True)
@@ -74,18 +72,12 @@ class FiniteProblem:
 
 
 @dataclass
-class FiniteSaddleState:
+class FiniteSaddleState(CarriedSoftmax):
     """Iterate of the finite-support saddle-point mirror descent.
 
     r is kept in log-domain (exponential-weights updates only shift logs),
     read back through a softmax; M lives directly in the l_inf box. Running
     averages of both r and M are maintained for gap evaluation.
-
-    The softmax r of log_r is carried: md_step passes the one it computed for
-    the running average, and a state built without it (a cold start, a
-    checkpoint restore) computes it here with the same expression, so both
-    agree bit for bit. Checkpoints do not store it. Steps replace log_r and r
-    together; assigning log_r alone leaves r stale.
     """
 
     log_r: np.ndarray
@@ -96,11 +88,6 @@ class FiniteSaddleState:
     eta: float
     alpha: float
     beta: float
-    r: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.r is None:
-            self.r = np.exp(self.log_r - logsumexp(self.log_r))
 
     @classmethod
     def cold_start(cls, problem: FiniteProblem, N: int) -> "FiniteSaddleState":
@@ -169,7 +156,7 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     M_avg = M / k
     M_avg += (k - 1) / k * state.M_avg
     return FiniteSaddleState(log_r, M, r_avg, M_avg, k, state.eta, state.alpha,
-                             state.beta, r)
+                             state.beta, r=r)
 
 
 def run_finite(problem: FiniteProblem, N: int, seed: int,

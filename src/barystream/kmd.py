@@ -18,11 +18,11 @@ import numpy as np
 from barystream.dual_core import (
     AveragedIterate,
     CostMatrix,
+    NumericalAbort,
     SolverError,
     drive,
     logsumexp,
 )
-from barystream.finite_md import NumericalAbort
 from barystream.measures import MeasureStream
 
 STEPSIZE_MODES = ("constant", "dynamic")

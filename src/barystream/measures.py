@@ -165,11 +165,9 @@ class GaussianParamLaw:
 class MeasureStream:
     """Seeded i.i.d. source of measures on a fixed support.
 
-    Three source kinds:
+    Two source kinds:
       * finite   -- sample index t from given weights, emit measures[t]
       * gaussian -- draw (mu, sigma) from a GaussianParamLaw, discretize
-      * corpus   -- measures[t] for a uniform index t: the rows of a corpus
-                    file drawn i.i.d. with replacement
     """
 
     kind: str
@@ -217,9 +215,6 @@ class MeasureStream:
             while sigma <= 0:
                 sigma = self._rng.exponential(1.0 / self.law.rate)
             return discretize_gaussian(mu, sigma, self.grid)
-        if self.kind == "corpus":
-            t = int(self._rng.integers(len(self.measures)))
-            return self.measures[t]
         raise MeasureError(f"unknown stream kind {self.kind!r}")
 
     def state_dict(self) -> dict:

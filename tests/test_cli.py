@@ -101,6 +101,32 @@ def test_certify_subcommand():
     assert main(["certify", "--instances", "0"]) == 0
 
 
+def test_certify_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "certify_dual_bound",
+                        lambda r, c, C: (False, np.zeros(C.n)))
+    assert main(["certify", "--instances", "2", "--seed", "3"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL instance 0" in out and "FAIL instance 1" in out
+    assert "certify: 0/2 passed" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["method=linear_kmd", "eta_scale=1e308"],
+     "numerical abort: non-finite primal iterate in KMD step"),
+    (["method=lp_sgd", "baseline.schedule=constant", "baseline.stepsize=1e308"],
+     "numerical abort: non-finite mirror iterate in lp_sgd step at k=1"),
+    (["method=lp_sgd", "baseline.schedule=constant", "baseline.stepsize=1e308",
+      "baseline.stepper=euclidean"],
+     "numerical abort: non-finite euclidean iterate in lp_sgd step at k=1"),
+], ids=["linear_kmd", "lp_sgd_mirror", "lp_sgd_euclidean"])
+def test_a_non_finite_iterate_exits_2(tmp_path, capsys, args, message):
+    report = tmp_path / "report.csv"
+    assert main(["run"] + _sets("N=5", "data.grid.n=20", f"output.report={report}",
+                                *args)) == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("args", [["--n-lo", "6", "--n-hi", "3"],
                                   ["--instances", "-3"],
                                   ["--n-hi", "65"],
@@ -280,6 +306,41 @@ def test_eval_uses_the_checkpoint_config(tmp_path, capsys):
                  "--set", "data.grid.n=12"]) == 1
 
 
+def test_eval_prints_the_last_report_row_with_its_gap(tmp_path, capsys):
+    report, ckpt = _run_small(tmp_path, "--set", "eval.gap_holdout=3", n=20)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 0
+    _, w2, gap = report.read_text().strip().split("\n")[-1].split(",")[:3]
+    assert capsys.readouterr().out == f"w2_to_truth={w2}\ngap_surrogate={gap}\n"
+
+
+def test_eval_of_a_finite_md_checkpoint_prints_only_the_gap(tmp_path, capsys):
+    finite = _sets(*_method_args(tmp_path)["finite_md"])
+    _, ckpt = _run_small(tmp_path, *finite)
+    (tmp_path / "gap").mkdir()
+    report, _ = _run_small(tmp_path / "gap", *finite, "--set", "eval.gap_holdout=3")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    assert "eval.gap_holdout" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--set", "eval.gap_holdout=3"]) == 0
+    _, w2, gap = report.read_text().strip().split("\n")[-1].split(",")[:3]
+    assert w2 == "" and capsys.readouterr().out == f"gap_surrogate={gap}\n"
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+def test_a_corpus_checkpoint_is_a_config_error(tmp_path, capsys, command):
+    _, ckpt = _run_small(tmp_path, *_sets(*_method_args(tmp_path)["finite_md"]),
+                         "--set", "halt_after=10")
+    payload = json.loads(ckpt.read_text())
+    payload["config"]["data"]["kind"] = "corpus"
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "data.kind" in err
+
+
 def test_resume_refuses_identity_overrides(tmp_path, capsys):
     _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
     capsys.readouterr()
@@ -340,6 +401,7 @@ def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
     ("stepsize_mode", "foo"),
     ("clip", "foo"),
     ("data.kind", "foo"),
+    ("data.kind", "corpus"),
     ("baseline.stepper", "foo"),
     ("baseline.schedule", "foo"),
     ("N", "2.5"),

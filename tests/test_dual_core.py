@@ -55,6 +55,11 @@ def test_cost_inf_norm_extremal():
     C = squared_distance_cost(g, 2)
     assert C.inf_norm == (5 - (-3)) ** 2
     assert C.inf_norm == C.entries.max()
+    # every constructor works the sup-norm out from its entries; none takes one
+    for D in (C, C.scaled(0.3), CostMatrix.from_entries(7.0 * C.entries[::-1])):
+        assert D.inf_norm == float(np.abs(D.entries).max())
+    with pytest.raises(TypeError):
+        CostMatrix(C.entries, inf_norm=1.0)
 
 
 def test_lambda_star_basic():

@@ -6,7 +6,7 @@ import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from barystream import finite_md
+from barystream import dual_core, finite_md
 from barystream.dual_core import (
     CostMatrix,
     SolverError,
@@ -206,6 +206,15 @@ def test_md_step_hand_trace_nontrivial():
                            - state.beta * state.eta * np.array([-1.0, 1.0]),
                            -1.0, 1.0)
     np.testing.assert_allclose(s1.M[0], expected_row, rtol=1e-12)
+
+
+def test_md_step_aborts_on_a_non_finite_iterate():
+    problem = toy_problem()
+    state = FiniteSaddleState.cold_start(problem, 10)
+    state.eta = math.inf  # inf * 0 leaves NaN in log_r at the first step
+    assert finite_md.NumericalAbort is dual_core.NumericalAbort
+    with pytest.raises(finite_md.NumericalAbort, match="non-finite iterate at k=1"):
+        md_step(state, problem, np.random.Generator(np.random.PCG64(0)))
 
 
 def test_box_and_simplex_preserved():
