@@ -19,6 +19,7 @@ from barystream.dual_core import (
     AveragedIterate,
     CostMatrix,
     NumericalAbort,
+    SinkhornSolution,
     SolverError,
     boxed_dual,
     drive,
@@ -68,9 +69,17 @@ def sinkhorn_gradient(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     additive constant; mean-centering fixes the gauge. Returns the centered
     gradient and an instability flag (NaN stop inside the scaling loop).
     """
+    grad, sol = _sinkhorn_solve(r, c, C, gamma, inner_iters, inner_tol)
+    return grad, sol.unstable
+
+
+def _sinkhorn_solve(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
+                    gamma: float, inner_iters: int,
+                    inner_tol: float) -> tuple[np.ndarray, SinkhornSolution]:
+    """`sinkhorn_gradient`'s gradient and the inner solve it came from."""
     sol = sinkhorn(r, c, C, gamma, max_iter=inner_iters, tol=inner_tol)
     grad = gamma * sol.u
-    return grad - grad.mean(), sol.unstable
+    return grad - grad.mean(), sol
 
 
 def lp_subgradient(r: DiscreteMeasure, c: DiscreteMeasure,
@@ -104,6 +113,7 @@ class BaselineState(AveragedIterate):
     avg_num: np.ndarray
     k: int
     unstable: int = 0               # Sinkhorn inner solves that stopped unstable
+    unconverged: int = 0            # stable ones stopped at the cap above inner_tol
 
     @property
     def avg_den(self) -> int:
@@ -126,11 +136,14 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
     else:
         r_cur = state.r
     r_meas = normalize_clamped(r_cur)
-    unstable = state.unstable
+    unstable, unconverged = state.unstable, state.unconverged
     if config.method == "sinkhorn_sgd":
-        grad, flag = sinkhorn_gradient(r_meas, c, C, config.gamma,
-                                       config.inner_iters, config.inner_tol)
-        unstable += bool(flag)
+        grad, sol = _sinkhorn_solve(r_meas, c, C, config.gamma,
+                                    config.inner_iters, config.inner_tol)
+        unstable += sol.unstable
+        # ran to the cap and the returned iterate is still above inner_tol
+        unconverged += (not sol.unstable and sol.n_iter == config.inner_iters
+                        and sol.marginal_residual > config.inner_tol)
     else:
         grad = lp_subgradient(r_meas, c, C)
     if config.stepper == "euclidean":
@@ -147,7 +160,7 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
                              f"{config.method} step at k={k}")
     return BaselineState(log_r=log_r, r_euclid=r_euclid,
                          avg_num=state.avg_num + r_new, k=k, unstable=unstable,
-                         r=r)
+                         unconverged=unconverged, r=r)
 
 
 def run_baseline(stream: MeasureStream, C: CostMatrix, config: BaselineConfig,

@@ -421,7 +421,10 @@ def _run_loop(config: dict, run: _Run):
             payload["state"] = _encode_state(state)
             _atomic_write_json(checkpoint_path, payload)
 
-    state = drive(run.state, run.step, target, checkpoint_and_score)
+    # the steps' finiteness checks report a blow-up as one numerical abort,
+    # without numpy's warnings about the inf and NaN on the way to it
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = drive(run.state, run.step, target, checkpoint_and_score)
     if report_path:
         report.write_csv(report_path)
     return state
@@ -440,6 +443,11 @@ def cmd_run(config: dict, payload: dict | None = None) -> int:
     if getattr(state, "unstable", 0):
         print(f"warning: {state.unstable} of {state.k} Sinkhorn inner solves "
               "were unstable", file=sys.stderr)
+    if getattr(state, "unconverged", 0):
+        b = config["baseline"]
+        print(f"warning: {state.unconverged} of {state.k} Sinkhorn inner solves "
+              f"stopped at inner_iters={b['inner_iters']} above "
+              f"inner_tol={b['inner_tol']}", file=sys.stderr)
     return 0
 
 

@@ -19,6 +19,8 @@ from barystream.measures import DiscreteMeasure, Grid1D
 
 EXACT_SOLVER_CAP = 64
 FEAS_TOL = 1e-9
+# exp of every float64 below this is exactly 0.0 (the cut is at -745.1332)
+UNDERFLOW_BELOW = -746.0
 
 
 class SolverError(RuntimeError):
@@ -301,13 +303,25 @@ def logsumexp_axis(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     slice with max -inf, +inf or NaN comes out -inf, +inf or NaN, as scipy's
     log(sum(exp(a))) gives. The 1-D version is kept for vectors: it costs a
     quarter of this one there.
+
+    The exp is taken only where z = a - max > UNDERFLOW_BELOW and a is not
+    at the max, on a zeroed buffer. That is exact: every float64 below
+    -745.14 has exp exactly 0.0, and the entries at the max are zeroed
+    anyway, so the sums see the same addends in the same order as from a
+    full exp, -inf, +inf and NaN slices included (their z is NaN or -inf,
+    which the mask leaves at 0.0). numpy's exp is several times slower on
+    arguments that underflow than on others, and at Sinkhorn's small gamma
+    most of them do; where few do, the mask costs a few microseconds.
     """
     axes = tuple(range(a.ndim)) if axis is None else (axis,)
     a_max = a.max(axis=axes, keepdims=True)
     at_max = a == a_max
     with np.errstate(divide="ignore", invalid="ignore"):  # non-finite maxima
-        e = np.exp(a - a_max)
-        e[at_max] = 0.0
+        z = a - a_max
+        live = z > UNDERFLOW_BELOW
+        live &= ~at_max
+        e = np.zeros_like(z)
+        np.exp(z, out=e, where=live)
         s = e.sum(axis=axes, keepdims=True)
         m = at_max.sum(axis=axes, keepdims=True)
         s = np.where(s == 0, s, s / m)
@@ -346,6 +360,12 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     `reg_value` and the last dual value are computed once, at exit, from the
     returned (u, v). If a potential goes non-finite the last finite iterate
     is returned with the `unstable` flag set.
+
+    Each half-step's `logsumexp_axis` skips the exps that underflow, which
+    gives the same bits as taking them all. At n=100 on a cost normalised to
+    |C|_inf = 1 that made a half-step 28% shorter at gamma = 5e-5, where most
+    exps underflow, and 15-25% longer at gamma = 1e-2 and 1e-3, where few do
+    (BENCH_sinkhorn.json).
     """
     if gamma <= 0:
         raise SolverError("sinkhorn: gamma must be positive")

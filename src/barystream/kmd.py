@@ -196,7 +196,7 @@ def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
 
 
 def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
-                   C: CostMatrix, eta_k: float, config: KmdConfig):
+                   C: CostMatrix, eta_k: float, config: KmdConfig, k: int):
     """Shared per-step algebra: argmax indices, primal gradient, updates.
 
     r is the softmax of log_r, which the state carries. Returns (new_log_r,
@@ -211,7 +211,7 @@ def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
     new_log_r = log_r - eta_k * config.alpha * g
     new_log_r -= new_log_r.max()
     if not np.all(np.isfinite(new_log_r)):
-        raise NumericalAbort("non-finite primal iterate in KMD step")
+        raise NumericalAbort(f"non-finite primal iterate in KMD step at k={k}")
     return new_log_r, pattern
 
 
@@ -223,7 +223,8 @@ def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
     new_log_r, pattern = _saddle_update(state.log_r, state.r,
-                                        state.dual(config, c), C, eta_k, config)
+                                        state.dual(config, c), C, eta_k, config,
+                                        k)
     beta_k = eta_k * config.beta_scale * (pattern - c)
     r_new = np.exp(new_log_r - logsumexp(new_log_r))
     weight = eta_k if config.mode == "dynamic" else 1.0

@@ -180,6 +180,8 @@ class MeasureStream:
     _cdf: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.kind not in ("finite", "gaussian"):
+            raise MeasureError(f"unknown stream kind {self.kind!r}")
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         self._cdf = None if self.weights is None else sampling_cdf(self.weights)
 
@@ -208,14 +210,12 @@ class MeasureStream:
     def sample(self) -> DiscreteMeasure:
         if self.kind == "finite":
             return self.measures[draw_index(self._cdf, self._rng)]
-        if self.kind == "gaussian":
-            mu = self._rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
+        mu = self._rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
+        sigma = self._rng.exponential(1.0 / self.law.rate)
+        # an exponential draw can underflow to 0; resample the tail away
+        while sigma <= 0:
             sigma = self._rng.exponential(1.0 / self.law.rate)
-            # an exponential draw can underflow to 0; resample the tail away
-            while sigma <= 0:
-                sigma = self._rng.exponential(1.0 / self.law.rate)
-            return discretize_gaussian(mu, sigma, self.grid)
-        raise MeasureError(f"unknown stream kind {self.kind!r}")
+        return discretize_gaussian(mu, sigma, self.grid)
 
     def state_dict(self) -> dict:
         return {"rng": self._rng.bit_generator.state}

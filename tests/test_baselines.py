@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from barystream import baselines
 from barystream.baselines import (
     BaselineConfig,
     BaselineState,
@@ -162,6 +165,23 @@ def test_baseline_step_hand_trace_mirror():
     np.testing.assert_allclose(s1.r, expected, rtol=1e-10)
     np.testing.assert_allclose(s1.r_avg, s1.r, rtol=1e-12)
     assert s1.k == 1
+
+
+@pytest.mark.parametrize("inner_iters, counted", [(1000, 0), (2, 1)])
+def test_only_a_solve_stopped_at_inner_iters_counts_unconverged(
+        monkeypatch, inner_iters, counted):
+    # the exit residual is made to read above inner_tol: a solve whose loop
+    # stopped early on its own residual still did not stop unconverged
+    def residual_above_tol(*args, **kwargs):
+        sol = sinkhorn(*args, **kwargs)
+        return dataclasses.replace(sol, marginal_residual=1.0)
+
+    monkeypatch.setattr(baselines, "sinkhorn", residual_above_tol)
+    cfg = BaselineConfig(method="sinkhorn_sgd", gamma=0.5,
+                         inner_iters=inner_iters)
+    c = DiscreteMeasure(np.array([0.3, 0.7]))
+    state = baseline_step(BaselineState.cold_start(2), cfg, c, C2)
+    assert (state.unstable, state.unconverged) == (0, counted)
 
 
 def test_baseline_step_euclidean_stays_feasible():

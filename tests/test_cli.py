@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -112,7 +116,7 @@ def test_certify_failure_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, message", [
     (["method=linear_kmd", "eta_scale=1e308"],
-     "numerical abort: non-finite primal iterate in KMD step"),
+     "numerical abort: non-finite primal iterate in KMD step at k=1"),
     (["method=lp_sgd", "baseline.schedule=constant", "baseline.stepsize=1e308"],
      "numerical abort: non-finite mirror iterate in lp_sgd step at k=1"),
     (["method=lp_sgd", "baseline.schedule=constant", "baseline.stepsize=1e308",
@@ -125,6 +129,25 @@ def test_a_non_finite_iterate_exits_2(tmp_path, capsys, args, message):
                                 *args)) == 2
     assert message in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_a_numerical_abort_is_the_only_line_on_stderr(tmp_path):
+    # in a fresh interpreter: pytest captures numpy's RuntimeWarnings in
+    # process, and both runs overflow on their way to the abort
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for args, message in [
+            (["method=linear_kmd", "eta_scale=1e308"],
+             "numerical abort: non-finite primal iterate in KMD step at k=1"),
+            (["method=lp_sgd", "baseline.schedule=constant",
+              "baseline.stepsize=1e308", "baseline.stepper=euclidean"],
+             "numerical abort: non-finite euclidean iterate in lp_sgd step at k=1")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "barystream.cli", "run",
+             *_sets("N=5", "data.grid.n=20", *args)],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == message + "\n"
 
 
 @pytest.mark.parametrize("args", [["--n-lo", "6", "--n-hi", "3"],
@@ -369,30 +392,63 @@ def test_holdout_is_built_once_per_run(tmp_path, monkeypatch):
 
 
 def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
+    # every 5-iteration solve stops unconverged; every other one is made to
+    # report unstable instead
     calls = []
-    sinkhorn_gradient = baselines.sinkhorn_gradient
+    sinkhorn_solve = baselines._sinkhorn_solve
 
     def flaky(*args, **kwargs):
-        grad, _unstable = sinkhorn_gradient(*args, **kwargs)
+        grad, sol = sinkhorn_solve(*args, **kwargs)
         calls.append(None)
-        return grad, len(calls) % 2 == 1
+        return grad, dataclasses.replace(sol, unstable=len(calls) % 2 == 1)
 
-    monkeypatch.setattr(baselines, "sinkhorn_gradient", flaky)
+    monkeypatch.setattr(baselines, "_sinkhorn_solve", flaky)
     extra = ["--set", "method=sinkhorn_sgd", "--set", "baseline.inner_iters=5",
              "--set", "halt_after=10"]
     _, ckpt = _run_small(tmp_path, *extra)
-    assert json.loads(ckpt.read_text())["state"]["unstable"] == 5
-    assert ("warning: 5 of 10 Sinkhorn inner solves were unstable"
-            in capsys.readouterr().err)
+    state = json.loads(ckpt.read_text())["state"]
+    assert state["unstable"] == state["unconverged"] == 5
+    err = capsys.readouterr().err
+    assert "warning: 5 of 10 Sinkhorn inner solves were unstable" in err
+    assert ("warning: 5 of 10 Sinkhorn inner solves stopped at inner_iters=5 "
+            "above inner_tol=1e-09") in err
     assert main(["resume", "--checkpoint", str(ckpt)]) == 0
-    assert json.loads(ckpt.read_text())["state"]["unstable"] == 10
-    assert ("warning: 10 of 20 Sinkhorn inner solves were unstable"
-            in capsys.readouterr().err)
+    state = json.loads(ckpt.read_text())["state"]
+    assert state["unstable"] == state["unconverged"] == 10
+    err = capsys.readouterr().err
+    assert "warning: 10 of 20 Sinkhorn inner solves were unstable" in err
+    assert ("warning: 10 of 20 Sinkhorn inner solves stopped at inner_iters=5 "
+            "above inner_tol=1e-09") in err
+
+
+def test_a_checkpoint_without_the_unconverged_count_restores_0(tmp_path, capsys):
+    _, ckpt = _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
+                         "--set", "baseline.inner_iters=5", "--set", "halt_after=10")
+    payload = json.loads(ckpt.read_text())
+    assert payload["state"].pop("unconverged") == 10
+    ckpt.write_text(json.dumps(payload))
+    assert cli._restore_state(payload).unconverged == 0
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(ckpt)]) == 0
+    assert json.loads(ckpt.read_text())["state"]["unconverged"] == 10
+    assert "10 of 20 Sinkhorn inner solves stopped" in capsys.readouterr().err
+
+
+def test_small_gamma_sinkhorn_run_warns_unconverged(tmp_path, capsys):
+    _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
+               "--set", "cost.normalize=true", "--set", "baseline.gamma=5e-05")
+    assert capsys.readouterr().err == (
+        "warning: 20 of 20 Sinkhorn inner solves stopped at inner_iters=200 "
+        "above inner_tol=1e-09\n")
 
 
 def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
-    _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
-               "--set", "baseline.inner_iters=5")
+    # every solve of this run converges within its 400 inner iterations
+    _, ckpt = _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
+                         "--set", "cost.normalize=true",
+                         "--set", "baseline.inner_iters=400")
+    state = json.loads(ckpt.read_text())["state"]
+    assert state["unstable"] == state["unconverged"] == 0
     assert "warning" not in capsys.readouterr().err
 
 
@@ -470,7 +526,9 @@ def _sets(*items):
 # two lp_sgd entries were re-recorded when lp_subgradient moved from the HiGHS
 # LP to the staircase dual: at steps where r or c has a mass below HiGHS's
 # 1e-7 tolerance the LP's dual broke the subgradient inequality, and the
-# staircase one does not
+# staircase one does not. The three baseline hashes were re-recorded again
+# when the baseline state gained its `unconverged` count; without that key
+# each state hashes as before
 SEEDED_GUARD = {
     "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -488,16 +546,16 @@ SEEDED_GUARD = {
                    [0.0025078114503235133, 0.00575328880303214, 0.019775053396683083,
                     0.14128641936335165, 0.6539741945800016, 0.15092569063696415,
                     0.020073169738235048, 0.005704372031409044]),
-    "sinkhorn_sgd": ("59492a73dedb96fe483f34577ab59bf8aa535567b7741163b66036f652667a13",
+    "sinkhorn_sgd": ("f1b1c9274e1cd9c60597e2d3c3f369a3bf13f1ee76448686f860adbeccbfd2e3",
                      [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
                       0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
                       0.08023703758014075, 0.040553652980500975]),
-    "lp_sgd": ("fb7450ef778acd6dce05fb6242d6a3dbf5f51a6b580b9392f10007ecbbe9fae0",
+    "lp_sgd": ("10229d80fce79b9f0c3bd84b1115c8b2c3262433a5d48d0718064f28ac4ef608",
                [2.7805062583206718e-06, 0.0004816524295967726, 0.04119106416910067,
                 0.2813559411156282, 0.47051899822278587, 0.19441190757428867,
                 0.011540604034647179, 0.0004970519476943676]),
     "lp_sgd_euclidean": (
-        "4112a044e1cb5832c53708e8233130adbfcb73ae5beb0d9184c1e8b51d4f7395",
+        "5648e01e601e1dd9e7b997c900de0576838189537c481a0c2002009d3fc37d22",
         [0.09947516712753446, 0.09493329044256994, 0.08576070076275073,
          0.13760356813786204, 0.22193177406232237, 0.14677309623359563,
          0.11585269525783559, 0.09766970797552908]),

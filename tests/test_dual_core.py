@@ -336,6 +336,85 @@ def test_logsumexp_axis_matches_scipy(a, axis):
                                equal_nan=True)
 
 
+@st.composite
+def underflow_matrices(draw):
+    """Real 2-D arrays with a 0 in every row and column and the other entries
+    below it: many far below -746, some about the underflow cut, where exp
+    gives a subnormal or exactly 0.0. Where a slice holds one 0 its result is
+    the sum of those exps alone, so one lost addend shows."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    entry = st.one_of(st.floats(-1e4, 0.0), st.floats(-760.0, -700.0),
+                      st.sampled_from([-746.0, np.nextafter(-746.0, 0.0),
+                                       -745.14, -745.1, -708.4]))
+    a = np.array(draw(st.lists(entry, min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    a[np.arange(rows), draw(st.lists(st.integers(0, cols - 1),
+                                     min_size=rows, max_size=rows))] = 0.0
+    a[draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols)),
+      np.arange(cols)] = 0.0
+    return a
+
+
+def _same_bits(x, y):
+    """array_equal that also matches NaN positions and every sign bit."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+def _logsumexp_axis_full_exp(a, axis):
+    """The reference for logsumexp_axis's mask: the exp of every entry, then
+    the ones at the max zeroed, with the same reductions after."""
+    axes = tuple(range(a.ndim)) if axis is None else (axis,)
+    a_max = a.max(axis=axes, keepdims=True)
+    at_max = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.exp(a - a_max)
+        e[at_max] = 0.0
+        s = e.sum(axis=axes, keepdims=True)
+        m = at_max.sum(axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max).squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lse_matrices(), underflow_matrices()),
+       st.sampled_from([0, 1, None]))
+def test_logsumexp_axis_skipping_underflow_is_bit_identical(a, axis):
+    assert _same_bits(logsumexp_axis(a, axis), _logsumexp_axis_full_exp(a, axis))
+
+
+def test_exp_is_zero_below_the_underflow_cut():
+    # the premise of logsumexp_axis's mask, on this numpy's exp; the offsets leave
+    # tails that its SIMD loop hands to scalar code
+    cut = dual_core.UNDERFLOW_BELOW
+    z = np.concatenate([np.linspace(cut - 1e4, cut, 100_003),
+                        [np.nextafter(cut, -np.inf), -1e300, -np.inf]])
+    for start in range(8):
+        assert not np.any(np.exp(z[start:]))
+
+
+@pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
+    (1e-2, 1000, 401,
+     "970f4bc738851db489a3b4ecf8e79ef65ec9cee88cd287ee6a006f3ee094d070"),
+    (5e-5, 200, 200,
+     "7dda08808323f6bdf6119c26c56c6f6e3520d2a2cafdd5836270f5b5fddbd375"),
+])
+def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
+    # sha256 of u, v, plan, dual_values, reg_value and n_iter, recorded before
+    # the half-steps skipped the exps that underflow: few do at gamma=1e-2,
+    # which converges, and most at 5e-5, which stops at max_iter
+    r, c, C = _sinkhorn_case(100, seed=11)
+    sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
+    assert sol.n_iter == n_iter and not sol.unstable
+    h = hashlib.sha256()
+    for a in (sol.u, sol.v, sol.plan, sol.dual_values, np.float64(sol.reg_value)):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(np.int64(sol.n_iter).astype("<i8").tobytes())
+    assert h.hexdigest() == sha
+
+
 def test_sinkhorn_rejects():
     r = DiscreteMeasure(np.array([0.5, 0.5]))
     z = DiscreteMeasure(np.array([1.0, 0.0]))
