@@ -1,10 +1,10 @@
 """Experiment runner: config parsing, subcommands, checkpoints, CSV reports.
 
-Subcommands: gen-data, run, eval, certify, resume. Configuration is a
-single JSON file; individual keys can be overridden on the command line
-with --set dotted.key=value (flags win). Every subcommand is deterministic
-under (config, seed). Exit codes: 0 ok, 1 config error, 2 numerical abort,
-3 certification failure.
+Subcommands: gen-data, run, eval, certify, resume. A config is
+DEFAULT_CONFIG with a JSON file and then each --set dotted.key=value merged
+in by one rule (flags win); a key the defaults lack is a config error. Every
+subcommand is deterministic under (config, seed). Exit codes: 0 ok, 1 config
+or usage error, 2 numerical abort, 3 certification failure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ RESUME_OVERRIDES = ("output", "eval", "halt_after")
 # the values an enumerated config key may take; any other is a config error
 CHOICES = {
     "stepsize_mode": kmd.STEPSIZE_MODES,
-    "clip": kmd.CLIPS,
     "data.kind": ("gaussian", "finite"),
     "baseline.schedule": baselines.SCHEDULES,
     "baseline.stepper": baselines.STEPPERS,
@@ -64,7 +63,6 @@ DEFAULT_CONFIG = {
     "halt_after": None,       # stop early at this step; resume continues to N
     "seed": None,             # falls back to $BARY_SEED, then 0
     "checkpoint_every": 100,
-    "clip": "cost",
     "eta_scale": 1.0,
     "stepsize_mode": "constant",
     "kernel": {"family": "linear", "param": 0.0, "r_sq": None},
@@ -94,17 +92,24 @@ class ConfigError(ValueError):
     pass
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
+    """base with extra merged in, object into object. A key base lacks, or a
+    non-object for an object, is a config error; null takes any value."""
+    if not isinstance(extra, dict):
+        raise ConfigError(f"{prefix[:-1] or 'a config'} takes a JSON object, "
+                          f"got {extra!r}")
     out = copy.deepcopy(base)
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], value)
-        else:
-            out[key] = value
+        name = prefix + key
+        if key not in out:
+            raise ConfigError(f"unknown config key {name!r}")
+        out[key] = (_deep_update(out[key], value, name + ".")
+                    if isinstance(out[key], dict) else value)
     return out
 
 
-def _parse_override(text: str) -> tuple[list[str], object]:
+def _parse_override(text: str) -> dict:
+    """--set a.b=v as {"a": {"b": v}}, v read as JSON or else as a string."""
     if "=" not in text:
         raise ConfigError(f"--set expects key=value, got {text!r}")
     key, raw = text.split("=", 1)
@@ -112,27 +117,39 @@ def _parse_override(text: str) -> tuple[list[str], object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.split("."), value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
-def _apply_override(config: dict, keys: list[str], value) -> None:
-    node = config
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
-
-
-def load_config(path: str | None, overrides: list[str],
-                base: dict = DEFAULT_CONFIG) -> dict:
-    """base (the defaults, or a checkpoint's config), then the file, then flags."""
-    config = copy.deepcopy(base)
+def load_config(path: str | None, overrides: list[str]) -> dict:
+    """The defaults, then the file, then each --set, merged by _deep_update."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
             config = _deep_update(config, json.load(fh))
     for item in overrides:
-        _apply_override(config, *_parse_override(item))
+        config = _deep_update(config, _parse_override(item))
     if config["seed"] is None:
         config["seed"] = int(os.environ.get("BARY_SEED", "0"))
+    return _check_config(config)
+
+
+def _checkpoint_config(payload: dict, overrides: list[str]) -> dict:
+    """The config resume and eval read from a checkpoint: the stored one, to run
+    to its full N, with --set overrides of RESUME_OVERRIDES keys merged in."""
+    config = payload["config"]
+    # checkpoints written while the KMD box was a `clip` choice store "cost",
+    # the |C|_inf box every run now takes
+    if config.pop("clip", "cost") != "cost":
+        raise ConfigError("clip: this version boxes the KMD dual at |C|_inf only")
+    config["halt_after"] = None
+    for item in overrides:
+        extra = _parse_override(item)
+        if next(iter(extra)) not in RESUME_OVERRIDES:
+            raise ConfigError(f"{item.split('=')[0]!r} cannot be overridden: only "
+                              f"{', '.join(RESUME_OVERRIDES)} keep the run unchanged")
+        config = _deep_update(config, extra)
     return _check_config(config)
 
 
@@ -173,7 +190,7 @@ def _build_cost(config: dict, grid: Grid1D) -> CostMatrix:
 
 def _load_family(data: dict) -> tuple[Grid1D, list[DiscreteMeasure]]:
     """The measures of the corpus file at data.path, which carries a grid header."""
-    path = data.get("path")
+    path = data["path"]
     if not path or not os.path.exists(path):
         raise ConfigError(f"corpus path missing: {path!r}")
     grid, measures = load_corpus(path)
@@ -191,14 +208,13 @@ def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
         law = GaussianParamLaw(**data["law"])
         return MeasureStream.gaussian(law, grid, config["seed"]), grid
     grid, measures = _load_family(data)
-    weights = data.get("weights") or [1.0 / len(measures)] * len(measures)
+    weights = data["weights"] or [1.0 / len(measures)] * len(measures)
     return MeasureStream.finite(measures, weights, config["seed"]), grid
 
 
 def _build_kernel(config: dict) -> Kernel:
     k = config["kernel"]
-    return Kernel(family=k["family"], param=k.get("param") or 0.0,
-                  r_sq=k.get("r_sq"))
+    return Kernel(family=k["family"], param=k["param"] or 0.0, r_sq=k["r_sq"])
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -292,7 +308,7 @@ def _finite_md_run(config: dict) -> _Run:
                           "(data.kind finite)")
     grid, measures = _load_family(data)
     C = _build_cost(config, grid)
-    problem = FiniteProblem.from_measures(measures, C, data.get("weights"))
+    problem = FiniteProblem.from_measures(measures, C, data["weights"])
     rng = np.random.Generator(np.random.PCG64(config["seed"]))
     state = FiniteSaddleState.cold_start(problem, config["N"])
     state.eta *= config["eta_scale"]
@@ -313,7 +329,7 @@ def _stream_method(state_cls, make_step) -> Method:
 
 def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
     return KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
-                             clip=config["clip"], eta_scale=config["eta_scale"])
+                             eta_scale=config["eta_scale"])
 
 
 def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
@@ -329,7 +345,7 @@ def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
 
 def _linear_kmd_step(config: dict, C: CostMatrix,
                      stream: MeasureStream) -> Callable:
-    run_config = _kmd_config(config, Kernel.linear(config["kernel"].get("r_sq")), C)
+    run_config = _kmd_config(config, Kernel.linear(config["kernel"]["r_sq"]), C)
     return lambda s: kmd.linear_kmd_step(s, run_config, stream.sample().weights, C)
 
 
@@ -381,7 +397,7 @@ def _scorer(config: dict, run: _Run) -> Callable:
 
 def cmd_gen_data(config: dict) -> int:
     data = config["data"]
-    path = data.get("path")
+    path = data["path"]
     if not path:
         raise ConfigError("gen-data needs data.path")
     grid = _build_grid(config)
@@ -399,8 +415,8 @@ def _run_loop(config: dict, run: _Run):
     N = config["N"]
     target = N if config["halt_after"] is None else min(N, config["halt_after"])
     every = config["checkpoint_every"]
-    report_path = config["output"].get("report")
-    checkpoint_path = config["output"].get("checkpoint")
+    report_path = config["output"]["report"]
+    checkpoint_path = config["output"]["checkpoint"]
     report = evaluation.ExperimentReport(method=config["method"],
                                          seed=config["seed"],
                                          config_hash=config_hash(config))
@@ -453,24 +469,14 @@ def cmd_run(config: dict, payload: dict | None = None) -> int:
 
 def cmd_resume(checkpoint_path: str, overrides: list[str]) -> int:
     payload = _load_checkpoint(checkpoint_path)
-    config = payload["config"]
-    config["halt_after"] = None  # a resumed run continues to the full N
-    for item in overrides:
-        keys, value = _parse_override(item)
-        if keys[0] not in RESUME_OVERRIDES:
-            raise ConfigError(f"resume cannot override {'.'.join(keys)!r}: only "
-                              f"{', '.join(RESUME_OVERRIDES)} keys leave the "
-                              "checkpointed run unchanged")
-        _apply_override(config, keys, value)
-    return cmd_run(_check_config(config), payload)
+    return cmd_run(_checkpoint_config(payload, overrides), payload)
 
 
-def cmd_eval(checkpoint_path: str, config_path: str | None,
-             overrides: list[str]) -> int:
+def cmd_eval(checkpoint_path: str, overrides: list[str]) -> int:
     """Score a checkpoint's state as its run's report rows do, on the grid and
     cost its method sets up."""
     payload = _load_checkpoint(checkpoint_path)
-    config = load_config(config_path, overrides, base=payload["config"])
+    config = _checkpoint_config(payload, overrides)
     run = METHODS[config["method"]].setup(config)
     w2, gap = _scorer(config, run)(_restore_state(payload))
     if w2 is None and gap is None:
@@ -507,8 +513,16 @@ def cmd_certify(n_lo: int, n_hi: int, instances: int, seed: int) -> int:
     return 0 if failures == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as a ConfigError, so it exits 1;
+    argparse's own exit 2 is the code of a numerical abort."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="barystream")
+    parser = _Parser(prog="barystream")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("gen-data", "run"):
@@ -516,14 +530,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None)
         p.add_argument("--set", action="append", default=[], dest="overrides")
 
-    p = sub.add_parser("eval")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", default=[], dest="overrides")
-    p.add_argument("--checkpoint", required=True)
-
-    p = sub.add_parser("resume")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--set", action="append", default=[], dest="overrides")
+    for name in ("eval", "resume"):
+        p = sub.add_parser(name)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--set", action="append", default=[], dest="overrides")
 
     p = sub.add_parser("certify")
     p.add_argument("--n-lo", type=int, default=2)
@@ -532,14 +542,14 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get("BARY_SEED", "0")))
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "gen-data":
             return cmd_gen_data(load_config(args.config, args.overrides))
         if args.command == "run":
             return cmd_run(load_config(args.config, args.overrides))
         if args.command == "eval":
-            return cmd_eval(args.checkpoint, args.config, args.overrides)
+            return cmd_eval(args.checkpoint, args.overrides)
         if args.command == "resume":
             return cmd_resume(args.checkpoint, args.overrides)
         if args.command == "certify":

@@ -154,7 +154,9 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolutio
 
     The dual is returned in the sign convention of the potentials above:
     feasibility reads -C_ij - lambda_i - mu_j <= 0 and the dual value is
-    -<lambda, r> - <mu, c>.
+    -<lambda, r> - <mu, c>. HiGHS works to a primal feasibility tolerance of
+    1e-7 and can drop a mass below it while its gap reads 0, so a plan whose
+    marginals miss r and c by more than FEAS_TOL in L1 is refused.
     """
     n = C.n
     if r.n != n or c.n != n:
@@ -182,6 +184,11 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolutio
     if not res.success:
         raise SolverError(f"exact_ot: LP failed: {res.message}")
     plan = res.x.reshape(n, n)
+    residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
+                + np.abs(plan.sum(axis=0) - c.weights).sum())
+    if residual > FEAS_TOL:
+        raise SolverError(f"exact_ot: the plan misses its marginals by {residual:.3g}"
+                          f" in L1, past {FEAS_TOL:g}")
     # HiGHS equality marginals y satisfy y_i + y_{n+j} <= C_ij, value = y.b
     lam = -res.eqlin.marginals[:n]
     mu = -res.eqlin.marginals[n:]
@@ -359,7 +366,10 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     within `tol` that iterate is returned. The plan, `marginal_residual`,
     `reg_value` and the last dual value are computed once, at exit, from the
     returned (u, v). If a potential goes non-finite the last finite iterate
-    is returned with the `unstable` flag set.
+    is returned with the `unstable` flag set. A grid cost cannot reach that
+    exit: its zero diagonal puts a finite term in every row and column of
+    -C/gamma plus a finite potential, so every log-sum-exp stays finite. A
+    cost with no zero entry reaches it once -C/gamma overflows to -inf.
 
     Each half-step's `logsumexp_axis` skips the exps that underflow, which
     gives the same bits as taking them all. At n=100 on a cost normalised to

@@ -161,25 +161,18 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
 
 def run_finite(problem: FiniteProblem, N: int, seed: int,
                state: FiniteSaddleState | None = None,
-               rng: np.random.Generator | None = None,
-               gap_every: int = 0) -> tuple[np.ndarray, np.ndarray, list]:
+               rng: np.random.Generator | None = None
+               ) -> tuple[np.ndarray, np.ndarray, FiniteSaddleState]:
     """Run N total iterations from a cold start (or resume a given state).
 
-    Returns (r_avg, M_avg, trace) where trace holds (k, gap) pairs when
-    gap_every > 0 (see duality_gap_finite for the cap on costs off the grid).
+    Returns (r_avg, M_avg, state), state the last iterate.
     """
     if state is None:
         state = FiniteSaddleState.cold_start(problem, N)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
-    trace = []
-
-    def record_gap(s: FiniteSaddleState) -> None:
-        if gap_every and s.k % gap_every == 0:
-            trace.append((s.k, duality_gap_finite(s.r_avg, s.M_avg, problem)))
-
-    state = drive(state, lambda s: md_step(s, problem, rng), N, record_gap)
-    return state.r_avg, state.M_avg, trace
+    state = drive(state, lambda s: md_step(s, problem, rng), N)
+    return state.r_avg, state.M_avg, state
 
 
 def duality_gap_finite(r: np.ndarray, M: np.ndarray,

@@ -26,7 +26,6 @@ from barystream.dual_core import (
 from barystream.measures import MeasureStream
 
 STEPSIZE_MODES = ("constant", "dynamic")
-CLIPS = ("cost", "unit")
 
 
 @dataclass(frozen=True)
@@ -108,23 +107,21 @@ class KmdConfig:
 
     @classmethod
     def for_run(cls, kernel: Kernel, C: CostMatrix, N: int,
-                mode: str = "constant", clip: str = "cost",
-                eta_scale: float = 1.0) -> "KmdConfig":
-        """The config of an N-step run; eta is the N-step constant stepsize."""
+                mode: str = "constant", eta_scale: float = 1.0) -> "KmdConfig":
+        """The config of an N-step run; eta is the N-step constant stepsize.
+        The dual is boxed at |C|_inf, which `certify_dual_bound` shows is
+        lossless."""
         if N < 1:
             raise SolverError(f"N must be >= 1, got {N}")
         if mode not in STEPSIZE_MODES:
             raise SolverError(f"unknown stepsize mode {mode!r}")
-        if clip not in CLIPS:
-            raise SolverError(f"unknown clip {clip!r}")
         n = C.n
         r_sq = kernel.resolved_r_sq(C)
         L = math.sqrt(8.0 * math.log(n) * C.inf_norm ** 2
                       + 8.0 * n * n * r_sq)
         eta = eta_scale * 2.0 / (L * math.sqrt(5.0 * N))
-        clip_bound = 1.0 if clip == "unit" else C.inf_norm
         return cls(kernel=kernel, alpha=2.0 * math.log(n),
-                   beta_scale=2.0 * n * r_sq, clip_bound=clip_bound,
+                   beta_scale=2.0 * n * r_sq, clip_bound=C.inf_norm,
                    mode=mode, eta=eta, L=L, eta_scale=eta_scale)
 
 
@@ -241,7 +238,7 @@ def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
 
 
 def kmd_run(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
-            clip: str = "cost", eta_scale: float = 1.0,
+            eta_scale: float = 1.0,
             mode: str = "constant") -> tuple[np.ndarray, KmdState]:
     """Run N KMD iterations from a cold start; returns (r_avg, state).
 
@@ -249,8 +246,7 @@ def kmd_run(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
     average; "dynamic" is the online (infinite-horizon) variant: eta_k ~
     1/sqrt(k) and the stepsize-weighted average.
     """
-    config = KmdConfig.for_run(kernel, C, N, mode=mode, clip=clip,
-                               eta_scale=eta_scale)
+    config = KmdConfig.for_run(kernel, C, N, mode=mode, eta_scale=eta_scale)
     state = drive(KmdState.cold_start(C.n),
                   lambda s: kmd_step(s, config, stream.sample().weights, C), N)
     return state.r_avg, state

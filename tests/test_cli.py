@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -164,7 +165,7 @@ def test_eval_subcommand(tmp_path, capsys):
     ckpt = tmp_path / "state.json"
     main(["run", "--set", "N=10", "--set", "data.grid.n=10",
           "--set", f"output.checkpoint={ckpt}"])
-    rc = main(["eval", "--set", "data.grid.n=10", "--checkpoint", str(ckpt)])
+    rc = main(["eval", "--checkpoint", str(ckpt)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "w2_to_truth=" in out
@@ -324,7 +325,7 @@ def test_eval_uses_the_checkpoint_config(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt)]) == 0
     last = report.read_text().strip().split("\n")[-1].split(",")
     assert capsys.readouterr().out.strip() == f"w2_to_truth={last[1]}"
-    # flags still apply on top of the checkpoint's config
+    # a key outside RESUME_OVERRIDES would score another run's grid or method
     assert main(["eval", "--checkpoint", str(ckpt),
                  "--set", "data.grid.n=12"]) == 1
 
@@ -362,6 +363,41 @@ def test_a_corpus_checkpoint_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--checkpoint", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "data.kind" in err
+
+
+@pytest.mark.parametrize("key", ["data.grid.hi=5", "data.law.mu0=4", "method=kmd"])
+def test_eval_refuses_identity_overrides(tmp_path, capsys, key):
+    _, ckpt = _run_small(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--set", key]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key.split("=")[0]) in err
+
+
+@pytest.mark.parametrize("clip, code", [("cost", 0), ("unit", 1)])
+def test_a_checkpoint_storing_clip(tmp_path, capsys, clip, code):
+    # checkpoints written while the KMD box was a choice store its `clip`;
+    # "cost" is the |C|_inf box every run now takes, any other box is refused
+    common = _sets("N=30", "data.grid.n=8", "seed=5", "checkpoint_every=10",
+                   *_method_args(tmp_path)["linear_kmd"])
+    full, half = tmp_path / "full.json", tmp_path / "half.json"
+    assert main(["run"] + common + _sets(f"output.checkpoint={full}")) == 0
+    assert main(["run"] + common + _sets("halt_after=10",
+                                         f"output.checkpoint={half}")) == 0
+    payload = json.loads(half.read_text())
+    assert "clip" not in payload["config"]
+    payload["config"]["clip"] = clip
+    half.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(half)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: clip") and json.loads(
+            half.read_text())["k"] == 10
+        return
+    a, b = json.loads(full.read_text()), json.loads(half.read_text())
+    assert a["k"] == b["k"] == 30
+    assert a["state"] == b["state"] and a["stream"] == b["stream"]
 
 
 def test_resume_refuses_identity_overrides(tmp_path, capsys):
@@ -464,6 +500,12 @@ def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
     ("halt_after", "-3"),
     ("halt_after", "0"),
     ("checkpoint_every", "0"),
+    # keys the defaults lack, and a non-object for an object
+    ("halt_afer", "5"),
+    ("baseline.gama", "5e-5"),
+    ("clip", "unit"),
+    ("data.grid.size", "5"),
+    ("data.grid", "5"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     report = tmp_path / "report.csv"
@@ -473,6 +515,42 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not report.exists()
+
+
+def test_a_config_file_is_merged_by_the_same_rule(tmp_path, capsys):
+    path = write_config(tmp_path, N=4, baseline={"gama": 5e-5})
+    assert main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: unknown config key 'baseline.gama'\n"
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(["run", "--config", str(tmp_path / "list.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: a config takes a JSON object, got [1, 2]\n"
+
+
+def test_set_merges_an_object_as_a_config_file_does(tmp_path, monkeypatch):
+    # both merge {"kind": "gaussian"} into the default data section, and both
+    # runs write report.csv in their own directory, so the configs are equal
+    reports = []
+    for name, args in [("set", _sets('data={"kind": "gaussian"}')),
+                       ("file", ["--config", write_config(
+                           tmp_path, data={"kind": "gaussian"})])]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["run", *args, *_sets("N=20", "checkpoint_every=10",
+                                          "data.grid.n=8", "output.report=report.csv")
+                     ]) == 0
+        rows = Path("report.csv").read_text().strip().split("\n")
+        reports.append([row.split(",")[:3] + row.split(",")[4:] for row in rows])
+    assert reports[0] == reports[1] and len(reports[0]) == 3
+
+
+@pytest.mark.parametrize("argv", [["run", "--foo"], ["eval"],
+                                  ["eval", "--config", "c.json", "--checkpoint", "s"],
+                                  ["certify", "--n-lo", "two"], []])
+def test_a_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: barystream")
 
 
 @pytest.mark.parametrize("value", ["-3", "0", "abc"])
@@ -692,3 +770,20 @@ def test_kmd_history_peak_past_physical_memory_is_refused(monkeypatch, capsys):
     assert main(["run"] + _sets("method=kmd", "N=10", "data.grid.n=8")) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{need} bytes" in err
+
+
+def _readme_cli_commands():
+    """The commands of the README's CLI block, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").split("\n")
+             if line.strip() and not line.startswith("#")]
+    return [shlex.split(line) for line in lines]
+
+
+def test_the_readme_cli_block_runs(tmp_path, monkeypatch):
+    commands = _readme_cli_commands()
+    assert commands and all(c[0] == "barystream" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(command[1:]) == 0, " ".join(command)

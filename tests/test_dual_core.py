@@ -415,6 +415,34 @@ def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
     assert h.hexdigest() == sha
 
 
+def test_sinkhorn_unstable_exit_returns_the_last_finite_iterate():
+    # no zero entry: -C/gamma is -inf everywhere, so the first half-step's
+    # log-sum-exps are -inf and its potentials +inf
+    C = CostMatrix.from_entries(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0],
+                                          [3.0, 2.0, 1.0]]))
+    r = DiscreteMeasure(np.array([0.2, 0.3, 0.5]))
+    c = DiscreteMeasure(np.array([0.5, 0.25, 0.25]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = sinkhorn(r, c, C, gamma=1e-320)
+        grad, unstable = sinkhorn_gradient(r, c, C, 1e-320)
+    assert sol.unstable and sol.n_iter == 1
+    assert np.array_equal(sol.u, np.zeros(3)) and np.array_equal(sol.v, np.zeros(3))
+    assert sol.dual_values.shape == (0,)
+    assert unstable and np.array_equal(grad, np.zeros(3))
+
+
+def test_exact_ot_refuses_a_plan_that_misses_its_marginals():
+    # HiGHS drops c's mass of 2^-23 / (2 + 2^-23) below its 1e-7 feasibility
+    # tolerance: the plan's cost is 1.4999999106 against the true 1.4999999404,
+    # with a certificate gap of 0
+    C = CostMatrix.from_entries(0.5 * np.abs(np.subtract.outer(np.arange(7),
+                                                               np.arange(7))))
+    r = DiscreteMeasure(np.eye(7)[6])
+    c = normalize(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0 ** -23, 1.0]))
+    with pytest.raises(SolverError, match="misses its marginals by 1.19e-07"):
+        exact_ot(r, c, C)
+
+
 def test_sinkhorn_rejects():
     r = DiscreteMeasure(np.array([0.5, 0.5]))
     z = DiscreteMeasure(np.array([1.0, 0.0]))

@@ -257,6 +257,7 @@ def test_run_finite_single_step_and_determinism():
     b = run_finite(problem, N=100, seed=9)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+    assert a[2].k == 100 and np.array_equal(a[2].r_avg, a[0])
 
 
 def test_run_finite_rejects_bad_n():
