@@ -46,7 +46,9 @@ from barystream.measures import (
     save_corpus,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# the kmd history goes to <checkpoint>ROWS_SUFFIX, one beta then its sample per row
+ROWS_SUFFIX = ".rows"
 # the only keys a resumed run may override: they leave the run's identity alone
 RESUME_OVERRIDES = ("output", "eval", "halt_after")
 # the values an enumerated config key may take; any other is a config error
@@ -92,9 +94,19 @@ class ConfigError(ValueError):
     pass
 
 
+# JSON value types as a config error names them; bool before int, its subclass
+JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+              (str, "a string"), (list, "an array"))
+
+
+def _json_type(value) -> str | None:
+    return next((name for t, name in JSON_TYPES if isinstance(value, t)), None)
+
+
 def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
-    """base with extra merged in, object into object. A key base lacks, or a
-    non-object for an object, is a config error; null takes any value."""
+    """base with extra merged in, object into object. A key base lacks, a
+    non-object for an object, or a value of another JSON type than base's
+    (an integer passes for a number) is a config error; null takes any value."""
     if not isinstance(extra, dict):
         raise ConfigError(f"{prefix[:-1] or 'a config'} takes a JSON object, "
                           f"got {extra!r}")
@@ -103,8 +115,14 @@ def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
         name = prefix + key
         if key not in out:
             raise ConfigError(f"unknown config key {name!r}")
-        out[key] = (_deep_update(out[key], value, name + ".")
-                    if isinstance(out[key], dict) else value)
+        if isinstance(out[key], dict):
+            out[key] = _deep_update(out[key], value, name + ".")
+            continue
+        want, got = _json_type(out[key]), _json_type(value)
+        if out[key] is not None and want != got and (want, got) != (
+                "a number", "an integer"):
+            raise ConfigError(f"{name} takes {want}, got {value!r}")
+        out[key] = value
     return out
 
 
@@ -131,8 +149,17 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     for item in overrides:
         config = _deep_update(config, _parse_override(item))
     if config["seed"] is None:
-        config["seed"] = int(os.environ.get("BARY_SEED", "0"))
+        config["seed"] = _env_seed()
     return _check_config(config)
+
+
+def _env_seed() -> int:
+    """$BARY_SEED as an integer, 0 when it is unset."""
+    raw = os.environ.get("BARY_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"BARY_SEED must be an integer, got {raw!r}") from None
 
 
 def _checkpoint_config(payload: dict, overrides: list[str]) -> dict:
@@ -162,12 +189,13 @@ def _check_config(config: dict) -> dict:
         if node not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
                               f"got {node!r}")
-    for key in ("N", "checkpoint_every", "halt_after"):
+    for key, least in (("N", 1), ("checkpoint_every", 1), ("halt_after", 1),
+                       ("seed", 0)):
         value = config[key]
         if key == "halt_after" and value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return config
 
 
@@ -235,28 +263,63 @@ def _decode_matrix(obj: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
 
 
-def _load_checkpoint(path: str) -> dict:
+def _write_rows(path: str, rows: np.ndarray, append: bool) -> None:
+    """rows (each a beta, then its sample) as little-endian f8, appended to the
+    rows file at path, or as the whole file through a tmp file and os.replace."""
+    data = np.ascontiguousarray(rows, dtype="<f8").tobytes()
+    if append:
+        with open(path, "ab") as fh:
+            fh.write(data)
+        return
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+def _read_rows(path: str, count: int, n: int) -> _History:
+    """The history of the first count rows of the rows file at path; rows
+    past them (appended before a crash kept the JSON from recording them)
+    are not read."""
+    size = count * 2 * n * 8
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read(size)
+    except FileNotFoundError:
+        raise ConfigError(f"checkpoint rows file {path} is missing") from None
+    if len(raw) < size:
+        raise ConfigError(f"checkpoint rows file {path} holds {len(raw)} bytes, "
+                          f"short of the {size} of its {count} rows")
+    rows = np.frombuffer(raw, dtype="<f8").reshape(count, 2 * n)
+    return _History.from_arrays(rows[:, :n], rows[:, n:])
+
+
+def _load_checkpoint(path: str) -> tuple[dict, _History | None]:
+    """A checkpoint's payload, and the kmd history of as many rows as it
+    records, read from its rows file (None for the other methods)."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {payload.get('version')}"
                           f" (this version reads {CHECKPOINT_VERSION})")
-    return payload
+    state = payload["state"]
+    if "rows" not in state:
+        return payload, None
+    return payload, _read_rows(path + ROWS_SUFFIX, state["rows"], len(state["log_r"]))
 
 
 def _encode_state(state) -> dict:
     """A method state as checkpoint JSON: every field but k and r, a matrix
     through _encode_matrix, a vector as a number list, the kmd history as its
-    betas and samples matrices, a scalar as it is. r, the softmax of log_r, is
-    rebuilt from log_r when the state is constructed again."""
+    row count (the rows go to the rows file), a scalar as it is. r, the
+    softmax of log_r, is rebuilt from log_r when the state is constructed again."""
     out = {}
     for f in dataclasses.fields(state):
         if f.name in ("k", "r"):
             continue
         value = getattr(state, f.name)
         if isinstance(value, _History):
-            out["betas"] = _encode_matrix(value.betas)
-            out["samples"] = _encode_matrix(value.samples)
+            out["rows"] = value.size
         elif isinstance(value, np.ndarray):
             out[f.name] = _encode_matrix(value) if value.ndim == 2 else value.tolist()
         else:
@@ -264,19 +327,19 @@ def _encode_state(state) -> dict:
     return out
 
 
-def _restore_state(payload: dict):
-    """The state a checkpoint holds: _encode_state reversed. The state class
-    rebuilds r from the restored log_r."""
+def _restore_state(payload: dict, history: _History | None = None):
+    """The state a checkpoint holds: _encode_state reversed, with the kmd
+    history its rows count stands for. The state class rebuilds r from the
+    restored log_r."""
     values = {"k": payload["k"]}
     for name, value in payload["state"].items():
-        if isinstance(value, dict):
+        if name == "rows":
+            name, value = "history", history
+        elif isinstance(value, dict):
             value = _decode_matrix(value)
         elif isinstance(value, list):
             value = np.array(value)
         values[name] = value
-    if "betas" in values:
-        values["history"] = _History.from_arrays(values.pop("betas"),
-                                                 values.pop("samples"))
     return METHODS[payload["method"]].state_cls(**values)
 
 
@@ -422,12 +485,24 @@ def _run_loop(config: dict, run: _Run):
                                          config_hash=config_hash(config))
     t0 = time.monotonic_ns()
     score = _scorer(config, run)
+    # kmd history rows this command has put in the rows file: its first
+    # checkpoint writes the whole file, each later one appends the new rows
+    rows_written = None
 
     def checkpoint_and_score(state):
+        nonlocal rows_written
         if state.k % every and state.k != target:
             return
         report.add(state.k, *score(state), time.monotonic_ns() - t0)
         if checkpoint_path:
+            history = getattr(state, "history", None)
+            if history is not None:
+                start = rows_written or 0
+                _write_rows(checkpoint_path + ROWS_SUFFIX,
+                            np.hstack([history.betas[start:],
+                                       history.samples[start:]]),
+                            append=rows_written is not None)
+                rows_written = history.size
             payload = {"version": CHECKPOINT_VERSION, "method": config["method"],
                        "config": config, "k": state.k}
             if run.stream is not None:
@@ -446,11 +521,13 @@ def _run_loop(config: dict, run: _Run):
     return state
 
 
-def cmd_run(config: dict, payload: dict | None = None) -> int:
-    """Run the configured method from a cold start, or from a checkpoint."""
+def cmd_run(config: dict, payload: dict | None = None,
+            history: _History | None = None) -> int:
+    """Run the configured method from a cold start, or from a checkpoint's
+    payload and kmd history."""
     run = METHODS[config["method"]].setup(config)
     if payload is not None:
-        run.state = _restore_state(payload)
+        run.state = _restore_state(payload, history)
         if run.stream is not None:
             run.stream.load_state(payload["stream"])
         if run.rng is not None:
@@ -468,17 +545,17 @@ def cmd_run(config: dict, payload: dict | None = None) -> int:
 
 
 def cmd_resume(checkpoint_path: str, overrides: list[str]) -> int:
-    payload = _load_checkpoint(checkpoint_path)
-    return cmd_run(_checkpoint_config(payload, overrides), payload)
+    payload, history = _load_checkpoint(checkpoint_path)
+    return cmd_run(_checkpoint_config(payload, overrides), payload, history)
 
 
 def cmd_eval(checkpoint_path: str, overrides: list[str]) -> int:
     """Score a checkpoint's state as its run's report rows do, on the grid and
     cost its method sets up."""
-    payload = _load_checkpoint(checkpoint_path)
+    payload, history = _load_checkpoint(checkpoint_path)
     config = _checkpoint_config(payload, overrides)
     run = METHODS[config["method"]].setup(config)
-    w2, gap = _scorer(config, run)(_restore_state(payload))
+    w2, gap = _scorer(config, run)(_restore_state(payload, history))
     if w2 is None and gap is None:
         raise ConfigError("eval needs gaussian data (w2_to_truth) or "
                           "eval.gap_holdout >= 1 (gap_surrogate)")
@@ -490,9 +567,10 @@ def cmd_eval(checkpoint_path: str, overrides: list[str]) -> int:
 
 
 def cmd_certify(n_lo: int, n_hi: int, instances: int, seed: int) -> int:
-    if not 2 <= n_lo <= n_hi <= EXACT_SOLVER_CAP or instances < 0:
-        raise ConfigError(f"certify needs 2 <= n-lo <= n-hi <= {EXACT_SOLVER_CAP} and "
-                          f"instances >= 0, got [{n_lo},{n_hi}] and {instances}")
+    if not 2 <= n_lo <= n_hi <= EXACT_SOLVER_CAP or instances < 0 or seed < 0:
+        raise ConfigError(f"certify needs 2 <= n-lo <= n-hi <= {EXACT_SOLVER_CAP}, "
+                          f"instances >= 0 and seed >= 0, got [{n_lo},{n_hi}], "
+                          f"{instances} and {seed}")
     if instances == 0:
         print("warning: 0 instances requested; vacuous pass")
         return 0
@@ -539,8 +617,7 @@ def main(argv=None) -> int:
     p.add_argument("--n-lo", type=int, default=2)
     p.add_argument("--n-hi", type=int, default=6)
     p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("BARY_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None)
 
     try:
         args = parser.parse_args(argv)
@@ -553,7 +630,8 @@ def main(argv=None) -> int:
         if args.command == "resume":
             return cmd_resume(args.checkpoint, args.overrides)
         if args.command == "certify":
-            return cmd_certify(args.n_lo, args.n_hi, args.instances, args.seed)
+            seed = _env_seed() if args.seed is None else args.seed
+            return cmd_certify(args.n_lo, args.n_hi, args.instances, seed)
     except (ConfigError, MeasureError, SolverError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -194,16 +194,23 @@ def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
 
 def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
                    C: CostMatrix, eta_k: float, config: KmdConfig, k: int):
-    """Shared per-step algebra: argmax indices, primal gradient, updates.
+    """Shared per-step algebra: argmin indices, primal gradient, updates.
 
     r is the softmax of log_r, which the state carries. Returns (new_log_r,
     pattern) where pattern = sum_i r_i e_{J_i} is the part of
     beta^(k) / (eta_k * beta_scale) = pattern - c that does not depend on the
     sample; the caller folds in its sample c.
+
+    J_i = argmin_j (C_ij + f_j) and g_i is that minimum: two n x n passes
+    (the sum and its argmin) where -C - f, its argmax and its max took four,
+    with the same bits, since (-a) - b is -(a + b) in IEEE arithmetic and
+    both take the first index of a tie. They differ only in the sign of a
+    zero g_i, which leaves new_log_r alone while log_r holds no -0.0, and a
+    step never puts one there.
     """
-    scores = -C.entries - f[None, :]
-    J = np.argmax(scores, axis=1)
-    g = -np.max(scores, axis=1)
+    scores = C.entries + f
+    J = np.argmin(scores, axis=1)
+    g = scores[np.arange(C.n), J]
     pattern = np.bincount(J, weights=r, minlength=C.n)
     new_log_r = log_r - eta_k * config.alpha * g
     new_log_r -= new_log_r.max()

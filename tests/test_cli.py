@@ -56,6 +56,18 @@ def test_config_env_seed(monkeypatch):
     assert load_config(None, ["seed=4"])["seed"] == 4
 
 
+@pytest.mark.parametrize("argv", [["run", "--set", "N=2"],
+                                  ["certify", "--instances", "1"],
+                                  ["gen-data", "--set", "data.count=1"]])
+def test_a_non_integer_bary_seed_is_a_config_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv("BARY_SEED", "abc")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: BARY_SEED must be an integer, got 'abc'\n")
+    # a seed given outright never reads it
+    assert main(["certify", "--instances", "1", "--seed", "3"]) == 0
+
+
 def test_config_rejections():
     with pytest.raises(ConfigError):
         load_config(None, ["method=adam"])
@@ -154,7 +166,8 @@ def test_a_numerical_abort_is_the_only_line_on_stderr(tmp_path):
 @pytest.mark.parametrize("args", [["--n-lo", "6", "--n-hi", "3"],
                                   ["--instances", "-3"],
                                   ["--n-hi", "65"],
-                                  ["--n-lo", "-2", "--n-hi", "-1"]])
+                                  ["--n-lo", "-2", "--n-hi", "-1"],
+                                  ["--seed", "-1"]])
 def test_certify_rejects_a_bad_range(args, capsys):
     assert main(["certify", *args]) == 1
     captured = capsys.readouterr()
@@ -295,28 +308,108 @@ def _run_small(tmp_path, *extra, n=8, N=20):
 
 
 def test_checkpoint_stores_matrices_as_bytes(tmp_path):
+    # v3: the kmd history is a row count in the JSON and raw rows beside it,
+    # each row a beta and then its sample as little-endian float64
     _, ckpt = _run_small(tmp_path, "--set", "method=kmd", "--set",
                          'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}')
     payload = json.loads(ckpt.read_text())
-    assert payload["version"] == cli.CHECKPOINT_VERSION == 2
+    assert payload["version"] == cli.CHECKPOINT_VERSION == 3
     state = payload["state"]
-    assert state["betas"]["shape"] == state["samples"]["shape"] == [20, 8]
+    assert state["rows"] == 20 and "betas" not in state and "samples" not in state
     assert isinstance(state["log_r"], list)
     assert isinstance(state["avg_num"], list)
-    hist = cli._restore_state(payload).history
-    assert hist.size == 20
-    assert np.array_equal(hist.samples, _decode_matrix(state["samples"]))
+    rows = np.fromfile(_rows_file(ckpt), dtype="<f8")
+    assert rows.size == 20 * 2 * 8
+    loaded, hist = cli._load_checkpoint(str(ckpt))
+    assert loaded == payload and hist.size == 20
+    assert np.array_equal(hist.betas, rows.reshape(20, 16)[:, :8])
+    assert np.array_equal(hist.samples, rows.reshape(20, 16)[:, 8:])
+    assert cli._restore_state(payload, hist).history is hist
+    # the other methods' matrices stay in the JSON, as base64 bytes
+    (tmp_path / "linear").mkdir()
+    _, ckpt = _run_small(tmp_path / "linear")
+    theta = json.loads(ckpt.read_text())["state"]["theta"]
+    assert theta["shape"] == [8, 8] and _decode_matrix(theta).shape == (8, 8)
+    assert not _rows_file(ckpt).exists()
 
 
 @pytest.mark.parametrize("command", ["resume", "eval"])
 def test_version_1_checkpoint_is_rejected(tmp_path, capsys, command):
+    # v1 wrote matrices as float lists, v2 the kmd history as base64 matrices
+    # inside the JSON; neither is read
     _, ckpt = _run_small(tmp_path)
-    payload = json.loads(ckpt.read_text())
-    payload["version"] = 1
-    ckpt.write_text(json.dumps(payload))
+    for version in (1, 2):
+        payload = json.loads(ckpt.read_text())
+        payload["version"] = version
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(ckpt)]) == 1
+        assert (f"config error: unsupported checkpoint version {version}"
+                in capsys.readouterr().err)
+
+
+def _rows_file(ckpt):
+    return Path(str(ckpt) + cli.ROWS_SUFFIX)
+
+
+def _kmd_halves(tmp_path, N=30, halt=10):
+    """A kmd run to N (full.json) and the same run halted at halt (half.json)."""
+    common = _sets(f"N={N}", "data.grid.n=8", "seed=5", "checkpoint_every=10",
+                   *_method_args(tmp_path)["kmd"])
+    full, half = tmp_path / "full.json", tmp_path / "half.json"
+    assert main(["run"] + common + _sets(f"output.checkpoint={full}")) == 0
+    assert main(["run"] + common + _sets(f"halt_after={halt}",
+                                         f"output.checkpoint={half}")) == 0
+    return full, half
+
+
+def test_kmd_rows_file_bytes_are_linear_in_n(tmp_path, monkeypatch):
+    # every history row is written once: 20 checkpoints of 10 new rows each
+    written = []
+    write_rows = cli._write_rows
+
+    def counting(path, rows, append):
+        written.append((rows.nbytes, append))
+        return write_rows(path, rows, append)
+
+    monkeypatch.setattr(cli, "_write_rows", counting)
+    N, n = 200, 8
+    _, ckpt = _run_small(tmp_path, *_sets(*_method_args(tmp_path)["kmd"]), N=N)
+    assert sum(nbytes for nbytes, _ in written) == N * 2 * n * 8
+    assert written == [(10 * 2 * n * 8, False)] + [(10 * 2 * n * 8, True)] * 19
+    assert _rows_file(ckpt).stat().st_size == N * 2 * n * 8
+
+
+def test_rows_past_the_checkpoint_count_are_ignored(tmp_path):
+    # a crash between the row append and the JSON rename leaves rows the JSON
+    # does not count; resume reads only the counted ones, and its first
+    # checkpoint writes the rows file afresh
+    full, half = _kmd_halves(tmp_path)
+    with open(_rows_file(half), "ab") as fh:
+        fh.write(np.full((3, 16), np.nan).tobytes())
+    assert main(["resume", "--checkpoint", str(half)]) == 0
+    a, b = json.loads(full.read_text()), json.loads(half.read_text())
+    assert a["k"] == b["k"] == 30
+    for key in ("state", "rng", "stream"):
+        assert a.get(key) == b.get(key), key
+    assert _rows_file(full).read_bytes() == _rows_file(half).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+@pytest.mark.parametrize("cut", ["missing", "short"])
+def test_a_missing_or_short_rows_file_is_a_config_error(tmp_path, capsys, command,
+                                                        cut):
+    _, half = _kmd_halves(tmp_path)
+    rows = _rows_file(half)
+    if cut == "missing":
+        rows.unlink()
+    else:
+        rows.write_bytes(rows.read_bytes()[:-8])
     capsys.readouterr()
-    assert main([command, "--checkpoint", str(ckpt)]) == 1
-    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    assert main([command, "--checkpoint", str(half)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(rows) in err
+    assert json.loads(half.read_text())["k"] == 10
 
 
 def test_eval_uses_the_checkpoint_config(tmp_path, capsys):
@@ -517,6 +610,45 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("sets, message", [
+    (["data.grid.n=abc"], "data.grid.n takes an integer, got 'abc'"),
+    (["eta_scale=abc"], "eta_scale takes a number, got 'abc'"),
+    (["method=sinkhorn_sgd", "baseline.gamma=abc"],
+     "baseline.gamma takes a number, got 'abc'"),
+    (["data.grid.n=8.0"], "data.grid.n takes an integer, got 8.0"),
+    (["cost.normalize=1"], "cost.normalize takes a boolean, got 1"),
+    (["N=true"], "N takes an integer, got True"),
+    (["seed=abc"], "seed must be an integer >= 0, got 'abc'"),
+    (["seed=-1"], "seed must be an integer >= 0, got -1"),
+], ids=["grid_n", "eta_scale", "gamma", "float_for_int", "int_for_bool",
+        "bool_for_int", "seed", "negative_seed"])
+def test_a_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, sets,
+                                                     message):
+    report = tmp_path / "report.csv"
+    assert main(["run"] + _sets("N=2", f"output.report={report}", *sets)) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not report.exists()
+
+
+def test_an_integer_passes_for_a_number(tmp_path):
+    config = load_config(None, ["eta_scale=2", "data.grid.lo=-3"])
+    assert config["eta_scale"] == 2 and config["data"]["grid"]["lo"] == -3
+    path = write_config(tmp_path, baseline={"gamma": 1})
+    assert load_config(path, [])["baseline"]["gamma"] == 1
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+def test_a_checkpoint_override_of_the_wrong_type_is_a_config_error(
+        tmp_path, capsys, command):
+    _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt),
+                 "--set", "eval.gap_holdout=abc"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: eval.gap_holdout takes an integer, got 'abc'\n")
+    assert json.loads(ckpt.read_text())["k"] == 10
+
+
 def test_a_config_file_is_merged_by_the_same_rule(tmp_path, capsys):
     path = write_config(tmp_path, N=4, baseline={"gama": 5e-5})
     assert main(["run", "--config", path]) == 1
@@ -598,7 +730,8 @@ def _sets(*items):
     return [a for item in items for a in ("--set", item)]
 
 
-# r_avg and the sha256 of json.dumps(payload["state"]) after N=200 steps
+# r_avg and the sha256 of json.dumps(payload["state"]) followed by the bytes
+# of the checkpoint's rows file (none but kmd's has one) after N=200 steps
 # (n=8, seed=3), recorded from the code before the method table, the state
 # codec and the shared run loop replaced the per-method chains and loops. The
 # two lp_sgd entries were re-recorded when lp_subgradient moved from the HiGHS
@@ -606,17 +739,19 @@ def _sets(*items):
 # 1e-7 tolerance the LP's dual broke the subgradient inequality, and the
 # staircase one does not. The three baseline hashes were re-recorded again
 # when the baseline state gained its `unconverged` count; without that key
-# each state hashes as before
+# each state hashes as before. The two kmd hashes were re-recorded when the
+# history moved from base64 betas/samples matrices in the state to the rows
+# file (checkpoint version 3); the rows are those matrices' bits, row by row
 SEEDED_GUARD = {
     "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
                    0.18677162696367908, 0.34192672091788384, 0.1407247175625001,
                    0.06525148637768098, 0.05061822516202479]),
-    "kmd": ("007022378a5568cdef6d269f7356be252d23aea4f0d6cf6222a029da6e500466",
+    "kmd": ("5a04d06b29d750bec43dd4d00e7aba8335f37120f65b79595911a6bcebe090b0",
             [0.000625014099170272, 0.007566293439683009, 0.030258311033449746,
              0.021466973496984777, 0.901980264001689, 0.03296954423323988,
              0.0040240159472243655, 0.001109583748559312]),
-    "kmd_dynamic": ("cca14f5e909e3cdbf8de7909f4aeb736183f57bb82a8e956672aa51ce5cf50ab",
+    "kmd_dynamic": ("167203cef3b57f8bcf52c321cb57c9526563b392a08f993921205ed79defb528",
                     [0.005850131821332614, 0.012887437424328798, 0.05767061294161781,
                      0.1932169864964062, 0.4216303132501782, 0.23862699392516348,
                      0.05333957132442007, 0.016777952816552033]),
@@ -646,11 +781,13 @@ def test_seeded_checkpoint_guard(tmp_path, name):
     assert main(["run"] + _sets("N=200", "data.grid.n=8", "seed=3",
                                 "checkpoint_every=50", f"output.checkpoint={ckpt}",
                                 *_method_args(tmp_path)[name])) == 0
-    payload = json.loads(ckpt.read_text())
+    payload, history = cli._load_checkpoint(str(ckpt))
     sha, r_avg = SEEDED_GUARD[name]
-    np.testing.assert_allclose(cli._restore_state(payload).r_avg, r_avg,
+    np.testing.assert_allclose(cli._restore_state(payload, history).r_avg, r_avg,
                                rtol=1e-12, atol=0)
-    assert hashlib.sha256(json.dumps(payload["state"]).encode()).hexdigest() == sha
+    rows = _rows_file(ckpt).read_bytes() if history is not None else b""
+    assert hashlib.sha256(json.dumps(payload["state"]).encode()
+                          + rows).hexdigest() == sha
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
@@ -673,7 +810,7 @@ def test_restored_r_is_the_carried_r(tmp_path, name):
         state = run.step(state)
     payload = json.loads(json.dumps({"method": name, "k": state.k,
                                      "state": cli._encode_state(state)}))
-    restored = cli._restore_state(payload).r
+    restored = cli._restore_state(payload, getattr(state, "history", None)).r
     assert restored.dtype == state.r.dtype == np.float64
     assert np.array_equal(restored.view(np.uint64), state.r.view(np.uint64))
 
@@ -710,9 +847,13 @@ def test_resume_at_any_step_matches_uninterrupted(name, data):
         assert json.loads(half.read_text())["k"] == halt
         assert main(["resume", "--checkpoint", str(half)]) == 0
         a, b = json.loads(full.read_text()), json.loads(half.read_text())
+        rows = [_rows_file(p).read_bytes() if _rows_file(p).exists() else None
+                for p in (full, half)]
     assert a["k"] == b["k"] == N
     for key in ("state", "rng", "stream"):
         assert a.get(key) == b.get(key), key
+    # the kmd history lives in the rows file, not in the state
+    assert rows[0] == rows[1] and (rows[0] is not None) == (name == "kmd")
 
 
 @settings(max_examples=40, deadline=None)
@@ -732,23 +873,19 @@ def test_every_step_stays_on_the_simplex(name, n, seed, steps):
 
 
 def test_kmd_checkpoint_with_a_stream_position_resumes(tmp_path):
-    # v2 checkpoints written while streams had a strict corpus mode carry
+    # checkpoints written while streams had a strict corpus mode carry
     # "pos": 0 in their stream state; resume reads past it
-    common = _sets("N=30", "data.grid.n=8", "seed=5", "checkpoint_every=10",
-                   *_method_args(tmp_path)["kmd"])
-    full, half = tmp_path / "full.json", tmp_path / "half.json"
-    assert main(["run"] + common + _sets(f"output.checkpoint={full}")) == 0
-    assert main(["run"] + common + _sets("halt_after=10",
-                                         f"output.checkpoint={half}")) == 0
+    full, half = _kmd_halves(tmp_path)
     payload = json.loads(half.read_text())
     assert "pos" not in payload["stream"]
     payload["stream"]["pos"] = 0
     half.write_text(json.dumps(payload))
     assert main(["resume", "--checkpoint", str(half)]) == 0
     a, b = json.loads(full.read_text()), json.loads(half.read_text())
-    assert a["k"] == b["k"] == 30 and b["version"] == cli.CHECKPOINT_VERSION == 2
+    assert a["k"] == b["k"] == 30 and b["version"] == cli.CHECKPOINT_VERSION == 3
     for key in ("state", "rng", "stream"):
         assert a.get(key) == b.get(key), key
+    assert _rows_file(full).read_bytes() == _rows_file(half).read_bytes()
 
 
 def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):

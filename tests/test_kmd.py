@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from barystream.dual_core import (
     CostMatrix,
+    NumericalAbort,
     SolverError,
+    logsumexp,
     squared_distance_cost,
     wasserstein_1d,
 )
@@ -18,6 +20,7 @@ from barystream.kmd import (
     KmdState,
     LinearKmdState,
     _History,
+    _saddle_update,
     f_eval,
     kernel_eval,
     kernel_vec,
@@ -362,3 +365,58 @@ def test_run_rejects_bad_n():
 def test_for_run_rejects_an_unknown_choice(key):
     with pytest.raises(SolverError, match="'foo'"):
         KmdConfig.for_run(Kernel.linear(), C2, 10, **{key: "foo"})
+
+
+def _three_pass_saddle_update(log_r, r, f, C, eta_k, config, k):
+    """_saddle_update's arithmetic before its one-pass form: the argmax and
+    max of -C - f."""
+    scores = -C.entries - f[None, :]
+    J = np.argmax(scores, axis=1)
+    g = -np.max(scores, axis=1)
+    pattern = np.bincount(J, weights=r, minlength=C.n)
+    new_log_r = log_r - eta_k * config.alpha * g
+    new_log_r -= new_log_r.max()
+    if not np.all(np.isfinite(new_log_r)):
+        raise NumericalAbort(f"non-finite primal iterate in KMD step at k={k}")
+    return new_log_r, pattern
+
+
+# small values that tie and cancel: f_j = -C_ij makes a score exactly 0
+TIE_VALUES = [0.0, 0.5, 1.0, 2.0, 3.0]
+F_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, -2.0, -3.0, 5e-324, -5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7),
+       eta_k=st.one_of(st.sampled_from([1e-3, 1.0, 1e308]),
+                       st.floats(1e-9, 1e9)))
+def test_one_pass_saddle_update_matches_three_passes(data, n, eta_k):
+    entries = data.draw(st.lists(st.one_of(st.sampled_from(TIE_VALUES),
+                                           st.floats(0.0, 10.0)),
+                                 min_size=n * n, max_size=n * n), label="C")
+    C = CostMatrix.from_entries(np.array(entries).reshape(n, n))
+    f = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(F_VALUES + [np.nan, np.inf, -np.inf]),
+                  st.floats(-10.0, 10.0)), min_size=n, max_size=n), label="f"))
+    # a state's log_r never holds -0.0 (a step's x - y is -0.0 only for x = -0.0),
+    # and only there could the sign of a zero g_i show
+    log_r = np.array(data.draw(st.lists(st.floats(-50.0, 0.0).map(lambda x: x + 0.0),
+                                        min_size=n, max_size=n), label="log_r"))
+    r = np.exp(log_r - logsumexp(log_r))
+    config = KmdConfig(kernel=Kernel.linear(), alpha=2.0 * math.log(n),
+                       beta_scale=1.0, clip_bound=1.0, mode="constant",
+                       eta=eta_k, L=1.0)
+    outcomes = []
+    for update in (_saddle_update, _three_pass_saddle_update):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcomes.append(update(log_r, r, f, C, eta_k, config, 3))
+        except NumericalAbort as exc:
+            outcomes.append(str(exc))
+    new, old = outcomes
+    if isinstance(old, str):
+        assert new == old == "non-finite primal iterate in KMD step at k=3"
+        return
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype == np.float64
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
