@@ -1,8 +1,9 @@
 """Experiment runner: config parsing, subcommands, checkpoints, CSV reports.
 
 Subcommands: gen-data, run, eval, certify, resume. A config is
-DEFAULT_CONFIG with a JSON file and then each --set dotted.key=value merged
-in by one rule (flags win); a key the defaults lack is a config error. Every
+DEFAULT_CONFIG with a JSON file (or a checkpoint's stored config) and then
+each --set dotted.key=value merged in by one rule (flags win); a key the
+defaults lack is a config error. Every
 subcommand is deterministic under (config, seed). Exit codes: 0 ok, 1 config
 or usage error, 2 numerical abort, 3 certification failure.
 """
@@ -140,12 +141,23 @@ def _parse_override(text: str) -> dict:
     return value
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in the file at path; a file that is missing or holds
+    no JSON is a config error naming what it is."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path} is missing") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not JSON: {exc}") from None
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """The defaults, then the file, then each --set, merged by _deep_update."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path) as fh:
-            config = _deep_update(config, json.load(fh))
+        config = _deep_update(config, _read_json(path, "config file"))
     for item in overrides:
         config = _deep_update(config, _parse_override(item))
     if config["seed"] is None:
@@ -162,33 +174,36 @@ def _env_seed() -> int:
         raise ConfigError(f"BARY_SEED must be an integer, got {raw!r}") from None
 
 
-def _checkpoint_config(payload: dict, overrides: list[str]) -> dict:
-    """The config resume and eval read from a checkpoint: the stored one, to run
-    to its full N, with --set overrides of RESUME_OVERRIDES keys merged in."""
-    config = payload["config"]
-    # checkpoints written while the KMD box was a `clip` choice store "cost",
-    # the |C|_inf box every run now takes
-    if config.pop("clip", "cost") != "cost":
-        raise ConfigError("clip: this version boxes the KMD dual at |C|_inf only")
-    config["halt_after"] = None
-    for item in overrides:
-        extra = _parse_override(item)
-        if next(iter(extra)) not in RESUME_OVERRIDES:
-            raise ConfigError(f"{item.split('=')[0]!r} cannot be overridden: only "
-                              f"{', '.join(RESUME_OVERRIDES)} keep the run unchanged")
-        config = _deep_update(config, extra)
-    return _check_config(config)
+def _is_number(value) -> bool:
+    return _json_type(value) in ("an integer", "a number")
+
+
+# the other keys whose default is null, which the merge lets take any value:
+# what each must be when it is set, and the test of that
+NULLABLE = {
+    "kernel.r_sq": ("a number > 0", lambda v: _is_number(v) and v > 0),
+    "data.path": ("a string", lambda v: isinstance(v, str)),
+    "data.weights": ("an array of numbers",
+                     lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "output.report": ("a string", lambda v: isinstance(v, str)),
+    "output.checkpoint": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _at(config: dict, key: str):
+    """The value of a dotted key."""
+    for part in key.split("."):
+        config = config[part]
+    return config
 
 
 def _check_config(config: dict) -> dict:
     """Reject a config the run would misread; every command's config passes here."""
     for key, allowed in [("method", tuple(METHODS)), *CHOICES.items()]:
-        node = config
-        for part in key.split("."):
-            node = node[part]
-        if node not in allowed:
+        value = _at(config, key)
+        if value not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
-                              f"got {node!r}")
+                              f"got {value!r}")
     for key, least in (("N", 1), ("checkpoint_every", 1), ("halt_after", 1),
                        ("seed", 0)):
         value = config[key]
@@ -196,11 +211,18 @@ def _check_config(config: dict) -> dict:
             continue
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    for key, (want, ok) in NULLABLE.items():
+        value = _at(config, key)
+        if value is not None and not ok(value):
+            raise ConfigError(f"{key} must be null or {want}, got {value!r}")
     return config
 
 
 def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True).encode()
+    """The run's identity: its config but the RESUME_OVERRIDES keys, which a
+    resumed run may change without changing the run."""
+    identity = {k: v for k, v in config.items() if k not in RESUME_OVERRIDES}
+    blob = json.dumps(identity, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -242,7 +264,7 @@ def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
 
 def _build_kernel(config: dict) -> Kernel:
     k = config["kernel"]
-    return Kernel(family=k["family"], param=k["param"] or 0.0, r_sq=k["r_sq"])
+    return Kernel(family=k["family"], param=k["param"], r_sq=k["r_sq"])
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -292,20 +314,6 @@ def _read_rows(path: str, count: int, n: int) -> _History:
                           f"short of the {size} of its {count} rows")
     rows = np.frombuffer(raw, dtype="<f8").reshape(count, 2 * n)
     return _History.from_arrays(rows[:, :n], rows[:, n:])
-
-
-def _load_checkpoint(path: str) -> tuple[dict, _History | None]:
-    """A checkpoint's payload, and the kmd history of as many rows as it
-    records, read from its rows file (None for the other methods)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('version')}"
-                          f" (this version reads {CHECKPOINT_VERSION})")
-    state = payload["state"]
-    if "rows" not in state:
-        return payload, None
-    return payload, _read_rows(path + ROWS_SUFFIX, state["rows"], len(state["log_r"]))
 
 
 def _encode_state(state) -> dict:
@@ -433,6 +441,36 @@ METHODS = {
 }
 
 
+def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
+    """The config and run a checkpoint holds, for resume and eval. Its stored
+    config merges into the defaults as a --config file does, runs to its full
+    N, and takes --set overrides of RESUME_OVERRIDES keys only; the method is
+    set up as at a cold start, then its state, stream and rng are restored."""
+    payload = _read_json(path, "checkpoint")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version}"
+                          f" (this version reads {CHECKPOINT_VERSION})")
+    config = _deep_update(DEFAULT_CONFIG, payload["config"])
+    config["halt_after"] = None
+    for item in overrides:
+        extra = _parse_override(item)
+        if next(iter(extra)) not in RESUME_OVERRIDES:
+            raise ConfigError(f"{item.split('=')[0]!r} cannot be overridden: only "
+                              f"{', '.join(RESUME_OVERRIDES)} keep the run unchanged")
+        config = _deep_update(config, extra)
+    run = METHODS[_check_config(config)["method"]].setup(config)
+    state = payload["state"]
+    history = (_read_rows(path + ROWS_SUFFIX, state["rows"], len(state["log_r"]))
+               if "rows" in state else None)
+    run.state = _restore_state(payload, history)
+    if run.stream is not None:
+        run.stream.load_state(payload["stream"])
+    if run.rng is not None:
+        run.rng.bit_generator.state = payload["rng"]
+    return config, run
+
+
 def _scorer(config: dict, run: _Run) -> Callable:
     """score(state) -> (w2, gap) of state.r_avg: w2 to the truth of Gaussian
     data, gap_surrogate on eval.gap_holdout holdout measures, each None where
@@ -483,6 +521,8 @@ def _run_loop(config: dict, run: _Run):
     report = evaluation.ExperimentReport(method=config["method"],
                                          seed=config["seed"],
                                          config_hash=config_hash(config))
+    if report_path and run.state.k:
+        report.read_csv(report_path, run.state.k)
     t0 = time.monotonic_ns()
     score = _scorer(config, run)
     # kmd history rows this command has put in the rows file: its first
@@ -521,18 +561,10 @@ def _run_loop(config: dict, run: _Run):
     return state
 
 
-def cmd_run(config: dict, payload: dict | None = None,
-            history: _History | None = None) -> int:
-    """Run the configured method from a cold start, or from a checkpoint's
-    payload and kmd history."""
-    run = METHODS[config["method"]].setup(config)
-    if payload is not None:
-        run.state = _restore_state(payload, history)
-        if run.stream is not None:
-            run.stream.load_state(payload["stream"])
-        if run.rng is not None:
-            run.rng.bit_generator.state = payload["rng"]
-    state = _run_loop(config, run)
+def cmd_run(config: dict, run: _Run | None = None) -> int:
+    """Run the configured method from a cold start, or on from the run a
+    checkpoint holds (_open_checkpoint)."""
+    state = _run_loop(config, run or METHODS[config["method"]].setup(config))
     if getattr(state, "unstable", 0):
         print(f"warning: {state.unstable} of {state.k} Sinkhorn inner solves "
               "were unstable", file=sys.stderr)
@@ -544,18 +576,11 @@ def cmd_run(config: dict, payload: dict | None = None,
     return 0
 
 
-def cmd_resume(checkpoint_path: str, overrides: list[str]) -> int:
-    payload, history = _load_checkpoint(checkpoint_path)
-    return cmd_run(_checkpoint_config(payload, overrides), payload, history)
-
-
 def cmd_eval(checkpoint_path: str, overrides: list[str]) -> int:
     """Score a checkpoint's state as its run's report rows do, on the grid and
     cost its method sets up."""
-    payload, history = _load_checkpoint(checkpoint_path)
-    config = _checkpoint_config(payload, overrides)
-    run = METHODS[config["method"]].setup(config)
-    w2, gap = _scorer(config, run)(_restore_state(payload, history))
+    config, run = _open_checkpoint(checkpoint_path, overrides)
+    w2, gap = _scorer(config, run)(run.state)
     if w2 is None and gap is None:
         raise ConfigError("eval needs gaussian data (w2_to_truth) or "
                           "eval.gap_holdout >= 1 (gap_surrogate)")
@@ -628,7 +653,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args.checkpoint, args.overrides)
         if args.command == "resume":
-            return cmd_resume(args.checkpoint, args.overrides)
+            return cmd_run(*_open_checkpoint(args.checkpoint, args.overrides))
         if args.command == "certify":
             seed = _env_seed() if args.seed is None else args.seed
             return cmd_certify(args.n_lo, args.n_hi, args.instances, seed)

@@ -63,6 +63,10 @@ def gap_surrogate(r, holdout, C: CostMatrix) -> float:
     return saddle_gap(r, holdout, [1.0 / len(holdout)] * len(holdout), C)
 
 
+CSV_HEADER = ("samples_processed,w2_to_truth,gap_surrogate,wall_ns,method,seed,"
+              "config_hash")
+
+
 @dataclass
 class ExperimentReport:
     """Per-checkpoint quality rows for one (method, seed) run."""
@@ -86,10 +90,26 @@ class ExperimentReport:
             "wall_ns": wall_ns,
         })
 
+    def read_csv(self, path, upto: int) -> None:
+        """Add the rows up to samples_processed upto that this run (its
+        config_hash) wrote to the report at path, as a resumed run continues
+        them; a missing report, or one of another run, adds none."""
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except FileNotFoundError:
+            return
+        if lines[:1] != [CSV_HEADER]:
+            return
+        for line in lines[1:]:
+            k, w2, gap, wall_ns, _, _, config_hash = line.split(",")
+            if config_hash == self.config_hash and int(k) <= upto:
+                self.add(int(k), float(w2) if w2 else None,
+                         float(gap) if gap else None, int(wall_ns))
+
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("samples_processed,w2_to_truth,gap_surrogate,wall_ns,"
-                     "method,seed,config_hash\n")
+            fh.write(CSV_HEADER + "\n")
             for row in self.rows:
                 w2 = row["w2_to_truth"]
                 gap = row["gap_surrogate"]

@@ -17,7 +17,6 @@ from barystream.cli import (
     ConfigError,
     _decode_matrix,
     _encode_matrix,
-    cmd_run,
     config_hash,
     load_config,
     main,
@@ -235,6 +234,19 @@ def test_resume_finite_corpus_method(tmp_path):
     assert a["rng"] == b["rng"]
 
 
+@pytest.mark.parametrize("argv", [["resume", "--checkpoint"], ["eval", "--checkpoint"],
+                                  ["run", "--config"]])
+def test_a_missing_or_broken_json_file_is_a_config_error(tmp_path, capsys, argv):
+    path = tmp_path / "state.json"
+    what = "config file" if argv[0] == "run" else "checkpoint"
+    assert main(argv + [str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {what} {path} is missing\n"
+    path.write_text('{"version": 3,')
+    assert main(argv + [str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {what} {path} is not "
+                                              "JSON: ")
+
+
 def test_resume_rejects_version_mismatch(tmp_path):
     ckpt = tmp_path / "state.json"
     main(["run", "--set", "N=10", "--set", "data.grid.n=6",
@@ -320,8 +332,9 @@ def test_checkpoint_stores_matrices_as_bytes(tmp_path):
     assert isinstance(state["avg_num"], list)
     rows = np.fromfile(_rows_file(ckpt), dtype="<f8")
     assert rows.size == 20 * 2 * 8
-    loaded, hist = cli._load_checkpoint(str(ckpt))
-    assert loaded == payload and hist.size == 20
+    config, run = cli._open_checkpoint(str(ckpt), [])
+    hist = run.state.history
+    assert config == payload["config"] and run.state.k == 20 and hist.size == 20
     assert np.array_equal(hist.betas, rows.reshape(20, 16)[:, :8])
     assert np.array_equal(hist.samples, rows.reshape(20, 16)[:, 8:])
     assert cli._restore_state(payload, hist).history is hist
@@ -346,6 +359,10 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys, command):
         assert main([command, "--checkpoint", str(ckpt)]) == 1
         assert (f"config error: unsupported checkpoint version {version}"
                 in capsys.readouterr().err)
+    # a JSON document that is not an object holds no version
+    ckpt.write_text("[3]")
+    assert main([command, "--checkpoint", str(ckpt)]) == 1
+    assert "config error: unsupported checkpoint version None" in capsys.readouterr().err
 
 
 def _rows_file(ckpt):
@@ -467,30 +484,20 @@ def test_eval_refuses_identity_overrides(tmp_path, capsys, key):
     assert err.startswith("config error: ") and repr(key.split("=")[0]) in err
 
 
-@pytest.mark.parametrize("clip, code", [("cost", 0), ("unit", 1)])
-def test_a_checkpoint_storing_clip(tmp_path, capsys, clip, code):
-    # checkpoints written while the KMD box was a choice store its `clip`;
-    # "cost" is the |C|_inf box every run now takes, any other box is refused
-    common = _sets("N=30", "data.grid.n=8", "seed=5", "checkpoint_every=10",
-                   *_method_args(tmp_path)["linear_kmd"])
-    full, half = tmp_path / "full.json", tmp_path / "half.json"
-    assert main(["run"] + common + _sets(f"output.checkpoint={full}")) == 0
-    assert main(["run"] + common + _sets("halt_after=10",
-                                         f"output.checkpoint={half}")) == 0
+@pytest.mark.parametrize("clip", ["cost", "unit"])
+def test_a_checkpoint_storing_clip(tmp_path, capsys, clip):
+    # the stored config merges into the defaults as a config file does, so a
+    # `clip` key, which configs no longer have, is refused as any unknown key
+    _, half = _run_small(tmp_path, "--set", "halt_after=10")
     payload = json.loads(half.read_text())
     assert "clip" not in payload["config"]
     payload["config"]["clip"] = clip
     half.write_text(json.dumps(payload))
+    before = half.read_bytes()
     capsys.readouterr()
-    assert main(["resume", "--checkpoint", str(half)]) == code
-    if code:
-        err = capsys.readouterr().err
-        assert err.startswith("config error: clip") and json.loads(
-            half.read_text())["k"] == 10
-        return
-    a, b = json.loads(full.read_text()), json.loads(half.read_text())
-    assert a["k"] == b["k"] == 30
-    assert a["state"] == b["state"] and a["stream"] == b["stream"]
+    assert main(["resume", "--checkpoint", str(half)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'clip'\n"
+    assert half.read_bytes() == before
 
 
 def test_resume_refuses_identity_overrides(tmp_path, capsys):
@@ -503,6 +510,26 @@ def test_resume_refuses_identity_overrides(tmp_path, capsys):
     assert main(["resume", "--checkpoint", str(ckpt),
                  "--set", f"output.report={other}"]) == 0
     assert other.read_text().strip().split("\n")[-1].startswith("20,")
+
+
+@pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd"])
+def test_resume_keeps_the_report_of_the_run_it_continues(tmp_path, name):
+    common = _sets("N=40", "data.grid.n=8", "seed=5", "checkpoint_every=10",
+                   "eval.gap_holdout=2", *_method_args(tmp_path)[name])
+    full, half = tmp_path / "full.csv", tmp_path / "half.csv"
+    assert main(["run"] + common + _sets(f"output.report={full}")) == 0
+    assert main(["run"] + common + _sets(
+        "halt_after=20", f"output.report={half}",
+        f"output.checkpoint={tmp_path / 'half.json'}")) == 0
+    assert len(half.read_text().strip().split("\n")) == 3
+    assert main(["resume", "--checkpoint", str(tmp_path / "half.json")]) == 0
+
+    def without_wall_ns(path):
+        return [row[:3] + row[4:] for row in
+                (line.split(",") for line in path.read_text().strip().split("\n"))]
+    # the config_hash column included: halt_after and output.* are not hashed
+    assert without_wall_ns(full) == without_wall_ns(half)
+    assert [row[0] for row in without_wall_ns(full)[1:]] == ["10", "20", "30", "40"]
 
 
 def test_holdout_is_built_once_per_run(tmp_path, monkeypatch):
@@ -620,14 +647,74 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     (["N=true"], "N takes an integer, got True"),
     (["seed=abc"], "seed must be an integer >= 0, got 'abc'"),
     (["seed=-1"], "seed must be an integer >= 0, got -1"),
+    # keys whose default is null
+    (["method=kmd", "kernel.r_sq=abc"],
+     "kernel.r_sq must be null or a number > 0, got 'abc'"),
+    (["kernel.r_sq=abc"], "kernel.r_sq must be null or a number > 0, got 'abc'"),
+    (["kernel.r_sq=-1"], "kernel.r_sq must be null or a number > 0, got -1"),
+    (["method=kmd", 'kernel={"family": "rbf", "param": 0.001, "r_sq": -5}'],
+     "kernel.r_sq must be null or a number > 0, got -5"),
+    (["kernel.r_sq=true"], "kernel.r_sq must be null or a number > 0, got True"),
+    (["data.path=[1]"], "data.path must be null or a string, got [1]"),
+    (["data.weights=abc"],
+     "data.weights must be null or an array of numbers, got 'abc'"),
+    (['data.weights=["a","b","c"]'],
+     "data.weights must be null or an array of numbers, got ['a', 'b', 'c']"),
+    (["output.report=[1]"], "output.report must be null or a string, got [1]"),
+    (["output.report=3"], "output.report must be null or a string, got 3"),
+    (["output.checkpoint=7"], "output.checkpoint must be null or a string, got 7"),
 ], ids=["grid_n", "eta_scale", "gamma", "float_for_int", "int_for_bool",
-        "bool_for_int", "seed", "negative_seed"])
+        "bool_for_int", "seed", "negative_seed", "kmd_r_sq", "linear_r_sq",
+        "negative_r_sq", "negative_rbf_r_sq", "bool_r_sq", "path", "weights",
+        "weights_of_strings", "report", "report_fd", "checkpoint"])
 def test_a_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, sets,
                                                      message):
     report = tmp_path / "report.csv"
-    assert main(["run"] + _sets("N=2", f"output.report={report}", *sets)) == 1
+    # a case of output.report sets it on its null default, not on this path
+    if not any(item.startswith("output.report=") for item in sets):
+        sets = [f"output.report={report}", *sets]
+    assert main(["run"] + _sets("N=2", *sets)) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("weights", ["[NaN, 1, 0.5]", "[Infinity, 1, 0.5]"])
+def test_non_finite_weights_pass_the_type_check(weights):
+    # NaN and Infinity are numbers to the config; MeasureStream rejects them
+    config = load_config(None, [f"data.weights={weights}"])
+    assert len(config["data"]["weights"]) == 3
+
+
+def _set_unchecked(config, extra):
+    """extra merged into config in place, object into object, unchecked."""
+    for key, value in extra.items():
+        if isinstance(value, dict) and isinstance(config.get(key), dict):
+            _set_unchecked(config[key], value)
+        else:
+            config[key] = value
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+@pytest.mark.parametrize("stored, message", [
+    ({"clip": "cost"}, "unknown config key 'clip'"),
+    ({"baseline": {"gama": 5e-5}}, "unknown config key 'baseline.gama'"),
+    ({"data": {"grid": {"n": "abc"}}}, "data.grid.n takes an integer, got 'abc'"),
+    ({"kernel": {"r_sq": -1}}, "kernel.r_sq must be null or a number > 0, got -1"),
+    ({"output": {"report": 7}}, "output.report must be null or a string, got 7"),
+    ({"N": 0}, "N must be an integer >= 1, got 0"),
+], ids=["clip", "nested_key", "grid_n", "r_sq", "report", "N"])
+def test_a_stored_config_passes_the_defaults_schema(tmp_path, capsys, command,
+                                                   stored, message):
+    # the stored config merges into the defaults as a --config file does
+    _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    payload = json.loads(ckpt.read_text())
+    _set_unchecked(payload["config"], stored)
+    ckpt.write_text(json.dumps(payload))
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert ckpt.read_bytes() == before
 
 
 def test_an_integer_passes_for_a_number(tmp_path):
@@ -781,11 +868,11 @@ def test_seeded_checkpoint_guard(tmp_path, name):
     assert main(["run"] + _sets("N=200", "data.grid.n=8", "seed=3",
                                 "checkpoint_every=50", f"output.checkpoint={ckpt}",
                                 *_method_args(tmp_path)[name])) == 0
-    payload, history = cli._load_checkpoint(str(ckpt))
+    payload = json.loads(ckpt.read_text())
+    _, run = cli._open_checkpoint(str(ckpt), [])
     sha, r_avg = SEEDED_GUARD[name]
-    np.testing.assert_allclose(cli._restore_state(payload, history).r_avg, r_avg,
-                               rtol=1e-12, atol=0)
-    rows = _rows_file(ckpt).read_bytes() if history is not None else b""
+    np.testing.assert_allclose(run.state.r_avg, r_avg, rtol=1e-12, atol=0)
+    rows = _rows_file(ckpt).read_bytes() if "rows" in payload["state"] else b""
     assert hashlib.sha256(json.dumps(payload["state"]).encode()
                           + rows).hexdigest() == sha
 

@@ -567,6 +567,10 @@ def _generic_weights(seed, n):
     return normalize(np.random.default_rng(seed).random(n) + 0.01).weights
 
 
+# HiGHS's primal and dual feasibility tolerance
+HIGHS_TOL = 1e-7
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_staircase_dual_matches_the_lp(data):
@@ -576,8 +580,11 @@ def test_staircase_dual_matches_the_lp(data):
     c = r if data.draw(st.booleans(), label="r == c") else data.draw(
         simplex_weights(n), label="c")
     value, lam, mu = staircase_dual(r, c, C)
+    # HiGHS meets its primal and dual constraints to HIGHS_TOL, on the scale
+    # of the cost entries, so an LP value is good to about HIGHS_TOL * |C|_inf
+    lp_tol = HIGHS_TOL * C.inf_norm
     exact = exact_ot(DiscreteMeasure(r), DiscreteMeasure(c), C)
-    assert abs(value - exact.value) <= 1e-9
+    assert abs(value - exact.value) <= lp_tol
     i, j, widths = staircase(r, c)
     assert abs(value - widths @ C.entries[i, j]) <= 1e-12 * (1 + value)
     assert (-C.entries - lam[:, None] - mu[None, :]).max() <= 1e-9
@@ -592,10 +599,10 @@ def test_staircase_dual_matches_the_lp(data):
                   for _ in holdout]) * C.inf_norm
     gaps = [duality_gap_finite(r, M, FiniteProblem(np.array(holdout), weights, cost))
             for cost in (C, lp_cost)]
-    assert abs(gaps[0] - gaps[1]) <= 1e-9
+    assert abs(gaps[0] - gaps[1]) <= lp_tol
     r_generic = _generic_weights(data.draw(st.integers(0, 2 ** 32 - 1)), n)
     surrogates = [gap_surrogate(r_generic, holdout, cost) for cost in (C, lp_cost)]
-    assert abs(surrogates[0] - surrogates[1]) <= 1e-9
+    assert abs(surrogates[0] - surrogates[1]) <= lp_tol
     # at r itself, zero-mass or tied, the maximizer is not unique and the LP
     # may take another one; any of them gives a non-negative bound
     assert gap_surrogate(r, holdout, C) >= -1e-9

@@ -135,3 +135,21 @@ def test_report_ordering_and_csv(tmp_path):
     assert fields[0] == "10"
     assert float(fields[1]) == 1.5
     assert lines[2].split(",")[2] == ""  # gap column empty when skipped
+
+
+def test_report_reads_back_its_own_rows_up_to_a_step(tmp_path):
+    rep = ExperimentReport(method="kmd", seed=1, config_hash="abc")
+    for k, w2, gap in [(10, 0.1 + 0.2, None), (20, 1 / 3, 2 / 7), (30, 0.5, 0.0)]:
+        rep.add(k, w2, gap, 7 * k)
+    path = tmp_path / "report.csv"
+    rep.write_csv(path)
+    again = ExperimentReport(method="kmd", seed=1, config_hash="abc")
+    again.read_csv(path, 20)
+    assert again.rows == rep.rows[:2]  # every float back bit for bit
+    # another run's report, a missing one and a file of another kind add none
+    (tmp_path / "notes.csv").write_text("a,b\n1,2\n")
+    for config_hash, where in [("def", path), ("abc", tmp_path / "none.csv"),
+                               ("abc", tmp_path / "notes.csv")]:
+        other = ExperimentReport(method="kmd", seed=1, config_hash=config_hash)
+        other.read_csv(where, 30)
+        assert other.rows == []
