@@ -2,10 +2,11 @@
 
 Subcommands: gen-data, run, eval, certify, resume. A config is
 DEFAULT_CONFIG with a JSON file (or a checkpoint's stored config) and then
-each --set dotted.key=value merged in by one rule (flags win); a key the
-defaults lack is a config error. Every
-subcommand is deterministic under (config, seed). Exit codes: 0 ok, 1 config
-or usage error, 2 numerical abort, 3 certification failure.
+each --set dotted.key=value merged in by one rule (flags win). SCHEMA holds
+each key's default and rule; a key it lacks, or a value its rule refuses, is
+a config error naming the key. Every subcommand is deterministic under
+(config, seed). Exit codes: 0 ok, 1 config or usage error, 2 numerical
+abort, 3 certification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import base64
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -44,6 +46,7 @@ from barystream.measures import (
     MeasureStream,
     load_corpus,
     normalize,
+    sampling_law,
     save_corpus,
 )
 
@@ -52,62 +55,16 @@ CHECKPOINT_VERSION = 3
 ROWS_SUFFIX = ".rows"
 # the only keys a resumed run may override: they leave the run's identity alone
 RESUME_OVERRIDES = ("output", "eval", "halt_after")
-# the values an enumerated config key may take; any other is a config error
-CHOICES = {
-    "stepsize_mode": kmd.STEPSIZE_MODES,
-    "data.kind": ("gaussian", "finite"),
-    "baseline.schedule": baselines.SCHEDULES,
-    "baseline.stepper": baselines.STEPPERS,
-}
-
-DEFAULT_CONFIG = {
-    "method": "linear_kmd",
-    "N": 1000,
-    "halt_after": None,       # stop early at this step; resume continues to N
-    "seed": None,             # falls back to $BARY_SEED, then 0
-    "checkpoint_every": 100,
-    "eta_scale": 1.0,
-    "stepsize_mode": "constant",
-    "kernel": {"family": "linear", "param": 0.0, "r_sq": None},
-    "data": {
-        "kind": "gaussian",
-        "law": {"mu0": 1.0, "sigma0_sq": 4.0, "rate": 0.5},
-        "grid": {"lo": -10.0, "hi": 10.0, "n": 100},
-        "count": 1000,
-        "path": None,
-        "weights": None,
-    },
-    "cost": {"p": 2.0, "normalize": False},
-    "baseline": {
-        "gamma": 1e-2,
-        "inner_iters": 200,
-        "inner_tol": 1e-9,
-        "schedule": "inverse_sqrt",
-        "stepsize": 1.0,
-        "stepper": "mirror",
-    },
-    "output": {"report": None, "checkpoint": None},
-    "eval": {"gap_holdout": 0},
-}
 
 
 class ConfigError(ValueError):
     pass
 
 
-# JSON value types as a config error names them; bool before int, its subclass
-JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
-              (str, "a string"), (list, "an array"))
-
-
-def _json_type(value) -> str | None:
-    return next((name for t, name in JSON_TYPES if isinstance(value, t)), None)
-
-
 def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
-    """base with extra merged in, object into object. A key base lacks, a
-    non-object for an object, or a value of another JSON type than base's
-    (an integer passes for a number) is a config error; null takes any value."""
+    """base with extra merged in, object into object. A key base lacks, or a
+    non-object for an object, is a config error; _check_config tests the
+    leaves' values."""
     if not isinstance(extra, dict):
         raise ConfigError(f"{prefix[:-1] or 'a config'} takes a JSON object, "
                           f"got {extra!r}")
@@ -116,14 +73,8 @@ def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
         name = prefix + key
         if key not in out:
             raise ConfigError(f"unknown config key {name!r}")
-        if isinstance(out[key], dict):
-            out[key] = _deep_update(out[key], value, name + ".")
-            continue
-        want, got = _json_type(out[key]), _json_type(value)
-        if out[key] is not None and want != got and (want, got) != (
-                "a number", "an integer"):
-            raise ConfigError(f"{name} takes {want}, got {value!r}")
-        out[key] = value
+        out[key] = (_deep_update(out[key], value, name + ".")
+                    if isinstance(out[key], dict) else value)
     return out
 
 
@@ -174,47 +125,12 @@ def _env_seed() -> int:
         raise ConfigError(f"BARY_SEED must be an integer, got {raw!r}") from None
 
 
-def _is_number(value) -> bool:
-    return _json_type(value) in ("an integer", "a number")
-
-
-# the other keys whose default is null, which the merge lets take any value:
-# what each must be when it is set, and the test of that
-NULLABLE = {
-    "kernel.r_sq": ("a number > 0", lambda v: _is_number(v) and v > 0),
-    "data.path": ("a string", lambda v: isinstance(v, str)),
-    "data.weights": ("an array of numbers",
-                     lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "output.report": ("a string", lambda v: isinstance(v, str)),
-    "output.checkpoint": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _at(config: dict, key: str):
-    """The value of a dotted key."""
-    for part in key.split("."):
-        config = config[part]
-    return config
-
-
 def _check_config(config: dict) -> dict:
     """Reject a config the run would misread; every command's config passes here."""
-    for key, allowed in [("method", tuple(METHODS)), *CHOICES.items()]:
-        value = _at(config, key)
-        if value not in allowed:
-            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
-                              f"got {value!r}")
-    for key, least in (("N", 1), ("checkpoint_every", 1), ("halt_after", 1),
-                       ("seed", 0)):
-        value = config[key]
-        if key == "halt_after" and value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-    for key, (want, ok) in NULLABLE.items():
-        value = _at(config, key)
-        if value is not None and not ok(value):
-            raise ConfigError(f"{key} must be null or {want}, got {value!r}")
+    for key, (_, rule) in SCHEMA.items():
+        value = functools.reduce(dict.__getitem__, key.split("."), config)
+        if not rule.test(value):
+            raise ConfigError(f"{key} must be {rule.must_be}, got {value!r}")
     return config
 
 
@@ -258,13 +174,10 @@ def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
         law = GaussianParamLaw(**data["law"])
         return MeasureStream.gaussian(law, grid, config["seed"]), grid
     grid, measures = _load_family(data)
-    weights = data["weights"] or [1.0 / len(measures)] * len(measures)
+    weights = data["weights"]
+    if weights is None:
+        weights = [1.0 / len(measures)] * len(measures)
     return MeasureStream.finite(measures, weights, config["seed"]), grid
-
-
-def _build_kernel(config: dict) -> Kernel:
-    k = config["kernel"]
-    return Kernel(family=k["family"], param=k["param"], r_sq=k["r_sq"])
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -335,20 +248,36 @@ def _encode_state(state) -> dict:
     return out
 
 
-def _restore_state(payload: dict, history: _History | None = None):
-    """The state a checkpoint holds: _encode_state reversed, with the kmd
-    history its rows count stands for. The state class rebuilds r from the
-    restored log_r."""
-    values = {"k": payload["k"]}
-    for name, value in payload["state"].items():
+def _stored(payload: dict, key: str):
+    """payload[key]; a checkpoint without it is a config error naming it."""
+    if key not in payload:
+        raise ConfigError(f"checkpoint lacks {key!r}")
+    return payload[key]
+
+
+def _restore_state(cls: type, payload: dict, history: _History | None = None):
+    """The cls state a checkpoint holds: _encode_state reversed, with the kmd
+    history its rows count stands for. cls rebuilds r from the restored log_r.
+    A stored field cls lacks, or a field of cls with no default that is not
+    stored, is a config error naming it."""
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in ("k", "r")}
+    values = {}
+    for name, value in _stored(payload, "state").items():
         if name == "rows":
             name, value = "history", history
-        elif isinstance(value, dict):
+        if name not in fields:
+            raise ConfigError(f"checkpoint state field {name!r} is not a field "
+                              f"of {cls.__name__}")
+        if isinstance(value, dict):
             value = _decode_matrix(value)
         elif isinstance(value, list):
             value = np.array(value)
         values[name] = value
-    return METHODS[payload["method"]].state_cls(**values)
+    missing = [name for name, f in fields.items() if name not in values
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"checkpoint state lacks {', '.join(map(repr, missing))}")
+    return cls(k=_stored(payload, "k"), **values)
 
 
 @dataclasses.dataclass
@@ -364,14 +293,6 @@ class _Run:
     rng: np.random.Generator | None = None
 
 
-class Method(NamedTuple):
-    """A row of the method table: the class of the method's state, which the
-    checkpoint codec builds, and setup(config) -> _Run at a cold start."""
-
-    state_cls: type
-    setup: Callable[[dict], _Run]
-
-
 def _finite_md_run(config: dict) -> _Run:
     data = config["data"]
     if data["kind"] == "gaussian":
@@ -379,7 +300,9 @@ def _finite_md_run(config: dict) -> _Run:
                           "(data.kind finite)")
     grid, measures = _load_family(data)
     C = _build_cost(config, grid)
-    problem = FiniteProblem.from_measures(measures, C, data["weights"])
+    weights = data["weights"]
+    problem = FiniteProblem.from_measures(
+        measures, C, None if weights is None else sampling_law(weights, len(measures)))
     rng = np.random.Generator(np.random.PCG64(config["seed"]))
     state = FiniteSaddleState.cold_start(problem, config["N"])
     state.eta *= config["eta_scale"]
@@ -387,15 +310,15 @@ def _finite_md_run(config: dict) -> _Run:
                 rng=rng)
 
 
-def _stream_method(state_cls, make_step) -> Method:
-    """A method whose step takes one sample of the configured stream, built by
-    make_step(config, C, stream)."""
+def _stream_method(state_cls, make_step) -> Callable[[dict], _Run]:
+    """The setup of a method whose step takes one sample of the configured
+    stream, built by make_step(config, C, stream)."""
     def setup(config: dict) -> _Run:
         stream, grid = _build_stream(config)
         C = _build_cost(config, grid)
         return _Run(grid, C, state_cls.cold_start(C.n),
                     make_step(config, C, stream), stream=stream)
-    return Method(state_cls, setup)
+    return setup
 
 
 def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
@@ -410,7 +333,7 @@ def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
         raise ConfigError(f"kmd history of {need} bytes (N={config['N']}, n={C.n}) "
                           f"peaks at 3x that while it grows, past the {have} "
                           "bytes of physical memory")
-    run_config = _kmd_config(config, _build_kernel(config), C)
+    run_config = _kmd_config(config, Kernel(**config["kernel"]), C)
     return lambda s: kmd.kmd_step(s, run_config, stream.sample().weights, C)
 
 
@@ -422,23 +345,101 @@ def _linear_kmd_step(config: dict, C: CostMatrix,
 
 def _baseline_step(config: dict, C: CostMatrix,
                    stream: MeasureStream) -> Callable:
-    b = config["baseline"]
-    run_config = baselines.BaselineConfig(
-        method=config["method"], gamma=b["gamma"], inner_iters=b["inner_iters"],
-        inner_tol=b["inner_tol"], schedule=b["schedule"],
-        stepsize=b["stepsize"], stepper=b["stepper"])
+    run_config = baselines.BaselineConfig(method=config["method"], **config["baseline"])
     return lambda s: baselines.baseline_step(s, run_config, stream.sample(), C)
 
 
-# Steps look their method's function up on its module at every call, so a
-# function replaced there (by a test or a tracer) is the one that runs.
+# Each method's setup(config) -> _Run at a cold start. Steps look their
+# method's function up on its module at every call, so a function replaced
+# there (by a test or a tracer) is the one that runs.
 METHODS = {
-    "finite_md": Method(FiniteSaddleState, _finite_md_run),
+    "finite_md": _finite_md_run,
     "kmd": _stream_method(KmdState, _kmd_step),
     "linear_kmd": _stream_method(LinearKmdState, _linear_kmd_step),
     "sinkhorn_sgd": _stream_method(baselines.BaselineState, _baseline_step),
     "lp_sgd": _stream_method(baselines.BaselineState, _baseline_step),
 }
+
+
+class Rule(NamedTuple):
+    """What a config value must be, in words, and the test of that."""
+
+    must_be: str
+    test: Callable[[object], bool]
+
+
+def _number(op: str = "", bound: int = 0, kind=(int, float)) -> Rule:
+    """A finite JSON number, an integer where kind is int (a boolean is
+    neither), and op bound where op is > or >=."""
+    def test(v) -> bool:
+        return (isinstance(v, kind) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max
+                and (not op or (v > bound if op == ">" else v >= bound)))
+    name = "an integer" if kind is int else "a finite number"
+    return Rule(f"{name} {op} {bound}" if op else name, test)
+
+
+def _one_of(*choices: str) -> Rule:
+    return Rule(f"one of {', '.join(choices)}", lambda v: v in choices)
+
+
+def _or_null(rule: Rule) -> Rule:
+    return Rule(f"null or {rule.must_be}", lambda v: v is None or rule.test(v))
+
+
+_STRING = Rule("a string", lambda v: isinstance(v, str))
+_WEIGHTS = Rule("an array of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_number().test, v)))
+
+# The config schema: each dotted leaf key's default and the rule its value
+# passes in every command (_check_config). DEFAULT_CONFIG nests the defaults.
+SCHEMA = {
+    "method": ("linear_kmd", _one_of(*METHODS)),
+    "N": (1000, _number(">=", 1, int)),
+    # stop early at this step; resume continues to N
+    "halt_after": (None, _or_null(_number(">=", 1, int))),
+    "seed": (None, _number(">=", 0, int)),  # null falls back to $BARY_SEED, then 0
+    "checkpoint_every": (100, _number(">=", 1, int)),
+    "eta_scale": (1.0, _number(">", 0)),
+    "stepsize_mode": ("constant", _one_of(*kmd.STEPSIZE_MODES)),
+    "kernel.family": ("linear", _one_of(*kmd.KERNEL_FAMILIES)),
+    "kernel.param": (0.0, _number(">=", 0)),
+    "kernel.r_sq": (None, _or_null(_number(">", 0))),
+    "data.kind": ("gaussian", _one_of("gaussian", "finite")),
+    "data.law.mu0": (1.0, _number()),
+    "data.law.sigma0_sq": (4.0, _number(">", 0)),
+    "data.law.rate": (0.5, _number(">", 0)),
+    "data.grid.lo": (-10.0, _number()),
+    "data.grid.hi": (10.0, _number()),
+    "data.grid.n": (100, _number(">=", 2, int)),
+    "data.count": (1000, _number(">=", 1, int)),
+    "data.path": (None, _or_null(_STRING)),
+    "data.weights": (None, _or_null(_WEIGHTS)),
+    "cost.p": (2.0, _number(">=", 1)),
+    "cost.normalize": (False, Rule("a boolean", lambda v: isinstance(v, bool))),
+    "baseline.gamma": (1e-2, _number(">", 0)),
+    "baseline.inner_iters": (200, _number(">=", 1, int)),
+    "baseline.inner_tol": (1e-9, _number(">=", 0)),
+    "baseline.schedule": ("inverse_sqrt", _one_of(*baselines.SCHEDULES)),
+    "baseline.stepsize": (1.0, _number(">", 0)),
+    "baseline.stepper": ("mirror", _one_of(*baselines.STEPPERS)),
+    "output.report": (None, _or_null(_STRING)),
+    "output.checkpoint": (None, _or_null(_STRING)),
+    "eval.gap_holdout": (0, _number(">=", 0, int)),
+}
+
+
+def _nest(schema: dict) -> dict:
+    """The config of each dotted key's default, as nested objects."""
+    out = {}
+    for key, (default, _) in schema.items():
+        *parents, leaf = key.split(".")
+        node = functools.reduce(lambda d, part: d.setdefault(part, {}), parents, out)
+        node[leaf] = default
+    return out
+
+
+DEFAULT_CONFIG = _nest(SCHEMA)
 
 
 def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
@@ -451,7 +452,7 @@ def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}"
                           f" (this version reads {CHECKPOINT_VERSION})")
-    config = _deep_update(DEFAULT_CONFIG, payload["config"])
+    config = _deep_update(DEFAULT_CONFIG, _stored(payload, "config"))
     config["halt_after"] = None
     for item in overrides:
         extra = _parse_override(item)
@@ -459,15 +460,15 @@ def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
             raise ConfigError(f"{item.split('=')[0]!r} cannot be overridden: only "
                               f"{', '.join(RESUME_OVERRIDES)} keep the run unchanged")
         config = _deep_update(config, extra)
-    run = METHODS[_check_config(config)["method"]].setup(config)
-    state = payload["state"]
-    history = (_read_rows(path + ROWS_SUFFIX, state["rows"], len(state["log_r"]))
+    run = METHODS[_check_config(config)["method"]](config)
+    state = _stored(payload, "state")
+    history = (_read_rows(path + ROWS_SUFFIX, state["rows"], run.C.n)
                if "rows" in state else None)
-    run.state = _restore_state(payload, history)
+    run.state = _restore_state(type(run.state), payload, history)
     if run.stream is not None:
-        run.stream.load_state(payload["stream"])
+        run.stream.load_state(_stored(payload, "stream"))
     if run.rng is not None:
-        run.rng.bit_generator.state = payload["rng"]
+        run.rng.bit_generator.state = _stored(payload, "rng")
     return config, run
 
 
@@ -504,7 +505,7 @@ def cmd_gen_data(config: dict) -> int:
     grid = _build_grid(config)
     stream = MeasureStream.gaussian(GaussianParamLaw(**data["law"]), grid,
                                     config["seed"])
-    measures = [stream.sample() for _ in range(int(data["count"]))]
+    measures = [stream.sample() for _ in range(data["count"])]
     save_corpus(path, measures, grid)
     print(f"wrote {len(measures)} measures (n={grid.n}) to {path}")
     return 0
@@ -564,7 +565,7 @@ def _run_loop(config: dict, run: _Run):
 def cmd_run(config: dict, run: _Run | None = None) -> int:
     """Run the configured method from a cold start, or on from the run a
     checkpoint holds (_open_checkpoint)."""
-    state = _run_loop(config, run or METHODS[config["method"]].setup(config))
+    state = _run_loop(config, run or METHODS[config["method"]](config))
     if getattr(state, "unstable", 0):
         print(f"warning: {state.unstable} of {state.k} Sinkhorn inner solves "
               "were unstable", file=sys.stderr)
@@ -628,14 +629,10 @@ def main(argv=None) -> int:
     parser = _Parser(prog="barystream")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("gen-data", "run"):
+    for name, source in (("gen-data", "--config"), ("run", "--config"),
+                         ("eval", "--checkpoint"), ("resume", "--checkpoint")):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--set", action="append", default=[], dest="overrides")
-
-    for name in ("eval", "resume"):
-        p = sub.add_parser(name)
-        p.add_argument("--checkpoint", required=True)
+        p.add_argument(source, required=source == "--checkpoint")
         p.add_argument("--set", action="append", default=[], dest="overrides")
 
     p = sub.add_parser("certify")

@@ -26,6 +26,7 @@ from barystream.dual_core import (
 from barystream.measures import MeasureStream
 
 STEPSIZE_MODES = ("constant", "dynamic")
+KERNEL_FAMILIES = ("linear", "rbf", "diffusion")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class Kernel:
     r_sq: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("rbf", "diffusion", "linear"):
+        if self.family not in KERNEL_FAMILIES:
             raise SolverError(f"unknown kernel family {self.family!r}")
         if self.family in ("rbf", "diffusion") and self.param <= 0:
             raise SolverError(f"{self.family} kernel parameter must be > 0")

@@ -110,6 +110,21 @@ def draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def sampling_law(weights, m: int) -> np.ndarray:
+    """The law of an index into m measures: weights over their sum. The
+    weights must be m non-negative numbers with a finite positive sum."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (m,):
+        raise MeasureError(f"sampling weights must be one per measure ({m}), "
+                           f"got {w.size}")
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+        total = w.sum()
+    if np.any(w < 0) or not 0 < total < math.inf:  # NaN and inf fail here
+        raise MeasureError("sampling weights must be non-negative with a "
+                           f"finite positive sum, got {w!r}")
+    return w / total
+
+
 def normalize(raw, grid: Grid1D | None = None) -> DiscreteMeasure:
     """Scale a non-negative vector to unit mass.
 
@@ -187,12 +202,7 @@ class MeasureStream:
 
     @classmethod
     def finite(cls, measures, weights, seed: int) -> "MeasureStream":
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size != len(measures):
-            raise MeasureError("finite stream: weights must match measure count")
-        if np.any(w < 0) or not 0 < w.sum() < math.inf:  # NaN and inf fail here
-            raise MeasureError("finite stream: sampling weights must be "
-                               f"non-negative with a finite positive sum, got {w!r}")
+        w = sampling_law(weights, len(measures))
         sizes = {m.n for m in measures}
         if len(sizes) != 1:
             raise MeasureError("finite stream: mixed supports")
@@ -201,7 +211,7 @@ class MeasureStream:
             if (m.grid is None) != (grid is None) or (grid is not None and m.grid != grid):
                 raise MeasureError("finite stream: mixed supports")
         return cls(kind="finite", seed=seed, grid=grid,
-                   measures=list(measures), weights=w / w.sum())
+                   measures=list(measures), weights=w)
 
     @classmethod
     def gaussian(cls, law: GaussianParamLaw, grid: Grid1D, seed: int) -> "MeasureStream":

@@ -337,7 +337,7 @@ def test_checkpoint_stores_matrices_as_bytes(tmp_path):
     assert config == payload["config"] and run.state.k == 20 and hist.size == 20
     assert np.array_equal(hist.betas, rows.reshape(20, 16)[:, :8])
     assert np.array_equal(hist.samples, rows.reshape(20, 16)[:, 8:])
-    assert cli._restore_state(payload, hist).history is hist
+    assert cli._restore_state(type(run.state), payload, hist).history is hist
     # the other methods' matrices stay in the JSON, as base64 bytes
     (tmp_path / "linear").mkdir()
     _, ckpt = _run_small(tmp_path / "linear")
@@ -583,11 +583,52 @@ def test_a_checkpoint_without_the_unconverged_count_restores_0(tmp_path, capsys)
     payload = json.loads(ckpt.read_text())
     assert payload["state"].pop("unconverged") == 10
     ckpt.write_text(json.dumps(payload))
-    assert cli._restore_state(payload).unconverged == 0
+    assert cli._restore_state(baselines.BaselineState, payload).unconverged == 0
     capsys.readouterr()
     assert main(["resume", "--checkpoint", str(ckpt)]) == 0
     assert json.loads(ckpt.read_text())["state"]["unconverged"] == 10
     assert "10 of 20 Sinkhorn inner solves stopped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+@pytest.mark.parametrize("method, edit, message", [
+    ("linear_kmd", lambda p: p["state"].pop("theta"),
+     "checkpoint state lacks 'theta'"),
+    ("kmd", lambda p: p["state"].pop("rows"),
+     "checkpoint state lacks 'history'"),
+    ("linear_kmd", lambda p: p["state"].update(betas=[1.0]),
+     "checkpoint state field 'betas' is not a field of LinearKmdState"),
+    ("linear_kmd", lambda p: p.pop("stream"), "checkpoint lacks 'stream'"),
+    ("finite_md", lambda p: p.pop("rng"), "checkpoint lacks 'rng'"),
+    ("finite_md", lambda p: p.pop("k"), "checkpoint lacks 'k'"),
+    ("linear_kmd", lambda p: p.pop("state"), "checkpoint lacks 'state'"),
+    ("linear_kmd", lambda p: p.pop("config"), "checkpoint lacks 'config'"),
+], ids=["missing_field", "missing_rows", "extra_field", "stream", "rng", "k",
+        "state", "config"])
+def test_a_checkpoint_that_does_not_fit_its_method_is_a_config_error(
+        tmp_path, capsys, command, method, edit, message):
+    # the stored config's method sets the run up, and the state is restored
+    # by its class's fields; the payload's top-level method is not read
+    _, ckpt = _run_small(tmp_path, *_sets(*_method_args(tmp_path)[method]),
+                         "--set", "halt_after=10")
+    payload = json.loads(ckpt.read_text())
+    edit(payload)
+    ckpt.write_text(json.dumps(payload))
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert ckpt.read_bytes() == before
+
+
+def test_the_stored_method_key_is_not_read(tmp_path):
+    full, half = _kmd_halves(tmp_path)
+    payload = json.loads(half.read_text())
+    payload["method"] = "linear_kmd"
+    half.write_text(json.dumps(payload))
+    assert main(["resume", "--checkpoint", str(half)]) == 0
+    a, b = json.loads(full.read_text()), json.loads(half.read_text())
+    assert a["state"] == b["state"] and b["method"] == "kmd"
 
 
 def test_small_gamma_sinkhorn_run_warns_unconverged(tmp_path, capsys):
@@ -620,6 +661,26 @@ def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
     ("halt_after", "-3"),
     ("halt_after", "0"),
     ("checkpoint_every", "0"),
+    # every number finite, and the paper's constants in their range
+    ("eta_scale", "-1"),
+    ("eta_scale", "0"),
+    ("eta_scale", "Infinity"),
+    ("kernel.r_sq", "Infinity"),
+    ("kernel.param", "-1"),
+    ("kernel.family", "rbff"),
+    ("cost.p", "Infinity"),
+    ("cost.p", "0.5"),
+    ("baseline.stepsize", "-1"),
+    ("baseline.gamma", "0"),
+    ("baseline.inner_tol", "-1"),
+    ("baseline.inner_iters", "0"),
+    ("data.law.mu0", "NaN"),
+    ("data.law.sigma0_sq", "0"),
+    ("data.law.rate", "NaN"),
+    ("data.grid.lo", "-Infinity"),
+    ("data.grid.n", "1"),
+    ("data.count", "0"),
+    ("eval.gap_holdout", "-1"),
     # keys the defaults lack, and a non-object for an object
     ("halt_afer", "5"),
     ("baseline.gama", "5e-5"),
@@ -628,38 +689,43 @@ def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
     ("data.grid", "5"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
-    report = tmp_path / "report.csv"
+    report, corpus = tmp_path / "report.csv", tmp_path / "corpus.csv"
     assert main(["run", "--set", "N=4", "--set", "data.grid.n=6",
                  "--set", f"output.report={report}",
                  "--set", f"{key}={value}"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
-    assert not report.exists()
+    assert main(["gen-data", "--set", "data.count=2", "--set", f"data.path={corpus}",
+                 "--set", f"{key}={value}"]) == 1
+    for err in capsys.readouterr().err.strip().split("\n"):
+        assert err.startswith("config error: ") and key in err
+    assert not report.exists() and not corpus.exists()
 
 
 @pytest.mark.parametrize("sets, message", [
-    (["data.grid.n=abc"], "data.grid.n takes an integer, got 'abc'"),
-    (["eta_scale=abc"], "eta_scale takes a number, got 'abc'"),
+    (["data.grid.n=abc"], "data.grid.n must be an integer >= 2, got 'abc'"),
+    (["eta_scale=abc"], "eta_scale must be a finite number > 0, got 'abc'"),
     (["method=sinkhorn_sgd", "baseline.gamma=abc"],
-     "baseline.gamma takes a number, got 'abc'"),
-    (["data.grid.n=8.0"], "data.grid.n takes an integer, got 8.0"),
-    (["cost.normalize=1"], "cost.normalize takes a boolean, got 1"),
-    (["N=true"], "N takes an integer, got True"),
+     "baseline.gamma must be a finite number > 0, got 'abc'"),
+    (["data.grid.n=8.0"], "data.grid.n must be an integer >= 2, got 8.0"),
+    (["cost.normalize=1"], "cost.normalize must be a boolean, got 1"),
+    (["N=true"], "N must be an integer >= 1, got True"),
     (["seed=abc"], "seed must be an integer >= 0, got 'abc'"),
     (["seed=-1"], "seed must be an integer >= 0, got -1"),
     # keys whose default is null
     (["method=kmd", "kernel.r_sq=abc"],
-     "kernel.r_sq must be null or a number > 0, got 'abc'"),
-    (["kernel.r_sq=abc"], "kernel.r_sq must be null or a number > 0, got 'abc'"),
-    (["kernel.r_sq=-1"], "kernel.r_sq must be null or a number > 0, got -1"),
+     "kernel.r_sq must be null or a finite number > 0, got 'abc'"),
+    (["kernel.r_sq=abc"],
+     "kernel.r_sq must be null or a finite number > 0, got 'abc'"),
+    (["kernel.r_sq=-1"], "kernel.r_sq must be null or a finite number > 0, got -1"),
     (["method=kmd", 'kernel={"family": "rbf", "param": 0.001, "r_sq": -5}'],
-     "kernel.r_sq must be null or a number > 0, got -5"),
-    (["kernel.r_sq=true"], "kernel.r_sq must be null or a number > 0, got True"),
+     "kernel.r_sq must be null or a finite number > 0, got -5"),
+    (["kernel.r_sq=true"],
+     "kernel.r_sq must be null or a finite number > 0, got True"),
     (["data.path=[1]"], "data.path must be null or a string, got [1]"),
     (["data.weights=abc"],
-     "data.weights must be null or an array of numbers, got 'abc'"),
+     "data.weights must be null or an array of finite numbers, got 'abc'"),
     (['data.weights=["a","b","c"]'],
-     "data.weights must be null or an array of numbers, got ['a', 'b', 'c']"),
+     "data.weights must be null or an array of finite numbers, "
+     "got ['a', 'b', 'c']"),
     (["output.report=[1]"], "output.report must be null or a string, got [1]"),
     (["output.report=3"], "output.report must be null or a string, got 3"),
     (["output.checkpoint=7"], "output.checkpoint must be null or a string, got 7"),
@@ -679,10 +745,12 @@ def test_a_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, sets,
 
 
 @pytest.mark.parametrize("weights", ["[NaN, 1, 0.5]", "[Infinity, 1, 0.5]"])
-def test_non_finite_weights_pass_the_type_check(weights):
-    # NaN and Infinity are numbers to the config; MeasureStream rejects them
-    config = load_config(None, [f"data.weights={weights}"])
-    assert len(config["data"]["weights"]) == 3
+def test_non_finite_weights_fail_the_config_check(capsys, weights):
+    # every number of a config is finite, the weights' entries too
+    assert main(["run", "--set", "N=2", "--set", f"data.weights={weights}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data.weights must be null or an array "
+                          "of finite numbers, got [")
 
 
 def _set_unchecked(config, extra):
@@ -698,8 +766,10 @@ def _set_unchecked(config, extra):
 @pytest.mark.parametrize("stored, message", [
     ({"clip": "cost"}, "unknown config key 'clip'"),
     ({"baseline": {"gama": 5e-5}}, "unknown config key 'baseline.gama'"),
-    ({"data": {"grid": {"n": "abc"}}}, "data.grid.n takes an integer, got 'abc'"),
-    ({"kernel": {"r_sq": -1}}, "kernel.r_sq must be null or a number > 0, got -1"),
+    ({"data": {"grid": {"n": "abc"}}},
+     "data.grid.n must be an integer >= 2, got 'abc'"),
+    ({"kernel": {"r_sq": -1}},
+     "kernel.r_sq must be null or a finite number > 0, got -1"),
     ({"output": {"report": 7}}, "output.report must be null or a string, got 7"),
     ({"N": 0}, "N must be an integer >= 1, got 0"),
 ], ids=["clip", "nested_key", "grid_n", "r_sq", "report", "N"])
@@ -732,7 +802,7 @@ def test_a_checkpoint_override_of_the_wrong_type_is_a_config_error(
     assert main([command, "--checkpoint", str(ckpt),
                  "--set", "eval.gap_holdout=abc"]) == 1
     assert capsys.readouterr().err == (
-        "config error: eval.gap_holdout takes an integer, got 'abc'\n")
+        "config error: eval.gap_holdout must be an integer >= 0, got 'abc'\n")
     assert json.loads(ckpt.read_text())["k"] == 10
 
 
@@ -891,13 +961,13 @@ def test_checkpoint_state_holds_no_r(tmp_path, name):
 def test_restored_r_is_the_carried_r(tmp_path, name):
     config = load_config(None, ["data.grid.n=8", "seed=3",
                                 *_method_args(tmp_path)[name]])
-    run = cli.METHODS[config["method"]].setup(config)
+    run = cli.METHODS[config["method"]](config)
     state = run.state
     for _ in range(7):
         state = run.step(state)
-    payload = json.loads(json.dumps({"method": name, "k": state.k,
-                                     "state": cli._encode_state(state)}))
-    restored = cli._restore_state(payload, getattr(state, "history", None)).r
+    payload = json.loads(json.dumps({"k": state.k, "state": cli._encode_state(state)}))
+    restored = cli._restore_state(type(state), payload,
+                                  getattr(state, "history", None)).r
     assert restored.dtype == state.r.dtype == np.float64
     assert np.array_equal(restored.view(np.uint64), state.r.view(np.uint64))
 
@@ -913,6 +983,24 @@ def test_non_finite_data_weights_exit_1(tmp_path, capsys, name, weights):
     assert main(["run"] + _sets("N=5", "data.grid.n=8", f"data.weights={weights}",
                                 *args)) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("name", ["finite_md", "linear_kmd"])
+def test_data_weights_are_one_law_in_every_method(tmp_path, name):
+    # finite_md reads data.weights as the finite stream does: over their sum
+    methods = _method_args(tmp_path)
+    args = methods[name] + [a for a in methods["finite_md"] if a.startswith("data.")]
+    payloads = []
+    for weights in ("[1, 1, 1, 1]", "[0.25, 0.25, 0.25, 0.25]"):
+        ckpt = tmp_path / "state.json"
+        assert main(["run"] + _sets("N=30", "data.grid.n=8", "seed=3",
+                                    f"data.weights={weights}",
+                                    f"output.checkpoint={ckpt}", *args)) == 0
+        payloads.append(json.loads(ckpt.read_text()))
+    a, b = payloads
+    assert a["config"]["data"]["weights"] != b["config"]["data"]["weights"]
+    for key in ("state", "rng", "stream"):
+        assert a.get(key) == b.get(key), key
 
 
 @pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd",
@@ -950,7 +1038,7 @@ def test_every_step_stays_on_the_simplex(name, n, seed, steps):
     with tempfile.TemporaryDirectory() as tmp:
         config = load_config(None, [f"data.grid.n={n}", f"seed={seed}",
                                     *_method_args(Path(tmp), n)[name]])
-        run = cli.METHODS[config["method"]].setup(config)
+        run = cli.METHODS[config["method"]](config)
     state = run.state
     for _ in range(steps):
         state = run.step(state)

@@ -213,7 +213,8 @@ def test_md_step_aborts_on_a_non_finite_iterate():
     state = FiniteSaddleState.cold_start(problem, 10)
     state.eta = math.inf  # inf * 0 leaves NaN in log_r at the first step
     assert finite_md.NumericalAbort is dual_core.NumericalAbort
-    with pytest.raises(finite_md.NumericalAbort, match="non-finite iterate at k=1"):
+    with (pytest.raises(finite_md.NumericalAbort, match="non-finite iterate at k=1"),
+          pytest.warns(RuntimeWarning, match="invalid value encountered")):
         md_step(state, problem, np.random.Generator(np.random.PCG64(0)))
 
 

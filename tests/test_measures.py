@@ -111,7 +111,6 @@ def test_finite_stream_frequencies():
     assert abs(hits / 100_000 - 0.5) < 0.01  # binomial 3 sigma is ~0.005
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0],
                                      [-np.inf, 1.0], [1e308, 1e308]])
 def test_finite_stream_rejects_non_finite_weights(weights):
