@@ -128,10 +128,15 @@ def _env_seed() -> int:
 def _check_config(config: dict) -> dict:
     """Reject a config the run would misread; every command's config passes here."""
     for key, (_, rule) in SCHEMA.items():
-        value = functools.reduce(dict.__getitem__, key.split("."), config)
-        if not rule.test(value):
+        value = _leaf(config, key)
+        if not rule.test(value, config):
             raise ConfigError(f"{key} must be {rule.must_be}, got {value!r}")
     return config
+
+
+def _leaf(config: dict, key: str):
+    """The value at a dotted key of a nested config."""
+    return functools.reduce(dict.__getitem__, key.split("."), config)
 
 
 def config_hash(config: dict) -> str:
@@ -148,7 +153,15 @@ def _build_grid(config: dict) -> Grid1D:
 
 
 def _build_cost(config: dict, grid: Grid1D) -> CostMatrix:
-    C = squared_distance_cost(grid, config["cost"]["p"])
+    """The cost |x_i - x_j|^p on the grid; a p whose cost is 0 everywhere
+    (every power underflows) or infinite somewhere is a config error."""
+    p = config["cost"]["p"]
+    with np.errstate(over="ignore"):  # an overflowing cost is refused below
+        C = squared_distance_cost(grid, p)
+    if not 0 < C.inf_norm < np.inf:
+        raise ConfigError(f"cost.p={p!r} gives a cost of sup-norm {C.inf_norm!r} "
+                          f"on the {grid.n} points of [{grid.lo!r}, {grid.hi!r}]; "
+                          "it must be finite and > 0")
     if config["cost"]["normalize"]:
         C = C.scaled(1.0 / C.inf_norm)
     return C
@@ -362,37 +375,44 @@ METHODS = {
 
 
 class Rule(NamedTuple):
-    """What a config value must be, in words, and the test of that."""
+    """What a config value must be, in words, and test(value, config) of that."""
 
     must_be: str
-    test: Callable[[object], bool]
+    test: Callable[[object, dict], bool]
 
 
-def _number(op: str = "", bound: int = 0, kind=(int, float)) -> Rule:
+def _number(op: str = "", bound: int | str = 0, kind=(int, float)) -> Rule:
     """A finite JSON number, an integer where kind is int (a boolean is
-    neither), and op bound where op is > or >=."""
-    def test(v) -> bool:
+    neither), and op bound where op is > or >=. A bound that is a dotted key
+    stands for that key's value, which SCHEMA must check first."""
+    def test(v, config) -> bool:
+        b = _leaf(config, bound) if isinstance(bound, str) else bound
         return (isinstance(v, kind) and not isinstance(v, bool)
                 and abs(v) <= sys.float_info.max
-                and (not op or (v > bound if op == ">" else v >= bound)))
+                and (not op or (v > b if op == ">" else v >= b)))
     name = "an integer" if kind is int else "a finite number"
     return Rule(f"{name} {op} {bound}" if op else name, test)
 
 
 def _one_of(*choices: str) -> Rule:
-    return Rule(f"one of {', '.join(choices)}", lambda v: v in choices)
+    return Rule(f"one of {', '.join(choices)}", lambda v, _: v in choices)
 
 
 def _or_null(rule: Rule) -> Rule:
-    return Rule(f"null or {rule.must_be}", lambda v: v is None or rule.test(v))
+    return Rule(f"null or {rule.must_be}",
+                lambda v, config: v is None or rule.test(v, config))
 
 
-_STRING = Rule("a string", lambda v: isinstance(v, str))
+_FINITE = _number()
+_STRING = Rule("a string", lambda v, _: isinstance(v, str))
 _WEIGHTS = Rule("an array of finite numbers",
-                lambda v: isinstance(v, list) and all(map(_number().test, v)))
+                lambda v, _: isinstance(v, list)
+                and all(_FINITE.test(x, None) for x in v))
 
 # The config schema: each dotted leaf key's default and the rule its value
-# passes in every command (_check_config). DEFAULT_CONFIG nests the defaults.
+# passes in every command (_check_config), in this order, so a rule across
+# keys (data.grid.hi's) comes after the keys it reads. DEFAULT_CONFIG nests
+# the defaults.
 SCHEMA = {
     "method": ("linear_kmd", _one_of(*METHODS)),
     "N": (1000, _number(">=", 1, int)),
@@ -410,13 +430,13 @@ SCHEMA = {
     "data.law.sigma0_sq": (4.0, _number(">", 0)),
     "data.law.rate": (0.5, _number(">", 0)),
     "data.grid.lo": (-10.0, _number()),
-    "data.grid.hi": (10.0, _number()),
+    "data.grid.hi": (10.0, _number(">", "data.grid.lo")),
     "data.grid.n": (100, _number(">=", 2, int)),
     "data.count": (1000, _number(">=", 1, int)),
     "data.path": (None, _or_null(_STRING)),
     "data.weights": (None, _or_null(_WEIGHTS)),
     "cost.p": (2.0, _number(">=", 1)),
-    "cost.normalize": (False, Rule("a boolean", lambda v: isinstance(v, bool))),
+    "cost.normalize": (False, Rule("a boolean", lambda v, _: isinstance(v, bool))),
     "baseline.gamma": (1e-2, _number(">", 0)),
     "baseline.inner_iters": (200, _number(">=", 1, int)),
     "baseline.inner_tol": (1e-9, _number(">=", 0)),

@@ -11,7 +11,7 @@ add(beta, c), and take the same step through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,8 +189,14 @@ def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
            clip_bound: float) -> np.ndarray:
     """Dual function value at c: clipped sum of beta^(i) k(c, c^(i))."""
     kvec = kernel_vec(kernel, np.asarray(c, float), state.history.samples)
-    raw = kvec @ state.history.betas
-    return np.clip(raw, -clip_bound, clip_bound)
+    return _box(kvec @ state.history.betas, clip_bound)
+
+
+def _box(f: np.ndarray, bound: float) -> np.ndarray:
+    """f clipped to [-bound, bound] in place: np.clip's bits for bound > 0,
+    without the Python layers np.clip adds to each call."""
+    np.maximum(f, -bound, out=f)
+    return np.minimum(f, bound, out=f)
 
 
 def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
@@ -215,7 +221,7 @@ def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
     pattern = np.bincount(J, weights=r, minlength=C.n)
     new_log_r = log_r - eta_k * config.alpha * g
     new_log_r -= new_log_r.max()
-    if not np.all(np.isfinite(new_log_r)):
+    if not np.isfinite(new_log_r).all():
         raise NumericalAbort(f"non-finite primal iterate in KMD step at k={k}")
     return new_log_r, pattern
 
@@ -223,7 +229,13 @@ def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
 def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     """One KMD iteration on either dual: state.dual(config, c) evaluates it on the
     sample, state.add(beta, c) folds the step's history entry into the dual in
-    place, so the returned state shares it with the one passed in."""
+    place, so the returned state shares it with the one passed in.
+
+    The next state is a new instance of state's class holding state's
+    attributes with log_r, r, avg_num, avg_den and k replaced. It is built
+    without __init__ (which dataclasses.replace runs after reading fields()
+    at every call): r is given, so __post_init__ would do nothing, and no
+    attribute is added, so a checkpoint of it holds the same bytes."""
     k = state.k + 1
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
@@ -234,9 +246,11 @@ def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     r_new = np.exp(new_log_r - logsumexp(new_log_r))
     weight = eta_k if config.mode == "dynamic" else 1.0
     state.add(beta_k, c)
-    return replace(state, log_r=new_log_r, r=r_new,
-                   avg_num=state.avg_num + weight * r_new,
-                   avg_den=state.avg_den + weight, k=k)
+    nxt = object.__new__(type(state))
+    nxt.__dict__.update(state.__dict__, log_r=new_log_r, r=r_new,
+                        avg_num=state.avg_num + weight * r_new,
+                        avg_den=state.avg_den + weight, k=k)
+    return nxt
 
 
 def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
@@ -276,7 +290,7 @@ class LinearKmdState(AveragedIterate):
                    avg_num=np.zeros(n), avg_den=0.0, k=0)
 
     def dual(self, config: KmdConfig, c: np.ndarray) -> np.ndarray:
-        return np.clip(self.theta @ c, -config.clip_bound, config.clip_bound)
+        return _box(self.theta @ c, config.clip_bound)
 
     def add(self, beta: np.ndarray, c: np.ndarray) -> None:
         """The history entry (beta, c) of a linear kernel: theta += beta c^T."""

@@ -3,6 +3,13 @@
 All measures in a run live on one common n-point support. Streams are
 seeded and bit-reproducible; every produced measure satisfies the simplex
 invariant (non-negative weights summing to one within 1e-12).
+
+A measure built from outside data passes the constructor's checks. A
+generated one (`discretize_gaussian`, `normalize_clamped`) is floored at
+WEIGHT_FLOOR and divided by its sum, which is checked to be positive and
+finite, so every weight is non-negative by construction; its sum is checked
+against 1 once, and the measure is then built without the constructor's
+checks, which would only repeat these.
 """
 
 from __future__ import annotations
@@ -75,6 +82,15 @@ class DiscreteMeasure:
         if self.grid is not None and self.grid.n != w.size:
             raise MeasureError("weights length does not match grid size")
 
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, grid: Grid1D | None) -> "DiscreteMeasure":
+        """A measure of weights, a float64 vector of grid's size already on
+        the simplex, built without __post_init__'s checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "weights", weights)
+        object.__setattr__(m, "grid", grid)
+        return m
+
     @property
     def n(self) -> int:
         return self.weights.size
@@ -139,25 +155,56 @@ def normalize(raw, grid: Grid1D | None = None) -> DiscreteMeasure:
     return DiscreteMeasure(w / total, grid)
 
 
+def _floor_to_unit(w: np.ndarray, grid: Grid1D | None) -> DiscreteMeasure:
+    """The measure of w, a float64 vector the caller owns, floored at
+    WEIGHT_FLOOR and divided by its sum, both in place: the arithmetic, and
+    so the bits, of np.maximum then `normalize`. A floored entry is positive
+    or NaN, so once the sum is checked (positive and finite; NaN fails) no
+    weight is negative."""
+    np.maximum(w, WEIGHT_FLOOR, out=w)
+    total = w.sum()
+    if not 0 < total < math.inf:
+        raise MeasureError("normalize: total mass is zero or non-finite")
+    w /= total
+    if abs(w.sum() - 1.0) > SIMPLEX_TOL:
+        raise MeasureError(f"weights sum to {w.sum()!r}, not 1")
+    return DiscreteMeasure._trusted(w, grid)
+
+
 def normalize_clamped(raw, grid: Grid1D | None = None) -> DiscreteMeasure:
     """Normalize after clamping entries to a strictly positive floor.
 
     Generated measures go through this so that downstream dual bounds and
-    entropic solvers (which assume r > 0) stay in their valid regime.
+    entropic solvers (which assume r > 0) stay in their valid regime. raw is
+    copied, not changed.
     """
-    w = np.maximum(np.asarray(raw, dtype=float), WEIGHT_FLOOR)
-    return normalize(w, grid)
+    w = np.array(raw, dtype=float)
+    if w.ndim != 1:
+        raise MeasureError("weights must be a vector")
+    if grid is not None and grid.n != w.size:
+        raise MeasureError("weights length does not match grid size")
+    return _floor_to_unit(w, grid)
 
 
 def discretize_gaussian(mu: float, sigma: float, grid: Grid1D) -> DiscreteMeasure:
-    """Pointwise Gaussian density on the grid, floor-clamped and normalized."""
+    """Pointwise Gaussian density on the grid, floor-clamped and normalized.
+
+    One buffer w takes -z^2/2, its shift by the max (so the peak is exactly
+    1 before clamping), the exp, the floor and the division, in place, with
+    the arithmetic of the two-pass formula -- exp(logw - logw.max()) with
+    logw = -0.5 * z * z, then `normalize_clamped` -- and so its bits. A
+    sigma so small that every z overflows gives NaN weights, which fail the
+    sum check with MeasureError.
+    """
     if sigma <= 0:
         raise MeasureError("discretize_gaussian: sigma must be positive")
-    z = (grid.points - mu) / sigma
-    # subtract the max exponent so the peak is exactly 1 before clamping
-    logw = -0.5 * z * z
-    w = np.exp(logw - logw.max())
-    return normalize_clamped(w, grid)
+    z = grid.points - mu
+    z /= sigma
+    w = -0.5 * z
+    w *= z
+    w -= w.max()
+    np.exp(w, out=w)
+    return _floor_to_unit(w, grid)
 
 
 @dataclass(frozen=True)

@@ -700,6 +700,45 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     assert not report.exists() and not corpus.exists()
 
 
+@pytest.mark.parametrize("lo, hi", [("5", "-5"), ("0", "0"), ("1", "0.5")])
+def test_a_grid_with_hi_not_above_lo_names_both_keys(tmp_path, capsys, lo, hi):
+    report, corpus = tmp_path / "report.csv", tmp_path / "corpus.csv"
+    sets = [f"data.grid.lo={lo}", f"data.grid.hi={hi}"]
+    assert main(["run"] + _sets("N=4", f"output.report={report}", *sets)) == 1
+    assert main(["gen-data"] + _sets("data.count=2", f"data.path={corpus}",
+                                     *sets)) == 1
+    assert capsys.readouterr().err == 2 * (
+        f"config error: data.grid.hi must be a finite number > data.grid.lo, "
+        f"got {json.loads(hi)!r}\n")
+    assert not report.exists() and not corpus.exists()
+
+
+@pytest.mark.parametrize("p, sets, norm, points", [
+    # every |x_i - x_j|^p underflows to 0; normalizing would divide by it
+    (2000, ["data.grid.lo=0", "data.grid.hi=0.5"], "0.0", "[0, 0.5]"),
+    (2000, ["data.grid.lo=0", "data.grid.hi=0.5", "cost.normalize=true"],
+     "0.0", "[0, 0.5]"),
+    # the powers of the distances above 1 overflow
+    (1e300, [], "inf", "[-10.0, 10.0]"),
+], ids=["underflow", "underflow_normalized", "overflow"])
+def test_a_degenerate_cost_is_the_one_config_error_line(tmp_path, p, sets, norm,
+                                                        points):
+    # in a fresh interpreter, so a numpy RuntimeWarning would reach stderr;
+    # run only, since gen-data builds no cost
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "barystream.cli", "run",
+         *_sets("N=5", "data.grid.n=20", "output.report=report.csv",
+                f"cost.p={p!r}", *sets)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"config error: cost.p={p!r} gives a cost of sup-norm "
+                           f"{norm} on the 20 points of {points}; it must be "
+                           "finite and > 0\n")
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("sets, message", [
     (["data.grid.n=abc"], "data.grid.n must be an integer >= 2, got 'abc'"),
     (["eta_scale=abc"], "eta_scale must be a finite number > 0, got 'abc'"),

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barystream.measures import (
+    SIMPLEX_TOL,
+    WEIGHT_FLOOR,
     DiscreteMeasure,
     GaussianParamLaw,
     Grid1D,
@@ -12,6 +14,7 @@ from barystream.measures import (
     draw_index,
     load_corpus,
     normalize,
+    normalize_clamped,
     sampling_cdf,
     save_corpus,
 )
@@ -88,6 +91,43 @@ def test_discretize_gaussian_rejects_bad_sigma():
     g = Grid1D.uniform(0, 1, 5)
     with pytest.raises(MeasureError):
         discretize_gaussian(0.0, 0.0, g)
+
+
+def _two_pass_gaussian(mu, sigma, grid):
+    """The sampler's weights by the two-pass formula: the unclamped density
+    exp(logw - logw.max()), then np.maximum at the floor and w / w.sum()."""
+    z = (grid.points - mu) / sigma
+    logw = -0.5 * z * z
+    raw = np.exp(logw - logw.max())
+    w = np.maximum(raw, WEIGHT_FLOOR)
+    return raw, w / w.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.floats(-50, 50), sigma=st.floats(1e-6, 1e3),
+       n=st.integers(2, 1000))
+def test_one_pass_sampler_has_the_two_pass_bytes(mu, sigma, n):
+    g = Grid1D.uniform(-10, 10, n)
+    raw, expected = _two_pass_gaussian(mu, sigma, g)
+    before = raw.copy()
+    for m in (discretize_gaussian(mu, sigma, g), normalize_clamped(raw, g)):
+        assert m.weights.tobytes() == expected.tobytes() and m.grid is g
+        assert m.weights.min() > 0 and abs(m.weights.sum() - 1) <= SIMPLEX_TOL
+    assert raw.tobytes() == before.tobytes()  # normalize_clamped copies raw
+
+
+def test_a_sigma_whose_every_z_overflows_is_a_measure_error():
+    # no grid point is at mu, so every z is infinite and every weight NaN
+    g = Grid1D.uniform(0, 1, 5)
+    with np.errstate(all="ignore"), pytest.raises(MeasureError,
+                                                  match="non-finite"):
+        discretize_gaussian(0.1, 5e-324, g)
+
+
+@pytest.mark.parametrize("raw", [np.zeros((2, 2)), np.ones(3)])
+def test_normalize_clamped_rejects_a_bad_shape(raw):
+    with pytest.raises(MeasureError):
+        normalize_clamped(raw, Grid1D.uniform(0, 1, 2))
 
 
 def test_finite_stream_degenerate():
