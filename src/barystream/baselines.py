@@ -127,8 +127,9 @@ class BaselineState(AveragedIterate):
 
 def baseline_step(state: BaselineState, config: BaselineConfig,
                   c: DiscreteMeasure, C: CostMatrix) -> BaselineState:
-    """Sampled gradient step on r for one incoming measure; a non-finite new
-    iterate raises NumericalAbort."""
+    """Sampled gradient step on r for one incoming measure: advances state in
+    place and returns it; a non-finite new iterate raises NumericalAbort and
+    changes nothing."""
     k = state.k + 1
     eta = config.eta(k)
     if config.stepper == "euclidean":
@@ -158,9 +159,10 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
     if not (np.isfinite(log_r).all() and np.isfinite(r_new).all()):
         raise NumericalAbort(f"non-finite {config.stepper} iterate in "
                              f"{config.method} step at k={k}")
-    return BaselineState(log_r=log_r, r_euclid=r_euclid,
-                         avg_num=state.avg_num + r_new, k=k, unstable=unstable,
-                         unconverged=unconverged, r=r)
+    state.log_r, state.r, state.r_euclid, state.k = log_r, r, r_euclid, k
+    state.avg_num += r_new
+    state.unstable, state.unconverged = unstable, unconverged
+    return state
 
 
 def run_baseline(stream: MeasureStream, C: CostMatrix, config: BaselineConfig,

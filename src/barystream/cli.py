@@ -148,8 +148,16 @@ def config_hash(config: dict) -> str:
 
 
 def _build_grid(config: dict) -> Grid1D:
+    """The uniform grid of data.grid; a span that overflows, or is too narrow
+    for n distinct points, is a config error naming the three keys."""
     g = config["data"]["grid"]
-    return Grid1D.uniform(g["lo"], g["hi"], g["n"])
+    try:
+        # Grid1D refuses the inf and NaN points an overflowing span gives
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Grid1D.uniform(g["lo"], g["hi"], g["n"])
+    except MeasureError as exc:
+        raise ConfigError(f"data.grid.lo={g['lo']!r}, data.grid.hi={g['hi']!r} "
+                          f"and data.grid.n={g['n']!r} give no grid: {exc}") from None
 
 
 def _build_cost(config: dict, grid: Grid1D) -> CostMatrix:
@@ -239,6 +247,8 @@ def _read_rows(path: str, count: int, n: int) -> _History:
         raise ConfigError(f"checkpoint rows file {path} holds {len(raw)} bytes, "
                           f"short of the {size} of its {count} rows")
     rows = np.frombuffer(raw, dtype="<f8").reshape(count, 2 * n)
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"checkpoint rows file {path} holds a non-finite value")
     return _History.from_arrays(rows[:, :n], rows[:, n:])
 
 
@@ -271,9 +281,10 @@ def _stored(payload: dict, key: str):
 def _restore_state(cls: type, payload: dict, history: _History | None = None):
     """The cls state a checkpoint holds: _encode_state reversed, with the kmd
     history its rows count stands for. cls rebuilds r from the restored log_r.
-    A stored field cls lacks, or a field of cls with no default that is not
-    stored, is a config error naming it."""
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in ("k", "r")}
+    A stored field cls lacks, a field of cls that is not stored, or a stored
+    array with a non-finite entry is a config error naming it: a step checks
+    only what it changes, so the rest of a state must come in finite."""
+    fields = [f.name for f in dataclasses.fields(cls) if f.name not in ("k", "r")]
     values = {}
     for name, value in _stored(payload, "state").items():
         if name == "rows":
@@ -285,9 +296,11 @@ def _restore_state(cls: type, payload: dict, history: _History | None = None):
             value = _decode_matrix(value)
         elif isinstance(value, list):
             value = np.array(value)
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise ConfigError(f"checkpoint state field {name!r} holds a "
+                              "non-finite value")
         values[name] = value
-    missing = [name for name, f in fields.items() if name not in values
-               and f.default is f.default_factory is dataclasses.MISSING]
+    missing = [name for name in fields if name not in values]
     if missing:
         raise ConfigError(f"checkpoint state lacks {', '.join(map(repr, missing))}")
     return cls(k=_stored(payload, "k"), **values)
@@ -295,8 +308,9 @@ def _restore_state(cls: type, payload: dict, history: _History | None = None):
 
 @dataclasses.dataclass
 class _Run:
-    """A method set up to run: its grid, cost and start state, and step(state)
-    -> state, which draws from stream or rng (the sources a checkpoint saves)."""
+    """A method set up to run: its grid, cost and start state, and step(state),
+    which advances state in place and returns it, drawing from stream or rng
+    (the sources a checkpoint saves)."""
 
     grid: Grid1D
     C: CostMatrix

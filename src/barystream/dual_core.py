@@ -40,10 +40,11 @@ def linprog(*args, **kwargs):
 
 
 def drive(state, step, N: int, callback=None):
-    """Apply step(state) -> state until state.k reaches N; return the last state.
+    """Apply step(state) until state.k reaches N; return the last state.
 
-    The one run loop of every method. callback(state), when given, runs after
-    each step. N < 1 raises before the first step.
+    The one run loop of every method. Each step advances the state in place
+    and returns it, or raises and leaves it as it was. callback(state), when
+    given, runs after each step. N < 1 raises before the first step.
     """
     if N < 1:
         raise SolverError(f"N must be >= 1, got {N}")

@@ -122,13 +122,14 @@ def oracle_h(M: np.ndarray, t: int, q: int, c_t: np.ndarray,
 
 def md_step(state: FiniteSaddleState, problem: FiniteProblem,
             rng: np.random.Generator) -> FiniteSaddleState:
-    """One sampled saddle-point mirror-descent iteration; state is not changed.
+    """One sampled saddle-point mirror-descent iteration: advances state in
+    place and returns it; a step that raises NumericalAbort changes nothing.
 
     Draws t from problem.weights, s uniformly and q from state.r, in that
     order, with the same indices and generator stream as rng.choice and
-    rng.integers. Every step clips all of M to the box and checks log_r and M
-    for non-finite entries; one softmax per step gives the new r, which the
-    next step reuses.
+    rng.integers. Only row t of M moves, so only it is clipped to the box and
+    checked, with log_r, for non-finite entries; one softmax per step gives
+    the new r, which the next step reuses.
     """
     n = problem.n
     t = draw_index(problem.weights_cdf, rng)
@@ -141,29 +142,30 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     log_r = state.log_r.copy()
     log_r[s] -= state.alpha * state.eta * g_s
     log_r -= log_r.max()  # keep the representation bounded; softmax unchanged
-    M = state.M.copy()
-    M[t] -= state.beta * state.eta * h
+    row = state.M[t] - state.beta * state.eta * h
     bound = problem.box_bound
-    np.maximum(M, -bound, out=M)
-    np.minimum(M, bound, out=M)
-    if not (np.isfinite(log_r).all() and np.isfinite(M).all()):
+    np.maximum(row, -bound, out=row)
+    np.minimum(row, bound, out=row)
+    if not (np.isfinite(log_r).all() and np.isfinite(row).all()):
         raise NumericalAbort(f"non-finite iterate at k={state.k + 1}: "
                              f"log_r={log_r!r}")
-    k = state.k + 1
-    r = np.exp(log_r - logsumexp(log_r))
-    r_avg = r / k
-    r_avg += (k - 1) / k * state.r_avg
-    M_avg = M / k
-    M_avg += (k - 1) / k * state.M_avg
-    return FiniteSaddleState(log_r, M, r_avg, M_avg, k, state.eta, state.alpha,
-                             state.beta, r=r)
+    # each mean scaled in place, then x/k added: IEEE addition commutes
+    state.k = k = state.k + 1
+    state.M[t] = row
+    state.log_r, state.r = log_r, np.exp(log_r - logsumexp(log_r))
+    state.r_avg *= (k - 1) / k
+    state.r_avg += state.r / k
+    state.M_avg *= (k - 1) / k
+    state.M_avg += state.M / k
+    return state
 
 
 def run_finite(problem: FiniteProblem, N: int, seed: int,
                state: FiniteSaddleState | None = None,
                rng: np.random.Generator | None = None
                ) -> tuple[np.ndarray, np.ndarray, FiniteSaddleState]:
-    """Run N total iterations from a cold start (or resume a given state).
+    """Run N total iterations from a cold start, or resume a given state and
+    generator, which advance in place.
 
     Returns (r_avg, M_avg, state), state the last iterate.
     """

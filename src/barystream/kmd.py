@@ -228,34 +228,27 @@ def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
 
 def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     """One KMD iteration on either dual: state.dual(config, c) evaluates it on the
-    sample, state.add(beta, c) folds the step's history entry into the dual in
-    place, so the returned state shares it with the one passed in.
-
-    The next state is a new instance of state's class holding state's
-    attributes with log_r, r, avg_num, avg_den and k replaced. It is built
-    without __init__ (which dataclasses.replace runs after reading fields()
-    at every call): r is given, so __post_init__ would do nothing, and no
-    attribute is added, so a checkpoint of it holds the same bytes."""
+    sample, state.add(beta, c) folds the step's history entry into it. Advances
+    state in place and returns it; _saddle_update aborts before any change."""
     k = state.k + 1
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
     new_log_r, pattern = _saddle_update(state.log_r, state.r,
                                         state.dual(config, c), C, eta_k, config,
                                         k)
-    beta_k = eta_k * config.beta_scale * (pattern - c)
-    r_new = np.exp(new_log_r - logsumexp(new_log_r))
+    state.add(eta_k * config.beta_scale * (pattern - c), c)
     weight = eta_k if config.mode == "dynamic" else 1.0
-    state.add(beta_k, c)
-    nxt = object.__new__(type(state))
-    nxt.__dict__.update(state.__dict__, log_r=new_log_r, r=r_new,
-                        avg_num=state.avg_num + weight * r_new,
-                        avg_den=state.avg_den + weight, k=k)
-    return nxt
+    state.log_r, state.r = new_log_r, np.exp(new_log_r - logsumexp(new_log_r))
+    state.avg_num += weight * state.r
+    state.avg_den += weight
+    state.k = k
+    return state
 
 
 def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
              C: CostMatrix) -> KmdState:
-    """One KMD iteration: evaluate the dual on the sample, step both sides."""
+    """One KMD iteration: evaluate the dual on the sample, step both sides;
+    advances state in place and returns it."""
     return _step(state, config, c_sample, C)
 
 
@@ -299,7 +292,8 @@ class LinearKmdState(AveragedIterate):
 
 def linear_kmd_step(state: LinearKmdState, config: KmdConfig,
                     c_sample: np.ndarray, C: CostMatrix) -> LinearKmdState:
-    """kmd_step specialized to the linear kernel: O(n^2) time and memory."""
+    """kmd_step specialized to the linear kernel: O(n^2) time and memory;
+    advances state in place and returns it."""
     return _step(state, config, c_sample, C)
 
 

@@ -21,6 +21,7 @@ from barystream.cli import (
     load_config,
     main,
 )
+from barystream.dual_core import NumericalAbort
 
 
 def write_config(tmp_path, **overrides):
@@ -413,15 +414,17 @@ def test_rows_past_the_checkpoint_count_are_ignored(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["resume", "eval"])
-@pytest.mark.parametrize("cut", ["missing", "short"])
+@pytest.mark.parametrize("cut", ["missing", "short", "non_finite"])
 def test_a_missing_or_short_rows_file_is_a_config_error(tmp_path, capsys, command,
                                                         cut):
     _, half = _kmd_halves(tmp_path)
     rows = _rows_file(half)
     if cut == "missing":
         rows.unlink()
-    else:
+    elif cut == "short":
         rows.write_bytes(rows.read_bytes()[:-8])
+    else:
+        rows.write_bytes(rows.read_bytes()[:-8] + np.array(np.nan).tobytes())
     capsys.readouterr()
     assert main([command, "--checkpoint", str(half)]) == 1
     err = capsys.readouterr().err
@@ -577,19 +580,6 @@ def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
             "above inner_tol=1e-09") in err
 
 
-def test_a_checkpoint_without_the_unconverged_count_restores_0(tmp_path, capsys):
-    _, ckpt = _run_small(tmp_path, "--set", "method=sinkhorn_sgd",
-                         "--set", "baseline.inner_iters=5", "--set", "halt_after=10")
-    payload = json.loads(ckpt.read_text())
-    assert payload["state"].pop("unconverged") == 10
-    ckpt.write_text(json.dumps(payload))
-    assert cli._restore_state(baselines.BaselineState, payload).unconverged == 0
-    capsys.readouterr()
-    assert main(["resume", "--checkpoint", str(ckpt)]) == 0
-    assert json.loads(ckpt.read_text())["state"]["unconverged"] == 10
-    assert "10 of 20 Sinkhorn inner solves stopped" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["resume", "eval"])
 @pytest.mark.parametrize("method, edit, message", [
     ("linear_kmd", lambda p: p["state"].pop("theta"),
@@ -603,8 +593,17 @@ def test_a_checkpoint_without_the_unconverged_count_restores_0(tmp_path, capsys)
     ("finite_md", lambda p: p.pop("k"), "checkpoint lacks 'k'"),
     ("linear_kmd", lambda p: p.pop("state"), "checkpoint lacks 'state'"),
     ("linear_kmd", lambda p: p.pop("config"), "checkpoint lacks 'config'"),
+    # no version-3 writer omitted a field: each is stored
+    ("sinkhorn_sgd", lambda p: p["state"].pop("unconverged"),
+     "checkpoint state lacks 'unconverged'"),
+    # a step checks only what it changes, so a stored array comes in finite
+    ("finite_md", lambda p: p["state"]["log_r"].__setitem__(0, float("nan")),
+     "checkpoint state field 'log_r' holds a non-finite value"),
+    ("finite_md", lambda p: p["state"].update(
+        M=_encode_matrix(_decode_matrix(p["state"]["M"]) * np.nan)),
+     "checkpoint state field 'M' holds a non-finite value"),
 ], ids=["missing_field", "missing_rows", "extra_field", "stream", "rng", "k",
-        "state", "config"])
+        "state", "config", "unconverged", "nan_log_r", "nan_M"])
 def test_a_checkpoint_that_does_not_fit_its_method_is_a_config_error(
         tmp_path, capsys, command, method, edit, message):
     # the stored config's method sets the run up, and the state is restored
@@ -700,16 +699,28 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     assert not report.exists() and not corpus.exists()
 
 
-@pytest.mark.parametrize("lo, hi", [("5", "-5"), ("0", "0"), ("1", "0.5")])
-def test_a_grid_with_hi_not_above_lo_names_both_keys(tmp_path, capsys, lo, hi):
+_HI_NOT_ABOVE_LO = "data.grid.hi must be a finite number > data.grid.lo, got {hi}"
+_NO_GRID = ("data.grid.lo={lo}, data.grid.hi={hi} and data.grid.n=100 give no "
+            "grid: grid points must be strictly increasing")
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ("5", "-5", _HI_NOT_ABOVE_LO), ("0", "0", _HI_NOT_ABOVE_LO),
+    ("1", "0.5", _HI_NOT_ABOVE_LO),
+    # hi - lo overflows in np.linspace
+    ("-1e308", "1e308", _NO_GRID),
+    # too narrow a span for 100 distinct points
+    ("1", "1.0000000000000002", _NO_GRID),
+], ids=["5--5", "0-0", "1-0.5", "overflow", "narrow"])
+def test_a_grid_with_hi_not_above_lo_names_both_keys(tmp_path, capsys, lo, hi,
+                                                      message):
     report, corpus = tmp_path / "report.csv", tmp_path / "corpus.csv"
     sets = [f"data.grid.lo={lo}", f"data.grid.hi={hi}"]
     assert main(["run"] + _sets("N=4", f"output.report={report}", *sets)) == 1
     assert main(["gen-data"] + _sets("data.count=2", f"data.path={corpus}",
                                      *sets)) == 1
-    assert capsys.readouterr().err == 2 * (
-        f"config error: data.grid.hi must be a finite number > data.grid.lo, "
-        f"got {json.loads(hi)!r}\n")
+    message = message.format(lo=json.loads(lo), hi=json.loads(hi))
+    assert capsys.readouterr().err == 2 * f"config error: {message}\n"
     assert not report.exists() and not corpus.exists()
 
 
@@ -994,6 +1005,51 @@ def test_checkpoint_state_holds_no_r(tmp_path, name):
                                 *_method_args(tmp_path)[name])) == 0
     state = json.loads(ckpt.read_text())["state"]
     assert "r" not in state and "log_r" in state
+
+
+def _set_up(tmp_path, name, *extra):
+    """The run of method name (a _method_args key) at n=8, seed 3, cold."""
+    config = load_config(None, ["data.grid.n=8", "seed=3",
+                                *_method_args(tmp_path)[name], *extra])
+    return cli.METHODS[config["method"]](config)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
+def test_a_step_advances_its_state_in_place(tmp_path, name):
+    run = _set_up(tmp_path, name)
+    state = run.state
+    for k in range(1, 4):
+        assert run.step(state) is state and state.k == k
+
+
+# a setting under which each method's steps overflow to a non-finite iterate
+_OVERFLOW = {name: ["eta_scale=1e308"] for name in ("kmd", "kmd_dynamic",
+                                                    "linear_kmd")}
+_OVERFLOW.update({name: ["baseline.schedule=constant", "baseline.stepsize=1e308"]
+                  for name in ("sinkhorn_sgd", "lp_sgd", "lp_sgd_euclidean")})
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
+def test_an_aborted_step_leaves_its_state_as_it_was(tmp_path, name):
+    run = _set_up(tmp_path, name, *_OVERFLOW.get(name, []))
+    state = run.state
+    if name == "finite_md":
+        state.eta = np.inf
+    # the encoding holds a kmd history as its row count; kmd_dynamic first
+    # aborts at k=3, on a history of 2 rows
+    def snapshot():
+        return state.k, state.r.tobytes(), json.dumps(cli._encode_state(state))
+
+    with np.errstate(all="ignore"):  # as the run loop steps
+        for _ in range(10):
+            before = snapshot()
+            try:
+                run.step(state)
+            except NumericalAbort:
+                break
+        else:
+            pytest.fail("no step aborted")
+    assert snapshot() == before
 
 
 @pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd"])

@@ -146,6 +146,7 @@ def test_kmd_two_step_hand_trace():
     s1 = kmd_step(state, cfg, c1, C2)
     beta1 = eta * cfg.beta_scale * (np.array([0.5, 0.5]) - c1)
     np.testing.assert_allclose(s1.history.betas[0], beta1, atol=1e-15)
+    r1 = s1.r  # the step advances s1 in place
     s2 = kmd_step(s1, cfg, c2, C2)
     # hand trace of step 2
     kv = math.exp(-1.0 * float(((c2 - c1) ** 2).sum()))
@@ -157,7 +158,7 @@ def test_kmd_two_step_hand_trace():
     r_expected = np.exp(logits - logits.max())
     r_expected /= r_expected.sum()
     np.testing.assert_allclose(s2.r, r_expected, rtol=1e-12)
-    pattern = np.bincount(J, weights=s1.r, minlength=2)
+    pattern = np.bincount(J, weights=r1, minlength=2)
     np.testing.assert_allclose(s2.history.betas[1],
                                eta * cfg.beta_scale * (pattern - c2),
                                rtol=1e-12)
