@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -50,8 +51,10 @@ from barystream.measures import (
     save_corpus,
 )
 
-CHECKPOINT_VERSION = 3
-# the kmd history goes to <checkpoint>ROWS_SUFFIX, one beta then its sample per row
+CHECKPOINT_VERSION = 4
+# a checkpoint's top-level keys, each one fact of the run
+CHECKPOINT_RECORDS = ("version", "config", "k", "rng", "state")
+# a kmd history: the first k rows of <checkpoint>ROWS_SUFFIX, a beta then its sample
 ROWS_SUFFIX = ".rows"
 # the only keys a resumed run may override: they leave the run's identity alone
 RESUME_OVERRIDES = ("output", "eval", "halt_after")
@@ -253,18 +256,16 @@ def _read_rows(path: str, count: int, n: int) -> _History:
 
 
 def _encode_state(state) -> dict:
-    """A method state as checkpoint JSON: every field but k and r, a matrix
-    through _encode_matrix, a vector as a number list, the kmd history as its
-    row count (the rows go to the rows file), a scalar as it is. r, the
+    """A method state as checkpoint JSON: every field but k, r and the kmd
+    history (its first k rows are the rows file), a matrix through
+    _encode_matrix, a vector as a number list, a scalar as it is. r, the
     softmax of log_r, is rebuilt from log_r when the state is constructed again."""
     out = {}
     for f in dataclasses.fields(state):
-        if f.name in ("k", "r"):
-            continue
         value = getattr(state, f.name)
-        if isinstance(value, _History):
-            out["rows"] = value.size
-        elif isinstance(value, np.ndarray):
+        if f.name in ("k", "r") or isinstance(value, _History):
+            continue
+        if isinstance(value, np.ndarray):
             out[f.name] = _encode_matrix(value) if value.ndim == 2 else value.tolist()
         else:
             out[f.name] = value
@@ -278,46 +279,67 @@ def _stored(payload: dict, key: str):
     return payload[key]
 
 
-def _restore_state(cls: type, payload: dict, history: _History | None = None):
-    """The cls state a checkpoint holds: _encode_state reversed, with the kmd
-    history its rows count stands for. cls rebuilds r from the restored log_r.
-    A stored field cls lacks, a field of cls that is not stored, or a stored
-    array with a non-finite entry is a config error naming it: a step checks
-    only what it changes, so the rest of a state must come in finite."""
-    fields = [f.name for f in dataclasses.fields(cls) if f.name not in ("k", "r")]
-    values = {}
-    for name, value in _stored(payload, "state").items():
-        if name == "rows":
-            name, value = "history", history
-        if name not in fields:
+def _restore_field(name: str, cold, value):
+    """value, a stored state field, as a value of the kind and shape of cold,
+    its cold-start value (an integer passes for a float, as in SCHEMA), with
+    finite entries; anything else is a config error naming the field."""
+    if not isinstance(cold, np.ndarray):
+        rule = _number(kind=int) if type(cold) is int else _FINITE
+        if not rule.test(value, None):
+            raise ConfigError(f"checkpoint state field {name!r} must be "
+                              f"{rule.must_be}, got {value!r}")
+        return type(cold)(value)
+    out = None
+    try:  # a matrix through _decode_matrix, a vector as a list of JSON numbers
+        if cold.ndim == 2:
+            out = _decode_matrix(value)
+        elif isinstance(value, list) and all(type(x) in (int, float) for x in value):
+            out = np.array(value, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    if out is None or out.shape != cold.shape:
+        raise ConfigError(f"checkpoint state field {name!r} must be a float64 "
+                          f"array of shape {list(cold.shape)}")
+    if not np.isfinite(out).all():
+        raise ConfigError(f"checkpoint state field {name!r} holds a non-finite value")
+    return out
+
+
+def _restore_state(cold, payload: dict, rows_path: str):
+    """The state a checkpoint holds, restored against cold, the state its
+    method's setup builds: every field of cold but k, r (rebuilt from log_r)
+    and the kmd history (the first k rows of the rows file at rows_path) must
+    be stored, and nothing else; each goes through _restore_field."""
+    colds = {f.name: getattr(cold, f.name) for f in dataclasses.fields(cold)
+             if f.name not in ("k", "r")}
+    stored, values = _stored(payload, "state"), {}
+    if not isinstance(stored, dict):
+        raise ConfigError("checkpoint state must be a JSON object")
+    for name, value in stored.items():
+        if name not in colds or isinstance(colds[name], _History):
             raise ConfigError(f"checkpoint state field {name!r} is not a field "
-                              f"of {cls.__name__}")
-        if isinstance(value, dict):
-            value = _decode_matrix(value)
-        elif isinstance(value, list):
-            value = np.array(value)
-        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
-            raise ConfigError(f"checkpoint state field {name!r} holds a "
-                              "non-finite value")
-        values[name] = value
-    missing = [name for name in fields if name not in values]
+                              f"of {type(cold).__name__}")
+        values[name] = _restore_field(name, colds[name], value)
+    k = payload["k"]
+    values.update({name: _read_rows(rows_path, k, cold.log_r.size)
+                   for name, value in colds.items() if isinstance(value, _History)})
+    missing = [name for name in colds if name not in values]
     if missing:
         raise ConfigError(f"checkpoint state lacks {', '.join(map(repr, missing))}")
-    return cls(k=_stored(payload, "k"), **values)
+    return type(cold)(k=k, **values)
 
 
 @dataclasses.dataclass
 class _Run:
-    """A method set up to run: its grid, cost and start state, and step(state),
-    which advances state in place and returns it, drawing from stream or rng
-    (the sources a checkpoint saves)."""
+    """A method set up to run: its grid, cost and start state, step(state),
+    which advances state in place and returns it, and rng, the one generator
+    step draws from (finite_md's own or its stream's; a checkpoint saves it)."""
 
     grid: Grid1D
     C: CostMatrix
     state: object
     step: Callable
-    stream: MeasureStream | None = None
-    rng: np.random.Generator | None = None
+    rng: np.random.Generator
 
 
 def _finite_md_run(config: dict) -> _Run:
@@ -333,8 +355,7 @@ def _finite_md_run(config: dict) -> _Run:
     rng = np.random.Generator(np.random.PCG64(config["seed"]))
     state = FiniteSaddleState.cold_start(problem, config["N"])
     state.eta *= config["eta_scale"]
-    return _Run(grid, C, state, lambda s: finite_md.md_step(s, problem, rng),
-                rng=rng)
+    return _Run(grid, C, state, lambda s: finite_md.md_step(s, problem, rng), rng)
 
 
 def _stream_method(state_cls, make_step) -> Callable[[dict], _Run]:
@@ -344,13 +365,25 @@ def _stream_method(state_cls, make_step) -> Callable[[dict], _Run]:
         stream, grid = _build_stream(config)
         C = _build_cost(config, grid)
         return _Run(grid, C, state_cls.cold_start(C.n),
-                    make_step(config, C, stream), stream=stream)
+                    make_step(config, C, stream), stream.rng)
     return setup
 
 
 def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
-    return KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
-                             eta_scale=config["eta_scale"])
+    """The run's KmdConfig; L, stepsize(1), beta_scale or their product
+    stepsize(1)*beta_scale (the scale of every beta) not finite and > 0 is a
+    config error naming the keys they come from."""
+    c = KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
+                          eta_scale=config["eta_scale"])
+    eta_1 = c.stepsize(1)
+    if not all(0 < x < math.inf for x in (c.L, eta_1, c.beta_scale,
+                                          eta_1 * c.beta_scale)):
+        raise ConfigError(
+            f"eta_scale={config['eta_scale']!r}, kernel.r_sq="
+            f"{config['kernel']['r_sq']!r} and N={config['N']!r} give L={c.L!r}, "
+            f"stepsize(1)={eta_1!r} and beta_scale={c.beta_scale!r}; each and "
+            "stepsize(1)*beta_scale must be finite and > 0")
+    return c
 
 
 def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
@@ -480,12 +513,16 @@ def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
     """The config and run a checkpoint holds, for resume and eval. Its stored
     config merges into the defaults as a --config file does, runs to its full
     N, and takes --set overrides of RESUME_OVERRIDES keys only; the method is
-    set up as at a cold start, then its state, stream and rng are restored."""
+    set up as at a cold start, then its state and rng are restored against
+    that run. A record unknown, missing or not fitting is a config error."""
     payload = _read_json(path, "checkpoint")
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}"
                           f" (this version reads {CHECKPOINT_VERSION})")
+    for key in payload:
+        if key not in CHECKPOINT_RECORDS:
+            raise ConfigError(f"unknown checkpoint record {key!r}")
     config = _deep_update(DEFAULT_CONFIG, _stored(payload, "config"))
     config["halt_after"] = None
     for item in overrides:
@@ -495,14 +532,16 @@ def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
                               f"{', '.join(RESUME_OVERRIDES)} keep the run unchanged")
         config = _deep_update(config, extra)
     run = METHODS[_check_config(config)["method"]](config)
-    state = _stored(payload, "state")
-    history = (_read_rows(path + ROWS_SUFFIX, state["rows"], run.C.n)
-               if "rows" in state else None)
-    run.state = _restore_state(type(run.state), payload, history)
-    if run.stream is not None:
-        run.stream.load_state(_stored(payload, "stream"))
-    if run.rng is not None:
-        run.rng.bit_generator.state = _stored(payload, "rng")
+    k = _stored(payload, "k")
+    if not (_number(">=", 0, int).test(k, config) and k <= config["N"]):
+        raise ConfigError(f"checkpoint k must be an integer in [0, N={config['N']}], "
+                          f"got {k!r}")
+    run.state = _restore_state(run.state, payload, path + ROWS_SUFFIX)
+    rng = _stored(payload, "rng")
+    try:
+        run.rng.bit_generator.state = rng
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"checkpoint rng is not a PCG64 state: {exc}") from None
     return config, run
 
 
@@ -569,6 +608,9 @@ def _run_loop(config: dict, run: _Run):
         if state.k % every and state.k != target:
             return
         report.add(state.k, *score(state), time.monotonic_ns() - t0)
+        # the report first, so a checkpoint at k has a report of its rows <= k
+        if report_path:
+            report.write_csv(report_path)
         if checkpoint_path:
             history = getattr(state, "history", None)
             if history is not None:
@@ -578,22 +620,14 @@ def _run_loop(config: dict, run: _Run):
                                        history.samples[start:]]),
                             append=rows_written is not None)
                 rows_written = history.size
-            payload = {"version": CHECKPOINT_VERSION, "method": config["method"],
-                       "config": config, "k": state.k}
-            if run.stream is not None:
-                payload["stream"] = run.stream.state_dict()
-            if run.rng is not None:
-                payload["rng"] = run.rng.bit_generator.state
-            payload["state"] = _encode_state(state)
-            _atomic_write_json(checkpoint_path, payload)
+            _atomic_write_json(checkpoint_path, {
+                "version": CHECKPOINT_VERSION, "config": config, "k": state.k,
+                "rng": run.rng.bit_generator.state, "state": _encode_state(state)})
 
     # the steps' finiteness checks report a blow-up as one numerical abort,
     # without numpy's warnings about the inf and NaN on the way to it
     with np.errstate(over="ignore", invalid="ignore"):
-        state = drive(run.state, run.step, target, checkpoint_and_score)
-    if report_path:
-        report.write_csv(report_path)
-    return state
+        return drive(run.state, run.step, target, checkpoint_and_score)
 
 
 def cmd_run(config: dict, run: _Run | None = None) -> int:

@@ -10,6 +10,7 @@ surrogate on a holdout set scores all methods uniformly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,8 @@ class ExperimentReport:
     seed: int
     config_hash: str = ""
     rows: list[dict] = field(default_factory=list)
+    # rows write_csv has put in the report file; None before its first call
+    _written: int | None = field(default=None, init=False, repr=False)
 
     def add(self, samples_processed: int, w2_to_truth: float,
             gap_surrogate_value: float, wall_ns: int) -> None:
@@ -108,12 +111,18 @@ class ExperimentReport:
                          float(gap) if gap else None, int(wall_ns))
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in self.rows:
-                w2 = row["w2_to_truth"]
-                gap = row["gap_surrogate"]
-                fh.write(f"{row['samples_processed']},"
-                         f"{'' if w2 is None else repr(w2)},"
+        """Put the rows in the report at path: the first call writes the whole
+        file through a tmp file and os.replace, each later one appends the
+        rows added since, so a row is written once."""
+        first = self._written is None
+        with open(f"{path}.tmp" if first else path, "w" if first else "a") as fh:
+            if first:
+                fh.write(CSV_HEADER + "\n")
+            for row in self.rows[self._written or 0:]:
+                w2, gap = row["w2_to_truth"], row["gap_surrogate"]
+                fh.write(f"{row['samples_processed']},{'' if w2 is None else repr(w2)},"
                          f"{'' if gap is None else repr(gap)},{row['wall_ns']},"
                          f"{self.method},{self.seed},{self.config_hash}\n")
+        if first:
+            os.replace(f"{path}.tmp", path)
+        self._written = len(self.rows)

@@ -238,13 +238,13 @@ class MeasureStream:
     measures: list[DiscreteMeasure] | None = None
     weights: np.ndarray | None = None
     law: GaussianParamLaw | None = None
-    _rng: np.random.Generator = field(init=False, repr=False)
+    rng: np.random.Generator = field(init=False, repr=False)  # every draw's source
     _cdf: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("finite", "gaussian"):
             raise MeasureError(f"unknown stream kind {self.kind!r}")
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self._cdf = None if self.weights is None else sampling_cdf(self.weights)
 
     @classmethod
@@ -266,20 +266,13 @@ class MeasureStream:
 
     def sample(self) -> DiscreteMeasure:
         if self.kind == "finite":
-            return self.measures[draw_index(self._cdf, self._rng)]
-        mu = self._rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
-        sigma = self._rng.exponential(1.0 / self.law.rate)
+            return self.measures[draw_index(self._cdf, self.rng)]
+        mu = self.rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
+        sigma = self.rng.exponential(1.0 / self.law.rate)
         # an exponential draw can underflow to 0; resample the tail away
         while sigma <= 0:
-            sigma = self._rng.exponential(1.0 / self.law.rate)
+            sigma = self.rng.exponential(1.0 / self.law.rate)
         return discretize_gaussian(mu, sigma, self.grid)
-
-    def state_dict(self) -> dict:
-        return {"rng": self._rng.bit_generator.state}
-
-    def load_state(self, state: dict) -> None:
-        """Restore state_dict's generator; other keys (an old "pos") are ignored."""
-        self._rng.bit_generator.state = state["rng"]
 
 
 def save_corpus(path, measures, grid: Grid1D | None = None) -> None:

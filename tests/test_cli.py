@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barystream import baselines, cli
+from barystream import baselines, cli, kmd
 from barystream.cli import (
     ConfigError,
     _decode_matrix,
@@ -22,6 +25,14 @@ from barystream.cli import (
     main,
 )
 from barystream.dual_core import NumericalAbort
+from barystream.kmd import KmdConfig
+
+
+def _unchecked_kmd_config(config, kernel, C):
+    """cli._kmd_config without its stepsize check: eta_scale=1e308, which the
+    CLI refuses before the first step, then builds a run whose steps overflow."""
+    return KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
+                             eta_scale=config["eta_scale"])
 
 
 def write_config(tmp_path, **overrides):
@@ -105,8 +116,9 @@ def test_run_writes_report_and_checkpoint(tmp_path):
     lines = report.read_text().strip().split("\n")
     assert len(lines) == 3  # header + checkpoints at 10 and 20
     payload = json.loads(ckpt.read_text())
+    assert list(payload) == list(cli.CHECKPOINT_RECORDS)
     assert payload["k"] == 20
-    assert payload["method"] == "linear_kmd"
+    assert payload["config"]["method"] == "linear_kmd"
 
 
 def test_run_rejects_finite_md_on_gaussian():
@@ -136,7 +148,8 @@ def test_certify_failure_exits_3(monkeypatch, capsys):
       "baseline.stepper=euclidean"],
      "numerical abort: non-finite euclidean iterate in lp_sgd step at k=1"),
 ], ids=["linear_kmd", "lp_sgd_mirror", "lp_sgd_euclidean"])
-def test_a_non_finite_iterate_exits_2(tmp_path, capsys, args, message):
+def test_a_non_finite_iterate_exits_2(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.setattr(cli, "_kmd_config", _unchecked_kmd_config)
     report = tmp_path / "report.csv"
     assert main(["run"] + _sets("N=5", "data.grid.n=20", f"output.report={report}",
                                 *args)) == 2
@@ -146,7 +159,13 @@ def test_a_non_finite_iterate_exits_2(tmp_path, capsys, args, message):
 
 def test_a_numerical_abort_is_the_only_line_on_stderr(tmp_path):
     # in a fresh interpreter: pytest captures numpy's RuntimeWarnings in
-    # process, and both runs overflow on their way to the abort
+    # process, and both runs overflow on their way to the abort; the CLI
+    # runs with the unchecked KMD config there too
+    main_unchecked = (
+        "import sys\nfrom barystream import cli, kmd\n"
+        "cli._kmd_config = lambda config, kernel, C: kmd.KmdConfig.for_run("
+        "kernel, C, config['N'], eta_scale=config['eta_scale'])\n"
+        "sys.exit(cli.main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     for args, message in [
@@ -156,7 +175,7 @@ def test_a_numerical_abort_is_the_only_line_on_stderr(tmp_path):
               "baseline.stepsize=1e308", "baseline.stepper=euclidean"],
              "numerical abort: non-finite euclidean iterate in lp_sgd step at k=1")]:
         proc = subprocess.run(
-            [sys.executable, "-m", "barystream.cli", "run",
+            [sys.executable, "-c", main_unchecked, "run",
              *_sets("N=5", "data.grid.n=20", *args)],
             capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 2
@@ -321,14 +340,14 @@ def _run_small(tmp_path, *extra, n=8, N=20):
 
 
 def test_checkpoint_stores_matrices_as_bytes(tmp_path):
-    # v3: the kmd history is a row count in the JSON and raw rows beside it,
-    # each row a beta and then its sample as little-endian float64
+    # v4: the kmd history is the first k rows of a raw rows file beside the
+    # JSON, each row a beta and then its sample as little-endian float64
     _, ckpt = _run_small(tmp_path, "--set", "method=kmd", "--set",
                          'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}')
     payload = json.loads(ckpt.read_text())
-    assert payload["version"] == cli.CHECKPOINT_VERSION == 3
+    assert payload["version"] == cli.CHECKPOINT_VERSION == 4
     state = payload["state"]
-    assert state["rows"] == 20 and "betas" not in state and "samples" not in state
+    assert payload["k"] == 20 and set(state) == {"log_r", "avg_num", "avg_den"}
     assert isinstance(state["log_r"], list)
     assert isinstance(state["avg_num"], list)
     rows = np.fromfile(_rows_file(ckpt), dtype="<f8")
@@ -338,7 +357,10 @@ def test_checkpoint_stores_matrices_as_bytes(tmp_path):
     assert config == payload["config"] and run.state.k == 20 and hist.size == 20
     assert np.array_equal(hist.betas, rows.reshape(20, 16)[:, :8])
     assert np.array_equal(hist.samples, rows.reshape(20, 16)[:, 8:])
-    assert cli._restore_state(type(run.state), payload, hist).history is hist
+    cold = cli.METHODS["kmd"](config).state
+    again = cli._restore_state(cold, payload, str(_rows_file(ckpt))).history
+    assert np.array_equal(again.betas, hist.betas)
+    assert np.array_equal(again.samples, hist.samples)
     # the other methods' matrices stay in the JSON, as base64 bytes
     (tmp_path / "linear").mkdir()
     _, ckpt = _run_small(tmp_path / "linear")
@@ -350,9 +372,10 @@ def test_checkpoint_stores_matrices_as_bytes(tmp_path):
 @pytest.mark.parametrize("command", ["resume", "eval"])
 def test_version_1_checkpoint_is_rejected(tmp_path, capsys, command):
     # v1 wrote matrices as float lists, v2 the kmd history as base64 matrices
-    # inside the JSON; neither is read
+    # inside the JSON, v3 its row count and the stream's generator apart from
+    # finite_md's; none is read
     _, ckpt = _run_small(tmp_path)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         payload = json.loads(ckpt.read_text())
         payload["version"] = version
         ckpt.write_text(json.dumps(payload))
@@ -399,17 +422,17 @@ def test_kmd_rows_file_bytes_are_linear_in_n(tmp_path, monkeypatch):
 
 
 def test_rows_past_the_checkpoint_count_are_ignored(tmp_path):
-    # a crash between the row append and the JSON rename leaves rows the JSON
-    # does not count; resume reads only the counted ones, and its first
-    # checkpoint writes the rows file afresh
+    # a crash between the row append and the JSON rename leaves rows past the
+    # JSON's k; resume reads only the first k, and its first checkpoint writes
+    # the rows file afresh
     full, half = _kmd_halves(tmp_path)
     with open(_rows_file(half), "ab") as fh:
         fh.write(np.full((3, 16), np.nan).tobytes())
     assert main(["resume", "--checkpoint", str(half)]) == 0
     a, b = json.loads(full.read_text()), json.loads(half.read_text())
     assert a["k"] == b["k"] == 30
-    for key in ("state", "rng", "stream"):
-        assert a.get(key) == b.get(key), key
+    for key in ("state", "rng"):
+        assert a[key] == b[key], key
     assert _rows_file(full).read_bytes() == _rows_file(half).read_bytes()
 
 
@@ -526,13 +549,40 @@ def test_resume_keeps_the_report_of_the_run_it_continues(tmp_path, name):
         f"output.checkpoint={tmp_path / 'half.json'}")) == 0
     assert len(half.read_text().strip().split("\n")) == 3
     assert main(["resume", "--checkpoint", str(tmp_path / "half.json")]) == 0
-
-    def without_wall_ns(path):
-        return [row[:3] + row[4:] for row in
-                (line.split(",") for line in path.read_text().strip().split("\n"))]
     # the config_hash column included: halt_after and output.* are not hashed
-    assert without_wall_ns(full) == without_wall_ns(half)
-    assert [row[0] for row in without_wall_ns(full)[1:]] == ["10", "20", "30", "40"]
+    assert _without_wall_ns(full) == _without_wall_ns(half)
+    assert [row[0] for row in _without_wall_ns(full)[1:]] == ["10", "20", "30", "40"]
+
+
+def _without_wall_ns(report):
+    """The rows of a report, header first, each without its wall_ns field."""
+    return [row[:3] + row[4:] for row in
+            (line.split(",") for line in report.read_text().strip().split("\n"))]
+
+
+def test_report_rows_survive_an_abort(tmp_path, monkeypatch):
+    # each scored row reaches the report before its step's checkpoint, so a
+    # run that aborts keeps the rows of its last checkpoint, and its resume
+    # leaves the report of the uninterrupted run
+    common = _sets("N=400", "data.grid.n=8", "seed=5", "checkpoint_every=50")
+    full, half, ckpt = tmp_path / "full.csv", tmp_path / "half.csv", tmp_path / "c.json"
+    assert main(["run"] + common + _sets(f"output.report={full}")) == 0
+    step = kmd.linear_kmd_step
+
+    def abort_at_121(state, *args):
+        if state.k + 1 == 121:
+            raise NumericalAbort("forced at k=121")
+        return step(state, *args)
+
+    monkeypatch.setattr(kmd, "linear_kmd_step", abort_at_121)
+    assert main(["run"] + common + _sets(f"output.report={half}",
+                                         f"output.checkpoint={ckpt}")) == 2
+    assert json.loads(ckpt.read_text())["k"] == 100
+    monkeypatch.setattr(kmd, "linear_kmd_step", step)
+    assert [row[0] for row in _without_wall_ns(half)[1:]] == ["50", "100"]
+    assert main(["resume", "--checkpoint", str(ckpt)]) == 0
+    assert _without_wall_ns(half) == _without_wall_ns(full)
+    assert len(_without_wall_ns(full)) == 1 + 8
 
 
 def test_holdout_is_built_once_per_run(tmp_path, monkeypatch):
@@ -584,11 +634,10 @@ def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("method, edit, message", [
     ("linear_kmd", lambda p: p["state"].pop("theta"),
      "checkpoint state lacks 'theta'"),
-    ("kmd", lambda p: p["state"].pop("rows"),
-     "checkpoint state lacks 'history'"),
     ("linear_kmd", lambda p: p["state"].update(betas=[1.0]),
      "checkpoint state field 'betas' is not a field of LinearKmdState"),
-    ("linear_kmd", lambda p: p.pop("stream"), "checkpoint lacks 'stream'"),
+    # a stream method's generator is its stream's, stored as rng
+    ("linear_kmd", lambda p: p.pop("rng"), "checkpoint lacks 'rng'"),
     ("finite_md", lambda p: p.pop("rng"), "checkpoint lacks 'rng'"),
     ("finite_md", lambda p: p.pop("k"), "checkpoint lacks 'k'"),
     ("linear_kmd", lambda p: p.pop("state"), "checkpoint lacks 'state'"),
@@ -602,12 +651,15 @@ def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
     ("finite_md", lambda p: p["state"].update(
         M=_encode_matrix(_decode_matrix(p["state"]["M"]) * np.nan)),
      "checkpoint state field 'M' holds a non-finite value"),
-], ids=["missing_field", "missing_rows", "extra_field", "stream", "rng", "k",
-        "state", "config", "unconverged", "nan_log_r", "nan_M"])
+    # the method is a key of the stored config only
+    ("kmd", lambda p: p.update(method="linear_kmd"),
+     "unknown checkpoint record 'method'"),
+], ids=["missing_field", "extra_field", "stream", "rng", "k", "state", "config",
+        "unconverged", "nan_log_r", "nan_M", "method"])
 def test_a_checkpoint_that_does_not_fit_its_method_is_a_config_error(
         tmp_path, capsys, command, method, edit, message):
     # the stored config's method sets the run up, and the state is restored
-    # by its class's fields; the payload's top-level method is not read
+    # against that run's cold state
     _, ckpt = _run_small(tmp_path, *_sets(*_method_args(tmp_path)[method]),
                          "--set", "halt_after=10")
     payload = json.loads(ckpt.read_text())
@@ -620,14 +672,78 @@ def test_a_checkpoint_that_does_not_fit_its_method_is_a_config_error(
     assert ckpt.read_bytes() == before
 
 
-def test_the_stored_method_key_is_not_read(tmp_path):
-    full, half = _kmd_halves(tmp_path)
-    payload = json.loads(half.read_text())
-    payload["method"] = "linear_kmd"
-    half.write_text(json.dumps(payload))
-    assert main(["resume", "--checkpoint", str(half)]) == 0
-    a, b = json.loads(full.read_text()), json.loads(half.read_text())
-    assert a["state"] == b["state"] and b["method"] == "kmd"
+@pytest.fixture(scope="module")
+def halted_checkpoints(tmp_path_factory):
+    """Each SEEDED_GUARD method's checkpoint at k=10 of an N=20 run (n=8)."""
+    tmp = tmp_path_factory.mktemp("halted")
+    out = {}
+    for name in SEEDED_GUARD:
+        ckpt = tmp / f"{name}.json"
+        assert main(["run"] + _sets("N=20", "data.grid.n=8", "seed=3", "halt_after=10",
+                                    f"output.checkpoint={ckpt}",
+                                    *_method_args(tmp)[name])) == 0
+        rows = _rows_file(ckpt)
+        out[name] = (json.loads(ckpt.read_text()),
+                     rows.read_bytes() if rows.exists() else None)
+    return out
+
+
+def _misfits(value) -> list:
+    """Values of a state field's kind or shape other than value's, or with a
+    NaN: a string, null, a boolean, the wrong length or nesting."""
+    out = ["a", None, True]
+    if isinstance(value, list):
+        return out + [value[:-1], value + [0.0], [value], [float("nan")] + value[1:]]
+    if isinstance(value, dict):
+        m = _decode_matrix(value)
+        nan = m.copy()
+        nan[-1, -1] = np.nan
+        return out + [_encode_matrix(m[:-1]), _encode_matrix(m.ravel()),
+                      m.tolist(), _encode_matrix(nan)]
+    return out + [[value], float("nan")] + ([1.5] if type(value) is int else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_misfit_record_is_one_config_error_line(halted_checkpoints, data):
+    name = data.draw(st.sampled_from(sorted(halted_checkpoints)), label="method")
+    payload, rows = copy.deepcopy(halted_checkpoints[name])
+    kinds = ["drop_record", "add_record", "drop_field", "add_field", "field", "k",
+             "rng"] + (["rows"] if rows is not None else [])
+    kind = data.draw(st.sampled_from(kinds), label="corruption")
+    state = payload["state"]
+    if kind == "drop_record":
+        del payload[data.draw(st.sampled_from(sorted(payload)), label="record")]
+    elif kind == "add_record":
+        payload[data.draw(st.sampled_from(["method", "stream", "rows"]))] = 0
+    elif kind == "drop_field":
+        del state[data.draw(st.sampled_from(sorted(state)), label="field")]
+    elif kind == "add_field":
+        state[data.draw(st.sampled_from(["rows", "history", "betas", "k", "r"]))] = 0
+    elif kind == "field":
+        field = data.draw(st.sampled_from(sorted(state)), label="field")
+        state[field] = data.draw(st.sampled_from(_misfits(state[field])), label="value")
+    elif kind == "k":
+        payload["k"] = data.draw(st.sampled_from([1.5, "10", None, True, -3, 21, 99]))
+    elif kind == "rng":
+        payload["rng"] = data.draw(st.sampled_from([{}, {"a": 1}, "x"]))
+    else:
+        rows = rows[:-data.draw(st.integers(1, len(rows)), label="cut")]
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "state.json"
+        if "config" in payload:  # a resume that ran would rewrite this file
+            payload["config"]["output"]["checkpoint"] = str(ckpt)
+        ckpt.write_text(json.dumps(payload))
+        if rows is not None:
+            _rows_file(ckpt).write_bytes(rows)
+        before = ckpt.read_bytes(), rows
+        for command in ("resume", "eval"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main([command, "--checkpoint", str(ckpt)]) == 1
+            assert err.getvalue().startswith("config error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert (ckpt.read_bytes(), rows and _rows_file(ckpt).read_bytes()) == before
 
 
 def test_small_gamma_sinkhorn_run_warns_unconverged(tmp_path, capsys):
@@ -697,6 +813,29 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, key, value):
     for err in capsys.readouterr().err.strip().split("\n"):
         assert err.startswith("config error: ") and key in err
     assert not report.exists() and not corpus.exists()
+
+
+@pytest.mark.parametrize("sets, rc", [
+    (["eta_scale=1e308"], 1),
+    # stepsize(1) is finite, stepsize(1) * beta_scale is 5.06e308
+    (["eta_scale=1e305"], 1),
+    (["eta_scale=1e300"], 0),
+    (["kernel.r_sq=1e308"], 1),
+    (["method=kmd", "kernel.r_sq=1e308"], 1),
+], ids=["eta_scale_1e308", "eta_scale_1e305", "eta_scale_1e300", "r_sq_1e308",
+        "kmd_r_sq_1e308"])
+def test_kmd_stepsize_constants_that_overflow_are_config_errors(tmp_path, capsys,
+                                                                sets, rc):
+    # at the default n = 100 these overflowed to a numerical abort at k <= 3;
+    # gen-data builds no stepsize, so only run is checked
+    report = tmp_path / "report.csv"
+    assert main(["run"] + _sets("N=50", f"output.report={report}", *sets)) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith("config error: eta_scale=") and err.count("\n") == 1
+        assert "kernel.r_sq=" in err and "N=50" in err and not report.exists()
+    else:
+        assert err == "" and report.exists()
 
 
 _HI_NOT_ABOVE_LO = "data.grid.hi must be a finite number > data.grid.lo, got {hi}"
@@ -948,17 +1087,20 @@ def _sets(*items):
 # when the baseline state gained its `unconverged` count; without that key
 # each state hashes as before. The two kmd hashes were re-recorded when the
 # history moved from base64 betas/samples matrices in the state to the rows
-# file (checkpoint version 3); the rows are those matrices' bits, row by row
+# file (checkpoint version 3); the rows are those matrices' bits, row by row.
+# They were re-recorded once more when the state lost its "rows": 200 count
+# (version 4, where the rows file's first k rows are the history): with that
+# key put back after log_r, each state hashes as before
 SEEDED_GUARD = {
     "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
                    0.18677162696367908, 0.34192672091788384, 0.1407247175625001,
                    0.06525148637768098, 0.05061822516202479]),
-    "kmd": ("5a04d06b29d750bec43dd4d00e7aba8335f37120f65b79595911a6bcebe090b0",
+    "kmd": ("accc1de7c241f6247b5ae82e299ba34af98c9060d858a6ed79a643443145afef",
             [0.000625014099170272, 0.007566293439683009, 0.030258311033449746,
              0.021466973496984777, 0.901980264001689, 0.03296954423323988,
              0.0040240159472243655, 0.001109583748559312]),
-    "kmd_dynamic": ("167203cef3b57f8bcf52c321cb57c9526563b392a08f993921205ed79defb528",
+    "kmd_dynamic": ("fcb00b87c245a1d166ebcbe062885847d63feb82cf8d320e18edce315bb1124b",
                     [0.005850131821332614, 0.012887437424328798, 0.05767061294161781,
                      0.1932169864964062, 0.4216303132501782, 0.23862699392516348,
                      0.05333957132442007, 0.016777952816552033]),
@@ -992,7 +1134,7 @@ def test_seeded_checkpoint_guard(tmp_path, name):
     _, run = cli._open_checkpoint(str(ckpt), [])
     sha, r_avg = SEEDED_GUARD[name]
     np.testing.assert_allclose(run.state.r_avg, r_avg, rtol=1e-12, atol=0)
-    rows = _rows_file(ckpt).read_bytes() if "rows" in payload["state"] else b""
+    rows = _rows_file(ckpt).read_bytes() if _rows_file(ckpt).exists() else b""
     assert hashlib.sha256(json.dumps(payload["state"]).encode()
                           + rows).hexdigest() == sha
 
@@ -1030,15 +1172,17 @@ _OVERFLOW.update({name: ["baseline.schedule=constant", "baseline.stepsize=1e308"
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
-def test_an_aborted_step_leaves_its_state_as_it_was(tmp_path, name):
+def test_an_aborted_step_leaves_its_state_as_it_was(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(cli, "_kmd_config", _unchecked_kmd_config)
     run = _set_up(tmp_path, name, *_OVERFLOW.get(name, []))
     state = run.state
     if name == "finite_md":
         state.eta = np.inf
-    # the encoding holds a kmd history as its row count; kmd_dynamic first
-    # aborts at k=3, on a history of 2 rows
+    # the encoding skips a kmd history, so its size is compared; kmd_dynamic
+    # first aborts at k=3, on a history of 2 rows
     def snapshot():
-        return state.k, state.r.tobytes(), json.dumps(cli._encode_state(state))
+        return (state.k, state.r.tobytes(), json.dumps(cli._encode_state(state)),
+                getattr(getattr(state, "history", None), "size", None))
 
     with np.errstate(all="ignore"):  # as the run loop steps
         for _ in range(10):
@@ -1061,8 +1205,12 @@ def test_restored_r_is_the_carried_r(tmp_path, name):
     for _ in range(7):
         state = run.step(state)
     payload = json.loads(json.dumps({"k": state.k, "state": cli._encode_state(state)}))
-    restored = cli._restore_state(type(state), payload,
-                                  getattr(state, "history", None)).r
+    rows = tmp_path / "state.json.rows"
+    if name == "kmd":
+        cli._write_rows(str(rows), np.hstack([state.history.betas,
+                                              state.history.samples]), append=False)
+    restored = cli._restore_state(cli.METHODS[name](config).state, payload,
+                                  str(rows)).r
     assert restored.dtype == state.r.dtype == np.float64
     assert np.array_equal(restored.view(np.uint64), state.r.view(np.uint64))
 
@@ -1094,8 +1242,8 @@ def test_data_weights_are_one_law_in_every_method(tmp_path, name):
         payloads.append(json.loads(ckpt.read_text()))
     a, b = payloads
     assert a["config"]["data"]["weights"] != b["config"]["data"]["weights"]
-    for key in ("state", "rng", "stream"):
-        assert a.get(key) == b.get(key), key
+    for key in ("state", "rng"):
+        assert a[key] == b[key], key
 
 
 @pytest.mark.parametrize("name", ["finite_md", "kmd", "linear_kmd",
@@ -1120,8 +1268,8 @@ def test_resume_at_any_step_matches_uninterrupted(name, data):
         rows = [_rows_file(p).read_bytes() if _rows_file(p).exists() else None
                 for p in (full, half)]
     assert a["k"] == b["k"] == N
-    for key in ("state", "rng", "stream"):
-        assert a.get(key) == b.get(key), key
+    for key in ("state", "rng"):
+        assert a[key] == b[key], key
     # the kmd history lives in the rows file, not in the state
     assert rows[0] == rows[1] and (rows[0] is not None) == (name == "kmd")
 
@@ -1140,22 +1288,6 @@ def test_every_step_stays_on_the_simplex(name, n, seed, steps):
         for r in (state.r, state.r_avg):
             assert np.all(np.isfinite(r)) and np.all(r >= 0)
             assert abs(r.sum() - 1.0) <= 1e-9
-
-
-def test_kmd_checkpoint_with_a_stream_position_resumes(tmp_path):
-    # checkpoints written while streams had a strict corpus mode carry
-    # "pos": 0 in their stream state; resume reads past it
-    full, half = _kmd_halves(tmp_path)
-    payload = json.loads(half.read_text())
-    assert "pos" not in payload["stream"]
-    payload["stream"]["pos"] = 0
-    half.write_text(json.dumps(payload))
-    assert main(["resume", "--checkpoint", str(half)]) == 0
-    a, b = json.loads(full.read_text()), json.loads(half.read_text())
-    assert a["k"] == b["k"] == 30 and b["version"] == cli.CHECKPOINT_VERSION == 3
-    for key in ("state", "rng", "stream"):
-        assert a.get(key) == b.get(key), key
-    assert _rows_file(full).read_bytes() == _rows_file(half).read_bytes()
 
 
 def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):
@@ -1194,3 +1326,36 @@ def test_the_readme_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for command in commands:
         assert main(command[1:]) == 0, " ".join(command)
+
+
+def test_the_benchmark_tracer_sees_checkpoint_io(tmp_path):
+    # perfbench's traced run wraps cli._atomic_write_json and cli.json.load by
+    # name and reads their arguments; in a fresh interpreter, so no wrapper
+    # leaks into other tests
+    repo = Path(cli.__file__).parents[2]
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(repo / "perfbench")!r})
+from barystream import cli
+import tracer
+t = tracer.Tracer()
+t.install()
+sets = {_sets("method=kmd", 'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}',
+              "cost.normalize=true", "data.grid.n=8", "N=40", "checkpoint_every=10",
+              f"output.checkpoint={tmp_path / 'state.json'}")!r}
+ckpt = {str(tmp_path / "state.json")!r}
+assert cli.main(["run", *sets, "--set", "halt_after=20"]) == 0
+assert cli.main(["resume", "--checkpoint", ckpt]) == 0
+assert cli.main(["eval", "--checkpoint", ckpt]) == 0
+print(json.dumps({{"missing": t.missing, "counters": t.counters}}))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().split("\n")[-1])
+    assert seen["missing"] == {}
+    counters = seen["counters"]
+    assert counters["mb_written"] > 0 and counters["mb_read"] > 0
+    assert counters["history_len"] == 40

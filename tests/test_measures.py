@@ -206,10 +206,10 @@ def test_stream_state_roundtrip():
     s1 = MeasureStream.gaussian(law, g, seed=9)
     for _ in range(7):
         s1.sample()
-    state = s1.state_dict()
+    state = s1.rng.bit_generator.state
     a = [s1.sample().weights for _ in range(5)]
     s2 = MeasureStream.gaussian(law, g, seed=9)
-    s2.load_state(state)
+    s2.rng.bit_generator.state = state
     b = [s2.sample().weights for _ in range(5)]
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
