@@ -370,11 +370,20 @@ def _stream_method(state_cls, make_step) -> Callable[[dict], _Run]:
 
 
 def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
-    """The run's KmdConfig; L, stepsize(1), beta_scale or their product
-    stepsize(1)*beta_scale (the scale of every beta) not finite and > 0 is a
-    config error naming the keys they come from."""
-    c = KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
-                          eta_scale=config["eta_scale"])
+    """The run's KmdConfig; a cost whose sup-norm squared overflows, or L,
+    stepsize(1), beta_scale or their product stepsize(1)*beta_scale (the
+    scale of every beta) not finite and > 0, is a config error naming the
+    keys they come from."""
+    try:
+        c = KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
+                              eta_scale=config["eta_scale"])
+    except OverflowError:  # C.inf_norm ** 2
+        g = config["data"]["grid"]
+        raise ConfigError(
+            f"cost.p={config['cost']['p']!r}, data.grid.lo={g['lo']!r} and "
+            f"data.grid.hi={g['hi']!r} give a cost of sup-norm {C.inf_norm!r}, "
+            "whose square overflows; set cost.normalize=true or narrow the "
+            "grid") from None
     eta_1 = c.stepsize(1)
     if not all(0 < x < math.inf for x in (c.L, eta_1, c.beta_scale,
                                           eta_1 * c.beta_scale)):
@@ -548,12 +557,23 @@ def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
 def _scorer(config: dict, run: _Run) -> Callable:
     """score(state) -> (w2, gap) of state.r_avg: w2 to the truth of Gaussian
     data, gap_surrogate on eval.gap_holdout holdout measures, each None where
-    it does not apply. normalize rejects a non-finite r_avg at every score."""
+    it does not apply. normalize rejects a non-finite r_avg at every score.
+    A truth of zero or non-finite mass on the grid is a config error naming
+    the keys it comes from."""
     grid, data = run.grid, config["data"]
     truth = None
     if data["kind"] == "gaussian":
-        truth = evaluation.true_gaussian_barycenter(GaussianParamLaw(**data["law"]),
-                                                    grid)
+        law = GaussianParamLaw(**data["law"])
+        try:
+            # a z whose square overflows gives NaN weights, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                truth = evaluation.true_gaussian_barycenter(law, grid)
+        except MeasureError as exc:
+            g = data["grid"]
+            raise ConfigError(
+                f"data.grid.lo={g['lo']!r}, data.grid.hi={g['hi']!r}, "
+                f"data.law.mu0={law.mu0!r} and data.law.rate={law.rate!r} give "
+                f"no true barycenter on the grid: {exc}") from None
     holdout = None
     if config["eval"]["gap_holdout"]:
         holdout_stream, _ = _build_stream(

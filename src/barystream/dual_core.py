@@ -21,6 +21,8 @@ EXACT_SOLVER_CAP = 64
 FEAS_TOL = 1e-9
 # exp of every float64 below this is exactly 0.0 (the cut is at -745.1332)
 UNDERFLOW_BELOW = -746.0
+# exp of every float64 at or below this is below 2**-1021: subnormal or 0.0
+SUBNORMAL_CUT = math.log(2.0 ** -1022)
 
 
 class SolverError(RuntimeError):
@@ -337,6 +339,42 @@ def logsumexp_axis(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return out[()] if out.ndim == 0 else out
 
 
+def _half_step_lse(neg_cg: np.ndarray, p: np.ndarray, axis: int,
+                   z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """`logsumexp_axis(neg_cg + p, axis)` of a 2-D `neg_cg`, in the buffers
+    `z` and `e` (each shaped and laid out as `neg_cg`), without the exps
+    whose result is subnormal.
+
+    z = neg_cg + p is shifted by its max in place, so the entries at the max
+    are the zeros of z (a - a_max == 0 exactly when a == a_max, for a finite
+    max). The exp is taken into `e` where SUBNORMAL_CUT < z < 0. Each skipped
+    addend is below 2**-1021, so a slice's result moves by at most
+    n * 2**-1021 plus one rounding, and only where its other exps all lie
+    below about 1e-292; every other slice gets the bits of `logsumexp_axis`.
+    When every slice has one max, m = 1 and s / m and + log(m) change no
+    bit, so one count replaces the per-slice sums. A slice with a non-finite
+    max goes to `logsumexp_axis` unchanged.
+    """
+    np.add(neg_cg, p, out=z)
+    z_max = z.max(axis=axis, keepdims=True)
+    if not np.isfinite(z_max).all():
+        return logsumexp_axis(z, axis)
+    z -= z_max
+    at_max = z == 0
+    live = z > SUBNORMAL_CUT
+    live ^= at_max  # at_max lies inside live
+    e.fill(0.0)
+    np.exp(z, out=e, where=live)
+    s = e.sum(axis=axis, keepdims=True)
+    if np.count_nonzero(at_max) == z_max.size:
+        out = np.log1p(s) + z_max
+    else:
+        m = at_max.sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + z_max
+    return out.squeeze(axis=axis)
+
+
 @dataclass(frozen=True)
 class SinkhornSolution:
     """Converged (or last finite) state of the entropic scaling iteration."""
@@ -372,11 +410,17 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     -C/gamma plus a finite potential, so every log-sum-exp stays finite. A
     cost with no zero entry reaches it once -C/gamma overflows to -inf.
 
-    Each half-step's `logsumexp_axis` skips the exps that underflow, which
-    gives the same bits as taking them all. At n=100 on a cost normalised to
-    |C|_inf = 1 that made a half-step 28% shorter at gamma = 5e-5, where most
-    exps underflow, and 15-25% longer at gamma = 1e-2 and 1e-3, where few do
-    (BENCH_sinkhorn.json).
+    Each half-step is `_half_step_lse`, in two n x n buffers allocated once
+    per solve. Its n^2 passes: add the potential to -C/gamma, take the max,
+    subtract it in place, compare with 0 (the max) and with the cut, one
+    `^=` for the live mask, zero the exp buffer, the masked exp, and the sum.
+    It gives the bits of `logsumexp_axis(-C/gamma + potential, axis)` except
+    that it skips the exps whose result is subnormal (z <= SUBNORMAL_CUT =
+    -708.40), which numpy's exp takes about a hundred times longer to make
+    than a normal result. Each skipped addend is below 2**-1021, so a
+    log-sum-exp moves by at most n * 2**-1021 plus one rounding, and only on
+    a slice whose other exps all lie below about 1e-292
+    (BENCH_sinkhorn_halfstep.json).
     """
     if gamma <= 0:
         raise SolverError("sinkhorn: gamma must be positive")
@@ -385,6 +429,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     log_r = np.log(r.weights)
     log_c = np.log(c.weights)
     neg_cg = -C.entries / gamma
+    z, e = np.empty_like(neg_cg), np.empty_like(neg_cg)
     u = np.zeros(C.n)
     v = np.zeros(C.n)
     col_lse = None
@@ -392,7 +437,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     unstable = False
     it = 0
     for it in range(1, max_iter + 1):
-        row_lse = logsumexp_axis(neg_cg + v[None, :], axis=1)
+        row_lse = _half_step_lse(neg_cg, v[None, :], 1, z, e)
         if it > 1:
             # marginals of the previous iterate (u, v)
             row_sums = np.exp(u + row_lse)
@@ -402,7 +447,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                 it -= 1
                 break
         u_new = log_r - row_lse
-        col_lse_new = logsumexp_axis(neg_cg + u_new[:, None], axis=0)
+        col_lse_new = _half_step_lse(neg_cg, u_new[:, None], 0, z, e)
         v_new = log_c - col_lse_new
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
             unstable = True

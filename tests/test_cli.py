@@ -863,16 +863,26 @@ def test_a_grid_with_hi_not_above_lo_names_both_keys(tmp_path, capsys, lo, hi,
     assert not report.exists() and not corpus.exists()
 
 
-@pytest.mark.parametrize("p, sets, norm, points", [
+_DEGENERATE_COST = ("cost.p={p!r} gives a cost of sup-norm {norm} on the 20 points "
+                    "of {points}; it must be finite and > 0")
+
+
+@pytest.mark.parametrize("p, sets, message", [
     # every |x_i - x_j|^p underflows to 0; normalizing would divide by it
-    (2000, ["data.grid.lo=0", "data.grid.hi=0.5"], "0.0", "[0, 0.5]"),
+    (2000, ["data.grid.lo=0", "data.grid.hi=0.5"],
+     _DEGENERATE_COST.format(p=2000, norm="0.0", points="[0, 0.5]")),
     (2000, ["data.grid.lo=0", "data.grid.hi=0.5", "cost.normalize=true"],
-     "0.0", "[0, 0.5]"),
+     _DEGENERATE_COST.format(p=2000, norm="0.0", points="[0, 0.5]")),
     # the powers of the distances above 1 overflow
-    (1e300, [], "inf", "[-10.0, 10.0]"),
-], ids=["underflow", "underflow_normalized", "overflow"])
-def test_a_degenerate_cost_is_the_one_config_error_line(tmp_path, p, sets, norm,
-                                                        points):
+    (1e300, [], _DEGENERATE_COST.format(p=1e300, norm="inf",
+                                        points="[-10.0, 10.0]")),
+    # a finite cost whose square, in linear_kmd's constants, overflows
+    (1, ["data.grid.lo=-1e200", "data.grid.hi=1e200"],
+     "cost.p=1, data.grid.lo=-1e+200 and data.grid.hi=1e+200 give a cost of "
+     "sup-norm 2e+200, whose square overflows; set cost.normalize=true or "
+     "narrow the grid"),
+], ids=["underflow", "underflow_normalized", "overflow", "square_overflow"])
+def test_a_degenerate_cost_is_the_one_config_error_line(tmp_path, p, sets, message):
     # in a fresh interpreter, so a numpy RuntimeWarning would reach stderr;
     # run only, since gen-data builds no cost
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -883,10 +893,23 @@ def test_a_degenerate_cost_is_the_one_config_error_line(tmp_path, p, sets, norm,
                 f"cost.p={p!r}", *sets)],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 1
-    assert proc.stderr == (f"config error: cost.p={p!r} gives a cost of sup-norm "
-                           f"{norm} on the 20 points of {points}; it must be "
-                           "finite and > 0\n")
+    assert proc.stderr == f"config error: {message}\n"
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_a_grid_with_no_gaussian_truth_is_the_one_config_error_line(tmp_path,
+                                                                     capsys):
+    # every z of the truth's Gaussian on this grid squares past the float
+    # range, so its weights are NaN; numpy must not warn on the way there
+    report = tmp_path / "report.csv"
+    assert main(["run"] + _sets("N=5", "method=sinkhorn_sgd", "data.grid.lo=-1e200",
+                                "data.grid.hi=1e200", "cost.p=1",
+                                f"output.report={report}")) == 1
+    assert capsys.readouterr().err == (
+        "config error: data.grid.lo=-1e+200, data.grid.hi=1e+200, "
+        "data.law.mu0=1.0 and data.law.rate=0.5 give no true barycenter on the "
+        "grid: normalize: total mass is zero or non-finite\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("sets, message", [

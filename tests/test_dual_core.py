@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from barystream import dual_core
@@ -386,13 +386,47 @@ def test_logsumexp_axis_skipping_underflow_is_bit_identical(a, axis):
 
 
 def test_exp_is_zero_below_the_underflow_cut():
-    # the premise of logsumexp_axis's mask, on this numpy's exp; the offsets leave
+    # the premises, on this numpy's exp, of logsumexp_axis's mask (exp is 0.0,
+    # below 2**-1074, at and below UNDERFLOW_BELOW) and of sinkhorn's half-step
+    # (exp is below 2**-1021 at and below SUBNORMAL_CUT); the offsets leave
     # tails that its SIMD loop hands to scalar code
-    cut = dual_core.UNDERFLOW_BELOW
-    z = np.concatenate([np.linspace(cut - 1e4, cut, 100_003),
-                        [np.nextafter(cut, -np.inf), -1e300, -np.inf]])
-    for start in range(8):
-        assert not np.any(np.exp(z[start:]))
+    for cut, bound in ((dual_core.UNDERFLOW_BELOW, 2.0 ** -1074),
+                       (dual_core.SUBNORMAL_CUT, 2.0 ** -1021)):
+        z = np.concatenate([np.linspace(cut - 1e4, cut, 100_003),
+                            np.linspace(cut - 40.0, cut, 100_003),
+                            [np.nextafter(cut, -np.inf), -1e300, -np.inf]])
+        for start in range(8):
+            assert np.all(np.exp(z[start:]) < bound)
+
+
+def _half_step(a, axis):
+    """sinkhorn's half-step log-sum-exp of a, with p = 0, in fresh buffers."""
+    return dual_core._half_step_lse(a, 0.0, axis, np.empty_like(a),
+                                    np.empty_like(a))
+
+
+# a tie at a row's max (m = 2), and a column whose max is -inf (the fallback)
+@example(np.array([[0.0, 0.0], [1.0, -1.0]]), 1)
+@example(np.array([[0.0, -np.inf], [-np.inf, -np.inf]]), 0)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lse_matrices(), underflow_matrices()), st.sampled_from([0, 1]))
+def test_half_step_lse_is_logsumexp_axis_where_no_exp_is_skipped(a, axis):
+    # a slice whose skipped exps (z <= SUBNORMAL_CUT) are all 0.0 gets
+    # logsumexp_axis's bits; ties, -inf, +inf and NaN slices included
+    with np.errstate(invalid="ignore"):
+        z = a - a.max(axis=axis, keepdims=True)
+        skipped = ((z <= dual_core.SUBNORMAL_CUT) & (np.exp(z) > 0)).any(axis=axis)
+    got, expected = _half_step(a, axis), logsumexp_axis(a + 0.0, axis)
+    assert _same_bits(got[~skipped], expected[~skipped])
+
+
+@settings(max_examples=300, deadline=None)
+@given(underflow_matrices(), st.sampled_from([0, 1]))
+def test_half_step_lse_moves_by_at_most_the_skipped_exps(a, axis):
+    # each skipped exp is below 2**-1021: a slice of n moves by at most
+    # n * 2**-1021, plus one rounding
+    np.testing.assert_allclose(_half_step(a, axis), logsumexp_axis(a, axis),
+                               rtol=2.0 ** -52, atol=a.shape[axis] * 2.0 ** -1021)
 
 
 @pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
