@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -150,58 +151,67 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _build_grid(config: dict) -> Grid1D:
-    """The uniform grid of data.grid; a span that overflows, or is too narrow
-    for n distinct points, is a config error naming the three keys."""
-    g = config["data"]["grid"]
+_GRID_KEYS = ("data.grid.lo", "data.grid.hi", "data.grid.n")
+_LAW_KEYS = ("data.law.mu0", "data.law.sigma0_sq", "data.law.rate")
+_COST_KEYS = ("cost.p", "cost.normalize", *_GRID_KEYS)
+
+
+@contextlib.contextmanager
+def _derived(config: dict, what: str, *keys: str):
+    """A block that builds what from the config keys named, with numpy's
+    overflow and invalid-value warnings off, so each built value must be
+    checked. A MeasureError, SolverError or ArithmeticError raised in it is
+    one config error naming every key with its value, and why."""
     try:
-        # Grid1D refuses the inf and NaN points an overflowing span gives
         with np.errstate(over="ignore", invalid="ignore"):
-            return Grid1D.uniform(g["lo"], g["hi"], g["n"])
-    except MeasureError as exc:
-        raise ConfigError(f"data.grid.lo={g['lo']!r}, data.grid.hi={g['hi']!r} "
-                          f"and data.grid.n={g['n']!r} give no grid: {exc}") from None
+            yield
+    except (MeasureError, SolverError, ArithmeticError) as exc:
+        named = [f"{key}={_leaf(config, key)!r}" for key in keys]
+        raise ConfigError(f"{', '.join(named[:-1])} and {named[-1]} give no "
+                          f"{what}: {exc}") from None
+
+
+def _build_grid(config: dict) -> Grid1D:
+    """The uniform grid of data.grid; Grid1D refuses the inf and NaN points
+    of a span that overflows, and a span too narrow for n distinct points."""
+    g = config["data"]["grid"]
+    with _derived(config, "grid", *_GRID_KEYS):
+        return Grid1D.uniform(g["lo"], g["hi"], g["n"])
 
 
 def _build_cost(config: dict, grid: Grid1D) -> CostMatrix:
-    """The cost |x_i - x_j|^p on the grid; a p whose cost is 0 everywhere
-    (every power underflows) or infinite somewhere is a config error."""
-    p = config["cost"]["p"]
-    with np.errstate(over="ignore"):  # an overflowing cost is refused below
-        C = squared_distance_cost(grid, p)
-    if not 0 < C.inf_norm < np.inf:
-        raise ConfigError(f"cost.p={p!r} gives a cost of sup-norm {C.inf_norm!r} "
-                          f"on the {grid.n} points of [{grid.lo!r}, {grid.hi!r}]; "
-                          "it must be finite and > 0")
-    if config["cost"]["normalize"]:
-        C = C.scaled(1.0 / C.inf_norm)
+    """The cost |x_i - x_j|^p on the grid, scaled to sup-norm 1 where
+    cost.normalize; its sup-norm must be finite and > 0, so a cost 0
+    everywhere (every power underflows) or infinite somewhere is refused."""
+    with _derived(config, "cost", *_COST_KEYS):
+        C = squared_distance_cost(grid, config["cost"]["p"])
+        if config["cost"]["normalize"] and 0 < C.inf_norm < math.inf:
+            C = C.scaled(1.0 / C.inf_norm)
+        if not 0 < C.inf_norm < math.inf:
+            raise SolverError(f"its sup-norm {C.inf_norm!r} must be finite and > 0")
     return C
 
 
-def _load_family(data: dict) -> tuple[Grid1D, list[DiscreteMeasure]]:
-    """The measures of the corpus file at data.path, which carries a grid header."""
-    path = data["path"]
-    if not path or not os.path.exists(path):
-        raise ConfigError(f"corpus path missing: {path!r}")
-    grid, measures = load_corpus(path)
-    if grid is None:
-        raise ConfigError(f"corpus {path} carries no grid header")
-    return grid, measures
+def _finite_family(config: dict) -> tuple[Grid1D, list[DiscreteMeasure], np.ndarray]:
+    """The grid, the measures and the index law (`sampling_law` of
+    data.weights) of the corpus file at data.path, which has a grid header."""
+    data = config["data"]
+    with _derived(config, "corpus", "data.kind", "data.path", "data.weights"):
+        grid, measures = load_corpus(data["path"])
+        if grid is None:
+            raise MeasureError(f"corpus {data['path']} carries no grid header")
+        return grid, measures, sampling_law(data["weights"], len(measures))
 
 
 def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
-    """The configured stream; with no data.weights a corpus file's rows are
-    drawn uniformly, with replacement."""
-    data = config["data"]
-    if data["kind"] == "gaussian":
+    """The configured stream; a corpus file's rows are drawn i.i.d., with
+    replacement, by the law of _finite_family."""
+    if config["data"]["kind"] == "gaussian":
         grid = _build_grid(config)
-        law = GaussianParamLaw(**data["law"])
+        law = GaussianParamLaw(**config["data"]["law"])
         return MeasureStream.gaussian(law, grid, config["seed"]), grid
-    grid, measures = _load_family(data)
-    weights = data["weights"]
-    if weights is None:
-        weights = [1.0 / len(measures)] * len(measures)
-    return MeasureStream.finite(measures, weights, config["seed"]), grid
+    grid, measures, law = _finite_family(config)
+    return MeasureStream.finite(measures, law, config["seed"]), grid
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -309,7 +319,8 @@ def _restore_state(cold, payload: dict, rows_path: str):
     """The state a checkpoint holds, restored against cold, the state its
     method's setup builds: every field of cold but k, r (rebuilt from log_r)
     and the kmd history (the first k rows of the rows file at rows_path) must
-    be stored, and nothing else; each goes through _restore_field."""
+    be stored, and nothing else; each goes through _restore_field, and one
+    the class lists in SETUP_FIELDS must equal cold's."""
     colds = {f.name: getattr(cold, f.name) for f in dataclasses.fields(cold)
              if f.name not in ("k", "r")}
     stored, values = _stored(payload, "state"), {}
@@ -320,6 +331,9 @@ def _restore_state(cold, payload: dict, rows_path: str):
             raise ConfigError(f"checkpoint state field {name!r} is not a field "
                               f"of {type(cold).__name__}")
         values[name] = _restore_field(name, colds[name], value)
+        if name in getattr(cold, "SETUP_FIELDS", ()) and values[name] != colds[name]:
+            raise ConfigError(f"checkpoint state field {name!r} must be "
+                              f"{colds[name]!r}, as its config sets it, got {value!r}")
     k = payload["k"]
     values.update({name: _read_rows(rows_path, k, cold.log_r.size)
                    for name, value in colds.items() if isinstance(value, _History)})
@@ -343,15 +357,11 @@ class _Run:
 
 
 def _finite_md_run(config: dict) -> _Run:
-    data = config["data"]
-    if data["kind"] == "gaussian":
-        raise ConfigError("finite_md needs a finite measure family "
-                          "(data.kind finite)")
-    grid, measures = _load_family(data)
+    if config["data"]["kind"] == "gaussian":
+        raise ConfigError("finite_md needs a corpus: data.kind='finite'")
+    grid, measures, law = _finite_family(config)
     C = _build_cost(config, grid)
-    weights = data["weights"]
-    problem = FiniteProblem.from_measures(
-        measures, C, None if weights is None else sampling_law(weights, len(measures)))
+    problem = FiniteProblem.from_measures(measures, C, law)
     rng = np.random.Generator(np.random.PCG64(config["seed"]))
     state = FiniteSaddleState.cold_start(problem, config["N"])
     state.eta *= config["eta_scale"]
@@ -370,28 +380,22 @@ def _stream_method(state_cls, make_step) -> Callable[[dict], _Run]:
 
 
 def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
-    """The run's KmdConfig; a cost whose sup-norm squared overflows, or L,
-    stepsize(1), beta_scale or their product stepsize(1)*beta_scale (the
-    scale of every beta) not finite and > 0, is a config error naming the
-    keys they come from."""
-    try:
+    """The run's KmdConfig: the cost's sup-norm must square within the float
+    range, and L, stepsize(1), beta_scale and stepsize(1)*beta_scale (the
+    scale of every beta) must be finite and > 0."""
+    with _derived(config, "kmd stepsize", "eta_scale", "stepsize_mode",
+                  "kernel.family", "kernel.r_sq", "N", *_COST_KEYS):
+        if C.inf_norm * C.inf_norm == math.inf:
+            raise SolverError(f"the cost's sup-norm {C.inf_norm!r} squares past the "
+                              "float range; set cost.normalize=true or narrow the grid")
         c = KmdConfig.for_run(kernel, C, config["N"], mode=config["stepsize_mode"],
                               eta_scale=config["eta_scale"])
-    except OverflowError:  # C.inf_norm ** 2
-        g = config["data"]["grid"]
-        raise ConfigError(
-            f"cost.p={config['cost']['p']!r}, data.grid.lo={g['lo']!r} and "
-            f"data.grid.hi={g['hi']!r} give a cost of sup-norm {C.inf_norm!r}, "
-            "whose square overflows; set cost.normalize=true or narrow the "
-            "grid") from None
-    eta_1 = c.stepsize(1)
-    if not all(0 < x < math.inf for x in (c.L, eta_1, c.beta_scale,
-                                          eta_1 * c.beta_scale)):
-        raise ConfigError(
-            f"eta_scale={config['eta_scale']!r}, kernel.r_sq="
-            f"{config['kernel']['r_sq']!r} and N={config['N']!r} give L={c.L!r}, "
-            f"stepsize(1)={eta_1!r} and beta_scale={c.beta_scale!r}; each and "
-            "stepsize(1)*beta_scale must be finite and > 0")
+        eta_1 = c.stepsize(1)
+        if not all(0 < x < math.inf for x in (c.L, eta_1, c.beta_scale,
+                                              eta_1 * c.beta_scale)):
+            raise SolverError(f"L={c.L!r}, stepsize(1)={eta_1!r} and beta_scale="
+                              f"{c.beta_scale!r}; each and stepsize(1)*beta_scale "
+                              "must be finite and > 0")
     return c
 
 
@@ -402,18 +406,21 @@ def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
         raise ConfigError(f"kmd history of {need} bytes (N={config['N']}, n={C.n}) "
                           f"peaks at 3x that while it grows, past the {have} "
                           "bytes of physical memory")
-    run_config = _kmd_config(config, Kernel(**config["kernel"]), C)
+    with _derived(config, "kernel", "kernel.family", "kernel.param", "kernel.r_sq"):
+        kernel = Kernel(**config["kernel"])
+    run_config = _kmd_config(config, kernel, C)
     return lambda s: kmd.kmd_step(s, run_config, stream.sample().weights, C)
 
 
-def _linear_kmd_step(config: dict, C: CostMatrix,
-                     stream: MeasureStream) -> Callable:
+def _linear_kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
+    if config["kernel"]["family"] != "linear":
+        raise ConfigError("method='linear_kmd' runs the linear kernel only, got "
+                          f"kernel.family={config['kernel']['family']!r}")
     run_config = _kmd_config(config, Kernel.linear(config["kernel"]["r_sq"]), C)
     return lambda s: kmd.linear_kmd_step(s, run_config, stream.sample().weights, C)
 
 
-def _baseline_step(config: dict, C: CostMatrix,
-                   stream: MeasureStream) -> Callable:
+def _baseline_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
     run_config = baselines.BaselineConfig(method=config["method"], **config["baseline"])
     return lambda s: baselines.baseline_step(s, run_config, stream.sample(), C)
 
@@ -556,24 +563,15 @@ def _open_checkpoint(path: str, overrides: list[str]) -> tuple[dict, _Run]:
 
 def _scorer(config: dict, run: _Run) -> Callable:
     """score(state) -> (w2, gap) of state.r_avg: w2 to the truth of Gaussian
-    data, gap_surrogate on eval.gap_holdout holdout measures, each None where
-    it does not apply. normalize rejects a non-finite r_avg at every score.
-    A truth of zero or non-finite mass on the grid is a config error naming
-    the keys it comes from."""
-    grid, data = run.grid, config["data"]
-    truth = None
-    if data["kind"] == "gaussian":
-        law = GaussianParamLaw(**data["law"])
-        try:
-            # a z whose square overflows gives NaN weights, refused below
-            with np.errstate(over="ignore", invalid="ignore"):
-                truth = evaluation.true_gaussian_barycenter(law, grid)
-        except MeasureError as exc:
-            g = data["grid"]
-            raise ConfigError(
-                f"data.grid.lo={g['lo']!r}, data.grid.hi={g['hi']!r}, "
-                f"data.law.mu0={law.mu0!r} and data.law.rate={law.rate!r} give "
-                f"no true barycenter on the grid: {exc}") from None
+    data (which has mass on the grid), gap_surrogate on eval.gap_holdout holdout
+    measures, each None where it does not apply; normalize rejects a
+    non-finite r_avg at every score."""
+    grid, truth = run.grid, None
+    if config["data"]["kind"] == "gaussian":
+        with _derived(config, "true barycenter on the grid", "data.grid.lo",
+                      "data.grid.hi", "data.law.mu0", "data.law.rate"):
+            truth = evaluation.true_gaussian_barycenter(
+                GaussianParamLaw(**config["data"]["law"]), grid)
     holdout = None
     if config["eval"]["gap_holdout"]:
         holdout_stream, _ = _build_stream(
@@ -595,10 +593,10 @@ def cmd_gen_data(config: dict) -> int:
     path = data["path"]
     if not path:
         raise ConfigError("gen-data needs data.path")
-    grid = _build_grid(config)
-    stream = MeasureStream.gaussian(GaussianParamLaw(**data["law"]), grid,
-                                    config["seed"])
-    measures = [stream.sample() for _ in range(data["count"])]
+    # the draws of data.law, whatever data.kind names
+    stream, grid = _build_stream(_deep_update(config, {"data": {"kind": "gaussian"}}))
+    with _derived(config, "corpus", *_LAW_KEYS, *_GRID_KEYS, "data.count", "seed"):
+        measures = [stream.sample() for _ in range(data["count"])]
     save_corpus(path, measures, grid)
     print(f"wrote {len(measures)} measures (n={grid.n}) to {path}")
     return 0
@@ -618,7 +616,6 @@ def _run_loop(config: dict, run: _Run):
     if report_path and run.state.k:
         report.read_csv(report_path, run.state.k)
     t0 = time.monotonic_ns()
-    score = _scorer(config, run)
     # kmd history rows this command has put in the rows file: its first
     # checkpoint writes the whole file, each later one appends the new rows
     rows_written = None
@@ -645,8 +642,10 @@ def _run_loop(config: dict, run: _Run):
                 "rng": run.rng.bit_generator.state, "state": _encode_state(state)})
 
     # the steps' finiteness checks report a blow-up as one numerical abort,
-    # without numpy's warnings about the inf and NaN on the way to it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # without numpy's warnings on the way to it; a draw with no mass on the
+    # grid, or a score past the float range, is a config error
+    with _derived(config, "run", *_LAW_KEYS, *_COST_KEYS, "seed"):
+        score = _scorer(config, run)
         return drive(run.state, run.step, target, checkpoint_and_score)
 
 

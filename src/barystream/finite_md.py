@@ -80,6 +80,10 @@ class FiniteSaddleState(CarriedSoftmax):
     averages of both r and M are maintained for gap evaluation.
     """
 
+    # set by cold_start (and the run's eta_scale), never assigned by a step,
+    # so a restored state must carry the values its setup gives them
+    SETUP_FIELDS = ("eta", "alpha", "beta")
+
     log_r: np.ndarray
     M: np.ndarray
     r_avg: np.ndarray

@@ -15,7 +15,9 @@ checks, which would only repeat these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,8 +129,11 @@ def draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def sampling_law(weights, m: int) -> np.ndarray:
-    """The law of an index into m measures: weights over their sum. The
-    weights must be m non-negative numbers with a finite positive sum."""
+    """The law of an index into m measures: weights over their sum, or 1/m
+    each where weights is None. The weights must be m non-negative numbers
+    with a finite positive sum."""
+    if weights is None:
+        return np.full(m, 1.0 / m)
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise MeasureError(f"sampling weights must be one per measure ({m}), "
@@ -223,56 +228,40 @@ class GaussianParamLaw:
             raise MeasureError("GaussianParamLaw: sigma0_sq and rate must be > 0")
 
 
-@dataclass
 class MeasureStream:
-    """Seeded i.i.d. source of measures on a fixed support.
+    """Seeded i.i.d. source of measures: each sample is draw(rng), on the one
+    generator rng seeded by seed. `finite` and `gaussian` build the draw."""
 
-    Two source kinds:
-      * finite   -- sample index t from given weights, emit measures[t]
-      * gaussian -- draw (mu, sigma) from a GaussianParamLaw, discretize
-    """
-
-    kind: str
-    seed: int
-    grid: Grid1D | None = None
-    measures: list[DiscreteMeasure] | None = None
-    weights: np.ndarray | None = None
-    law: GaussianParamLaw | None = None
-    rng: np.random.Generator = field(init=False, repr=False)  # every draw's source
-    _cdf: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in ("finite", "gaussian"):
-            raise MeasureError(f"unknown stream kind {self.kind!r}")
-        self.rng = np.random.Generator(np.random.PCG64(self.seed))
-        self._cdf = None if self.weights is None else sampling_cdf(self.weights)
+    def __init__(self, draw: Callable[[np.random.Generator], DiscreteMeasure],
+                 seed: int):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self._draw = draw
 
     @classmethod
     def finite(cls, measures, weights, seed: int) -> "MeasureStream":
-        w = sampling_law(weights, len(measures))
-        sizes = {m.n for m in measures}
-        if len(sizes) != 1:
+        """measures[t], t drawn by `sampling_law(weights, len(measures))`."""
+        cdf = sampling_cdf(sampling_law(weights, len(measures)))
+        measures = list(measures)
+        if any(m.n != measures[0].n or m.grid != measures[0].grid for m in measures):
             raise MeasureError("finite stream: mixed supports")
-        grid = measures[0].grid
-        for m in measures[1:]:
-            if (m.grid is None) != (grid is None) or (grid is not None and m.grid != grid):
-                raise MeasureError("finite stream: mixed supports")
-        return cls(kind="finite", seed=seed, grid=grid,
-                   measures=list(measures), weights=w)
+        return cls(lambda rng: measures[draw_index(cdf, rng)], seed)
 
     @classmethod
     def gaussian(cls, law: GaussianParamLaw, grid: Grid1D, seed: int) -> "MeasureStream":
-        return cls(kind="gaussian", seed=seed, grid=grid, law=law)
+        """`discretize_gaussian` of (mu, sigma) drawn from law."""
+        sd, scale = math.sqrt(law.sigma0_sq), 1.0 / law.rate
+
+        def draw(rng: np.random.Generator) -> DiscreteMeasure:
+            mu = rng.normal(law.mu0, sd)
+            sigma = rng.exponential(scale)
+            # an exponential draw can underflow to 0; resample the tail away
+            while sigma <= 0:
+                sigma = rng.exponential(scale)
+            return discretize_gaussian(mu, sigma, grid)
+        return cls(draw, seed)
 
     def sample(self) -> DiscreteMeasure:
-        if self.kind == "finite":
-            return self.measures[draw_index(self._cdf, self.rng)]
-        mu = self.rng.normal(self.law.mu0, math.sqrt(self.law.sigma0_sq))
-        sigma = self.rng.exponential(1.0 / self.law.rate)
-        # an exponential draw can underflow to 0; resample the tail away
-        while sigma <= 0:
-            sigma = self.rng.exponential(1.0 / self.law.rate)
-        return discretize_gaussian(mu, sigma, self.grid)
+        return self._draw(self.rng)
 
 
 def save_corpus(path, measures, grid: Grid1D | None = None) -> None:
@@ -286,6 +275,8 @@ def save_corpus(path, measures, grid: Grid1D | None = None) -> None:
 
 def load_corpus(path) -> tuple[Grid1D | None, list[DiscreteMeasure]]:
     """Read a measure corpus written by save_corpus."""
+    if not path or not os.path.exists(path):
+        raise MeasureError(f"corpus path missing: {path!r}")
     grid = None
     measures = []
     with open(path) as fh:

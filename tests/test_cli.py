@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barystream import baselines, cli, kmd
 from barystream.cli import (
@@ -654,8 +655,18 @@ def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
     # the method is a key of the stored config only
     ("kmd", lambda p: p.update(method="linear_kmd"),
      "unknown checkpoint record 'method'"),
+    # finite_md's stepsize constants are the config's, set at setup
+    ("finite_md", lambda p: p["state"].update(eta=p["state"]["eta"] * 1000),
+     "checkpoint state field 'eta' must be 0.0006296062725930467, as its config "
+     "sets it, got 0.6296062725930467"),
+    ("finite_md", lambda p: p["state"].update(alpha=1),
+     "checkpoint state field 'alpha' must be 4.1588830833596715, as its config "
+     "sets it, got 1"),
+    ("finite_md", lambda p: p["state"].update(beta=51200.000000000007),
+     "checkpoint state field 'beta' must be 51200.0, as its config sets it, "
+     "got 51200.00000000001"),
 ], ids=["missing_field", "extra_field", "stream", "rng", "k", "state", "config",
-        "unconverged", "nan_log_r", "nan_M", "method"])
+        "unconverged", "nan_log_r", "nan_M", "method", "eta", "alpha", "beta"])
 def test_a_checkpoint_that_does_not_fit_its_method_is_a_config_error(
         tmp_path, capsys, command, method, edit, message):
     # the stored config's method sets the run up, and the state is restored
@@ -863,24 +874,27 @@ def test_a_grid_with_hi_not_above_lo_names_both_keys(tmp_path, capsys, lo, hi,
     assert not report.exists() and not corpus.exists()
 
 
-_DEGENERATE_COST = ("cost.p={p!r} gives a cost of sup-norm {norm} on the 20 points "
-                    "of {points}; it must be finite and > 0")
+_DEGENERATE_COST = ("cost.p={p!r}, cost.normalize={normalize}, data.grid.lo={lo}, "
+                    "data.grid.hi={hi} and data.grid.n=20 give no cost: its "
+                    "sup-norm {norm} must be finite and > 0")
 
 
 @pytest.mark.parametrize("p, sets, message", [
     # every |x_i - x_j|^p underflows to 0; normalizing would divide by it
     (2000, ["data.grid.lo=0", "data.grid.hi=0.5"],
-     _DEGENERATE_COST.format(p=2000, norm="0.0", points="[0, 0.5]")),
+     _DEGENERATE_COST.format(p=2000, normalize=False, lo=0, hi=0.5, norm="0.0")),
     (2000, ["data.grid.lo=0", "data.grid.hi=0.5", "cost.normalize=true"],
-     _DEGENERATE_COST.format(p=2000, norm="0.0", points="[0, 0.5]")),
+     _DEGENERATE_COST.format(p=2000, normalize=True, lo=0, hi=0.5, norm="0.0")),
     # the powers of the distances above 1 overflow
-    (1e300, [], _DEGENERATE_COST.format(p=1e300, norm="inf",
-                                        points="[-10.0, 10.0]")),
+    (1e300, [], _DEGENERATE_COST.format(p=1e300, normalize=False, lo=-10.0,
+                                        hi=10.0, norm="inf")),
     # a finite cost whose square, in linear_kmd's constants, overflows
     (1, ["data.grid.lo=-1e200", "data.grid.hi=1e200"],
-     "cost.p=1, data.grid.lo=-1e+200 and data.grid.hi=1e+200 give a cost of "
-     "sup-norm 2e+200, whose square overflows; set cost.normalize=true or "
-     "narrow the grid"),
+     "eta_scale=1.0, stepsize_mode='constant', kernel.family='linear', "
+     "kernel.r_sq=None, N=5, cost.p=1, cost.normalize=False, "
+     "data.grid.lo=-1e+200, data.grid.hi=1e+200 and data.grid.n=20 give no kmd "
+     "stepsize: the cost's sup-norm 2e+200 squares past the float range; set "
+     "cost.normalize=true or narrow the grid"),
 ], ids=["underflow", "underflow_normalized", "overflow", "square_overflow"])
 def test_a_degenerate_cost_is_the_one_config_error_line(tmp_path, p, sets, message):
     # in a fresh interpreter, so a numpy RuntimeWarning would reach stderr;
@@ -910,6 +924,72 @@ def test_a_grid_with_no_gaussian_truth_is_the_one_config_error_line(tmp_path,
         "data.law.mu0=1.0 and data.law.rate=0.5 give no true barycenter on the "
         "grid: normalize: total mass is zero or non-finite\n")
     assert not report.exists()
+
+
+_KMD_KEYS = ("eta_scale=1.0, stepsize_mode='constant', kernel.family='rbf', "
+             "kernel.r_sq=None, N=5, cost.p=2.0, cost.normalize=False, "
+             "data.grid.lo=-10.0, data.grid.hi=10.0 and data.grid.n=8")
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["method=kmd", 'kernel={"family": "rbf", "param": 0}'],
+     "kernel.family='rbf', kernel.param=0 and kernel.r_sq=None give no kernel: "
+     "rbf kernel parameter must be > 0"),
+    (["method=kmd", 'kernel={"family": "rbf", "param": 0.001}'],
+     f"{_KMD_KEYS} give no kmd stepsize: r_sq must be configured for the rbf "
+     "kernel"),
+    (["method=linear_kmd", 'kernel={"family": "rbf", "param": 5, "r_sq": 3}'],
+     "method='linear_kmd' runs the linear kernel only, got kernel.family='rbf'"),
+    (["data.kind=finite"],
+     "data.kind='finite', data.path=None and data.weights=None give no corpus: "
+     "corpus path missing: None"),
+    (["method=finite_md", "data.kind=finite", "data.path={corpus}",
+      "data.weights=[1, 2]"],
+     "data.kind='finite', data.path='{corpus}' and data.weights=[1, 2] give no "
+     "corpus: sampling weights must be one per measure (5), got 2"),
+    (["data.kind=finite", "data.path={corpus}", "data.weights=[1, 2]"],
+     "data.kind='finite', data.path='{corpus}' and data.weights=[1, 2] give no "
+     "corpus: sampling weights must be one per measure (5), got 2"),
+    (["data.kind=finite", "data.path={corpus}", "data.weights=[0, 0, 0, 0, 0]"],
+     "data.kind='finite', data.path='{corpus}' and data.weights=[0, 0, 0, 0, 0] "
+     "give no corpus: sampling weights must be non-negative with a finite "
+     "positive sum, got array([0., 0., 0., 0., 0.])"),
+], ids=["rbf_param_0", "rbf_no_r_sq", "linear_kmd_rbf", "no_path",
+        "finite_md_weights", "stream_weights", "zero_weights"])
+def test_a_value_setup_cannot_build_is_one_config_error_line(tmp_path, capsys,
+                                                             sets, message):
+    # on a 5-measure corpus; in process, where a numpy RuntimeWarning is an
+    # error
+    corpus = tmp_path / "corpus.csv"
+    assert main(["gen-data"] + _sets("data.count=5", "data.grid.n=8",
+                                     f"data.path={corpus}")) == 0
+    report, ckpt = tmp_path / "report.csv", tmp_path / "state.json"
+    capsys.readouterr()
+    assert main(["run"] + _sets("N=5", "data.grid.n=8", f"output.report={report}",
+                                f"output.checkpoint={ckpt}",
+                                *(a.replace("{corpus}", str(corpus)) for a in sets)
+                                )) == 1
+    message = message.replace("{corpus}", str(corpus))
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not report.exists() and not ckpt.exists()
+
+
+def test_gen_data_on_a_span_with_no_measure_is_the_one_config_error_line(tmp_path):
+    # every z of every draw squares past the float range; in a fresh
+    # interpreter, so a numpy RuntimeWarning would reach stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "barystream.cli", "gen-data",
+         *_sets("data.count=2", "data.path=corpus.csv", "data.grid.lo=-1e200",
+                "data.grid.hi=1e200")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "config error: data.law.mu0=1.0, data.law.sigma0_sq=4.0, data.law.rate=0.5, "
+        "data.grid.lo=-1e+200, data.grid.hi=1e+200, data.grid.n=100, data.count=2 "
+        "and seed=0 give no corpus: normalize: total mass is zero or non-finite\n")
+    assert not (tmp_path / "corpus.csv").exists()
 
 
 @pytest.mark.parametrize("sets, message", [
@@ -1087,6 +1167,9 @@ def _method_args(tmp_path, n=8):
                         "cost.normalize=true", "eta_scale=100.0"],
         "linear_kmd": ["method=linear_kmd", "cost.normalize=true",
                        "eta_scale=2000.0"],
+        "linear_kmd_corpus": ["method=linear_kmd", "cost.normalize=true",
+                              "eta_scale=2000.0", "data.kind=finite",
+                              f"data.path={corpus}"],
         "sinkhorn_sgd": ["method=sinkhorn_sgd", "baseline.inner_iters=30",
                          "baseline.stepsize=0.05"],
         "lp_sgd": ["method=lp_sgd", "baseline.stepsize=0.05"],
@@ -1113,7 +1196,9 @@ def _sets(*items):
 # file (checkpoint version 3); the rows are those matrices' bits, row by row.
 # They were re-recorded once more when the state lost its "rows": 200 count
 # (version 4, where the rows file's first k rows are the history): with that
-# key put back after log_r, each state hashes as before
+# key put back after log_r, each state hashes as before. linear_kmd_corpus,
+# linear_kmd drawing the finite_md corpus by its uniform law, was recorded
+# before the stream became a generator and a draw, to pin the finite draws
 SEEDED_GUARD = {
     "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -1131,6 +1216,11 @@ SEEDED_GUARD = {
                    [0.0025078114503235133, 0.00575328880303214, 0.019775053396683083,
                     0.14128641936335165, 0.6539741945800016, 0.15092569063696415,
                     0.020073169738235048, 0.005704372031409044]),
+    "linear_kmd_corpus": (
+        "ea1f9274b92747f81e62e258190fe1247896b1226d44ee4443f18241c2b29add",
+        [0.0025541550733871464, 0.006473536801041738, 0.024537618967472214,
+         0.18025705058184532, 0.7387571524777141, 0.03831745230460663,
+         0.00679578391532853, 0.002307249878605068]),
     "sinkhorn_sgd": ("f1b1c9274e1cd9c60597e2d3c3f369a3bf13f1ee76448686f860adbeccbfd2e3",
                      [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
                       0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
@@ -1189,7 +1279,7 @@ def test_a_step_advances_its_state_in_place(tmp_path, name):
 
 # a setting under which each method's steps overflow to a non-finite iterate
 _OVERFLOW = {name: ["eta_scale=1e308"] for name in ("kmd", "kmd_dynamic",
-                                                    "linear_kmd")}
+                                                    "linear_kmd", "linear_kmd_corpus")}
 _OVERFLOW.update({name: ["baseline.schedule=constant", "baseline.stepsize=1e308"]
                   for name in ("sinkhorn_sgd", "lp_sgd", "lp_sgd_euclidean")})
 
@@ -1311,6 +1401,74 @@ def test_every_step_stays_on_the_simplex(name, n, seed, steps):
         for r in (state.r, state.r_avg):
             assert np.all(np.isfinite(r)) and np.all(r >= 0)
             assert abs(r.sum() - 1.0) <= 1e-9
+
+
+# numbers up to the extremes the rules allow, for each rule's sign
+_TINY_TO_HUGE = [1e-300, 1e-150, 1e-10, 0.001, 0.5, 1, 2, 25, 1e10, 1e150, 1e200,
+                 1e300, 1.7e308]
+_ANY_NUMBER = st.one_of(st.sampled_from(_TINY_TO_HUGE + [0, -1, -1e200, -1.7e308]),
+                        st.floats(-1e308, 1e308))
+_POSITIVE = st.one_of(st.sampled_from(_TINY_TO_HUGE),
+                      st.floats(1e-308, 1e308, exclude_min=True))
+_COST_P = st.one_of(st.sampled_from([1, 2, 10, 2000, 1e300, 1.7e308]),
+                    st.floats(1, 1e308))
+
+
+@st.composite
+def _schema_valid_sets(draw):
+    """--set items of a config SCHEMA accepts: a stream method at N <= 4 and
+    n <= 8, with its numbers anywhere in their rules' ranges."""
+    method = draw(st.sampled_from(["linear_kmd", "kmd", "sinkhorn_sgd", "lp_sgd"]))
+    lo, hi = sorted([draw(_ANY_NUMBER, label="lo"), draw(_ANY_NUMBER, label="hi")])
+    if lo == hi:
+        hi = draw(st.sampled_from([math.nextafter(lo, math.inf), lo + 1, 1.7e308]))
+    kernel = {"family": "linear", "param": 0, "r_sq": None}
+    if draw(st.booleans(), label="set r_sq"):
+        kernel["r_sq"] = draw(_POSITIVE, label="r_sq")
+    if method == "kmd" and draw(st.booleans(), label="rbf"):
+        kernel.update(family="rbf", param=draw(_POSITIVE, label="param"))
+    return [f"method={method}", f"N={draw(st.integers(1, 4), label='N')}",
+            f"data.grid.n={draw(st.integers(2, 8), label='n')}",
+            f"data.grid.lo={lo!r}", f"data.grid.hi={hi!r}",
+            f"data.law.mu0={draw(_ANY_NUMBER, label='mu0')!r}",
+            f"data.law.sigma0_sq={draw(_POSITIVE, label='sigma0_sq')!r}",
+            f"data.law.rate={draw(_POSITIVE, label='rate')!r}",
+            f"cost.p={draw(_COST_P, label='p')!r}",
+            f"cost.normalize={json.dumps(draw(st.booleans(), label='normalize'))}",
+            f"kernel={json.dumps(kernel)}",
+            f"eta_scale={draw(_POSITIVE, label='eta_scale')!r}",
+            "baseline.inner_iters=5", "checkpoint_every=2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sets=_schema_valid_sets())
+# the cost's sup-norm is subnormal, so L is 0 and the stepsize divides by it
+@example(sets=["method=linear_kmd", "N=1", "data.grid.n=2", "data.grid.lo=1e-300",
+               "data.grid.hi=1.0000000000000002e-300", "cost.p=1"])
+# the truth has mass on the grid, but a draw of sigma ~ 1e-300 has none
+@example(sets=["method=lp_sgd", "N=2", "data.grid.n=3", "data.grid.lo=-1",
+               "data.grid.hi=0", "data.law.mu0=0", "data.law.sigma0_sq=1e16",
+               "data.law.rate=1e300"])
+# w2_to_truth on a grid of span 1e300 overflows
+@example(sets=["method=sinkhorn_sgd", "N=3", "data.grid.n=7", "data.grid.lo=0",
+               "data.grid.hi=1e300", "data.law.mu0=1e150", "data.law.rate=1e-300",
+               "cost.p=1", "baseline.inner_iters=5", "checkpoint_every=2"])
+def test_every_schema_valid_run_exits_0_or_with_one_line_naming_a_key(sets):
+    # in process, so a numpy RuntimeWarning fails the test; a config error
+    # names a SCHEMA key, as key=value or key must
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        rc = main(["run"] + _sets(*sets, f"output.report={Path(tmp) / 'r.csv'}"))
+    err = err.getvalue()
+    if rc == 0:
+        assert "error" not in err and "abort" not in err
+        return
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    if rc == 2:
+        assert err.startswith("numerical abort: "), err
+        return
+    assert rc == 1 and err.startswith("config error: "), err
+    assert any(f"{key}=" in err or f"{key} must" in err for key in cli.SCHEMA), err
 
 
 def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):

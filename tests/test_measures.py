@@ -137,12 +137,6 @@ def test_finite_stream_degenerate():
         assert stream.sample() is c1
 
 
-@pytest.mark.parametrize("kind", ["corpus", "Finite", ""])
-def test_stream_rejects_an_unknown_kind_when_built(kind):
-    with pytest.raises(MeasureError, match="unknown stream kind"):
-        MeasureStream(kind=kind, seed=0)
-
-
 def test_finite_stream_frequencies():
     c1 = DiscreteMeasure(np.array([1.0, 0.0]))
     c2 = DiscreteMeasure(np.array([0.0, 1.0]))
