@@ -23,7 +23,6 @@ from barystream.dual_core import (
     SolverError,
     boxed_dual,
     drive,
-    logsumexp,
     sinkhorn,
 )
 from barystream.measures import DiscreteMeasure, MeasureStream, normalize_clamped
@@ -148,18 +147,16 @@ def baseline_step(state: BaselineState, config: BaselineConfig,
     else:
         grad = lp_subgradient(r_meas, c, C)
     if config.stepper == "euclidean":
-        log_r, r = state.log_r, state.r
-        r_euclid = _project_simplex(state.r_euclid - eta * grad)
-        r_new = r_euclid
+        r_new = _project_simplex(state.r_euclid - eta * grad)
+        if not np.isfinite(r_new).all():
+            raise NumericalAbort(f"non-finite euclidean iterate in "
+                                 f"{config.method} step at k={k}")
+        state.r_euclid = r_new
     else:
-        log_r = state.log_r - eta * grad
-        log_r = log_r - log_r.max()
-        r_euclid = state.r_euclid
-        r = r_new = np.exp(log_r - logsumexp(log_r))
-    if not (np.isfinite(log_r).all() and np.isfinite(r_new).all()):
-        raise NumericalAbort(f"non-finite {config.stepper} iterate in "
-                             f"{config.method} step at k={k}")
-    state.log_r, state.r, state.r_euclid, state.k = log_r, r, r_euclid, k
+        state.set_log_r(state.log_r - eta * grad,
+                        f"mirror iterate in {config.method} step")
+        r_new = state.r
+    state.k = k
     state.avg_num += r_new
     state.unstable, state.unconverged = unstable, unconverged
     return state

@@ -153,7 +153,13 @@ def config_hash(config: dict) -> str:
 
 _GRID_KEYS = ("data.grid.lo", "data.grid.hi", "data.grid.n")
 _LAW_KEYS = ("data.law.mu0", "data.law.sigma0_sq", "data.law.rate")
-_COST_KEYS = ("cost.p", "cost.normalize", *_GRID_KEYS)
+
+
+def _cost_keys(config: dict) -> tuple[str, ...]:
+    """The keys the cost comes from: cost.p, cost.normalize and those of the
+    grid, which is data.grid's or, for a corpus, the file's at data.path."""
+    grid = _GRID_KEYS if config["data"]["kind"] == "gaussian" else ("data.path",)
+    return ("cost.p", "cost.normalize", *grid)
 
 
 @contextlib.contextmanager
@@ -171,6 +177,14 @@ def _derived(config: dict, what: str, *keys: str):
                           f"{what}: {exc}") from None
 
 
+def _scoring(config: dict, what: str):
+    """`_derived` for a run's draws and scores: they come from the cost's
+    keys and the seed, and from the Gaussian law's where the data are drawn
+    from it (a corpus row always has mass on its grid)."""
+    law = _LAW_KEYS if config["data"]["kind"] == "gaussian" else ()
+    return _derived(config, what, *law, *_cost_keys(config), "seed")
+
+
 def _build_grid(config: dict) -> Grid1D:
     """The uniform grid of data.grid; Grid1D refuses the inf and NaN points
     of a span that overflows, and a span too narrow for n distinct points."""
@@ -183,7 +197,7 @@ def _build_cost(config: dict, grid: Grid1D) -> CostMatrix:
     """The cost |x_i - x_j|^p on the grid, scaled to sup-norm 1 where
     cost.normalize; its sup-norm must be finite and > 0, so a cost 0
     everywhere (every power underflows) or infinite somewhere is refused."""
-    with _derived(config, "cost", *_COST_KEYS):
+    with _derived(config, "cost", *_cost_keys(config)):
         C = squared_distance_cost(grid, config["cost"]["p"])
         if config["cost"]["normalize"] and 0 < C.inf_norm < math.inf:
             C = C.scaled(1.0 / C.inf_norm)
@@ -384,7 +398,7 @@ def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
     range, and L, stepsize(1), beta_scale and stepsize(1)*beta_scale (the
     scale of every beta) must be finite and > 0."""
     with _derived(config, "kmd stepsize", "eta_scale", "stepsize_mode",
-                  "kernel.family", "kernel.r_sq", "N", *_COST_KEYS):
+                  "kernel.family", "kernel.r_sq", "N", *_cost_keys(config)):
         if C.inf_norm * C.inf_norm == math.inf:
             raise SolverError(f"the cost's sup-norm {C.inf_norm!r} squares past the "
                               "float range; set cost.normalize=true or narrow the grid")
@@ -644,7 +658,7 @@ def _run_loop(config: dict, run: _Run):
     # the steps' finiteness checks report a blow-up as one numerical abort,
     # without numpy's warnings on the way to it; a draw with no mass on the
     # grid, or a score past the float range, is a config error
-    with _derived(config, "run", *_LAW_KEYS, *_COST_KEYS, "seed"):
+    with _scoring(config, "run"):
         score = _scorer(config, run)
         return drive(run.state, run.step, target, checkpoint_and_score)
 
@@ -668,7 +682,9 @@ def cmd_eval(checkpoint_path: str, overrides: list[str]) -> int:
     """Score a checkpoint's state as its run's report rows do, on the grid and
     cost its method sets up."""
     config, run = _open_checkpoint(checkpoint_path, overrides)
-    w2, gap = _scorer(config, run)(run.state)
+    # a holdout draw with no mass on the grid is a config error naming its keys
+    with _scoring(config, "score"):
+        w2, gap = _scorer(config, run)(run.state)
     if w2 is None and gap is None:
         raise ConfigError("eval needs gaussian data (w2_to_truth) or "
                           "eval.gap_holdout >= 1 (gap_surrogate)")

@@ -19,6 +19,8 @@ from barystream.measures import DiscreteMeasure, Grid1D
 
 EXACT_SOLVER_CAP = 64
 FEAS_TOL = 1e-9
+# HiGHS's primal feasibility tolerance for a plan that missed FEAS_TOL at 1e-7
+LP_RETRY_FEAS_TOL = 1e-10
 # exp of every float64 below this is exactly 0.0 (the cut is at -745.1332)
 UNDERFLOW_BELOW = -746.0
 # exp of every float64 at or below this is below 2**-1021: subnormal or 0.0
@@ -63,9 +65,10 @@ class CarriedSoftmax:
 
     A step passes the softmax it computed for its running average. A state
     built without r (a cold start, a checkpoint restore) computes it from
-    log_r here, with the same expression, so the carried and the rebuilt r
-    agree bit for bit. Checkpoints do not store it. Steps replace log_r and r
-    together; assigning log_r alone leaves r stale.
+    log_r here as exp(log_r - logsumexp(log_r)). Every step writes both
+    fields through `set_log_r`, the one writer of either, whose log_r has
+    max exactly 0; its r has the bits of that expression there, so the
+    carried and the rebuilt r agree. Checkpoints do not store r.
     """
 
     r: np.ndarray | None = field(default=None, kw_only=True, repr=False)
@@ -73,6 +76,43 @@ class CarriedSoftmax:
     def __post_init__(self):
         if self.r is None:
             self.r = np.exp(self.log_r - logsumexp(self.log_r))
+
+    def set_log_r(self, x: np.ndarray, what: str) -> None:
+        """Make x, shifted in place by its max, the state's log_r, and its
+        softmax (`_shifted_softmax`) the state's r.
+
+        x's entries are all finite exactly when the shifted x's min is:
+        subtracting a NaN or +inf max makes every entry or that entry NaN,
+        min and max propagate NaN, and a -inf entry or one whose shift
+        overflows stays -inf. A non-finite x raises NumericalAbort naming
+        `what` and step k + 1 and leaves the state as it was; x may be
+        shifted.
+        """
+        x -= x.max()
+        if not math.isfinite(x.min()):
+            raise NumericalAbort(f"non-finite {what} at k={self.k + 1}")
+        self.log_r, self.r = x, _shifted_softmax(x)
+
+
+def _shifted_softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x - logsumexp(x)) of an x whose max is exactly 0 (+0.0) and which
+    holds no NaN or +inf, bit for bit, -inf entries included.
+
+    This is `logsumexp`'s arithmetic with a = 0 and no second max or
+    subtract: the entries at the max are those equal to 0, their exps are
+    zeroed, s is the sum of the others and m their count, and
+    log1p(s / m) + log(m) is the same number, since x - 0.0 and + 0.0 change
+    no bit of such an x or of a sum >= 0. When m = 1, s / m and + log(m)
+    change no bit either, so they are skipped. On such an x nothing
+    overflows, divides by 0 or is invalid, so it emits no warning.
+    """
+    at_max = x == 0
+    e = np.exp(x)
+    e[at_max] = 0.0
+    s = e.sum()
+    m = np.count_nonzero(at_max)
+    lse = np.log1p(s) if m == 1 else np.log1p(s / m) + np.log(m)
+    return np.exp(x - lse)
 
 
 @dataclass
@@ -159,7 +199,9 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolutio
     feasibility reads -C_ij - lambda_i - mu_j <= 0 and the dual value is
     -<lambda, r> - <mu, c>. HiGHS works to a primal feasibility tolerance of
     1e-7 and can drop a mass below it while its gap reads 0, so a plan whose
-    marginals miss r and c by more than FEAS_TOL in L1 is refused.
+    marginals miss r and c by more than FEAS_TOL in L1 is solved once more
+    at a primal feasibility tolerance of LP_RETRY_FEAS_TOL, and refused if it
+    still misses. A plan that meets FEAS_TOL at the first solve is kept.
     """
     n = C.n
     if r.n != n or c.n != n:
@@ -176,19 +218,28 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolutio
         a_eq[i, i * n:(i + 1) * n] = 1.0
         a_eq[n + i, i::n] = 1.0
     b_eq = np.concatenate([r.weights, c.weights])
-    res = linprog(C.entries.ravel(), A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if not res.success:
+
+    def solve(**options):
+        res = linprog(C.entries.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs", options=options)
+        if not res.success:
+            raise SolverError(f"exact_ot: LP failed: {res.message}")
+        plan = res.x.reshape(n, n)
+        residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
+                    + np.abs(plan.sum(axis=0) - c.weights).sum())
+        return res, plan, residual
+
+    options = {}
+    try:
+        res, plan, residual = solve()
+    except SolverError:
         # presolve can misreport infeasibility when marginals carry entries
         # far below its feasibility tolerance; retry without it
-        res = linprog(C.entries.ravel(), A_eq=a_eq, b_eq=b_eq,
-                      bounds=(0, None), method="highs",
-                      options={"presolve": False})
-    if not res.success:
-        raise SolverError(f"exact_ot: LP failed: {res.message}")
-    plan = res.x.reshape(n, n)
-    residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
-                + np.abs(plan.sum(axis=0) - c.weights).sum())
+        options = {"presolve": False}
+        res, plan, residual = solve(**options)
+    if residual > FEAS_TOL:
+        res, plan, residual = solve(**options,
+                                    primal_feasibility_tolerance=LP_RETRY_FEAS_TOL)
     if residual > FEAS_TOL:
         raise SolverError(f"exact_ot: the plan misses its marginals by {residual:.3g}"
                           f" in L1, past {FEAS_TOL:g}")
@@ -212,9 +263,11 @@ def staircase(r_weights: np.ndarray, c_weights: np.ndarray
     """
     cdf_r = np.cumsum(r_weights)
     cdf_c = np.cumsum(c_weights)
-    # all quantile breakpoints of either step CDF
+    # all quantile breakpoints of either step CDF, the last one included
+    # wherever rounding leaves it: a cumsum of n weights can end some n ulps
+    # past 1, and a cut there would drop the last cell's whole mass
     q = np.union1d(cdf_r, cdf_c)
-    q = q[(q > 0) & (q <= 1 + 1e-15)]
+    q = q[q > 0]
     levels = np.concatenate([[0.0], q])
     widths = np.diff(levels)
     # quantile at level just above levels[k]: first index with cdf >= level

@@ -20,8 +20,7 @@ from barystream.dual_core import (
     NumericalAbort,
     SolverError,
     drive,
-    lambda_star_argmax,
-    logsumexp,
+    logsumexp,  # unused here; perfbench's finite_md.softmax span wraps it by name
     saddle_gap,
 )
 from barystream.measures import DiscreteMeasure, draw_index, sampling_cdf
@@ -43,6 +42,10 @@ class FiniteProblem:
         object.__setattr__(self, "weights", w)
         if meas.ndim != 2 or meas.shape[1] != self.C.n:
             raise SolverError("FiniteProblem: measures must be m x n matching C")
+        # md_step's one-min check of the clipped row needs a finite box
+        if not math.isfinite(self.C.inf_norm):
+            raise SolverError("FiniteProblem: the cost must be finite, got "
+                              f"sup-norm {self.C.inf_norm!r}")
         # a NaN fails no comparison, so finiteness is checked on its own
         if (w.shape != (meas.shape[0],) or not np.isfinite(w).all()
                 or np.any(w < 0) or abs(w.sum() - 1) > 1e-12):
@@ -110,17 +113,19 @@ class FiniteSaddleState(CarriedSoftmax):
 
 
 def oracle_g(M: np.ndarray, t: int, s: int, C: CostMatrix) -> tuple[int, float]:
-    """Sparse primal oracle: coordinate s carries -n * max_j(-C_sj - M_tj)."""
-    n = C.n
-    return s, float(-n * (-C.entries[s] - M[t]).max())
+    """Sparse primal oracle: coordinate s carries -n * max_j(-C_sj - M_tj),
+    computed as n * min_j(C_sj + M_tj): (-a) - b is -(a + b) in IEEE
+    arithmetic, so the two differ only in the sign of a zero result."""
+    return s, float(C.n * (C.entries[s] + M[t]).min())
 
 
 def oracle_h(M: np.ndarray, t: int, q: int, c_t: np.ndarray,
              C: CostMatrix) -> np.ndarray:
-    """Dual oracle for row t: c_t minus the basis vector at the argmax index."""
-    j = lambda_star_argmax(M[t], C, q)
+    """Dual oracle for row t: c_t minus the basis vector at the argmax index
+    of -C_qj - M_tj (`lambda_star_argmax`), found as the argmin of C_qj + M_tj,
+    which is the same first index of a tie."""
     h = c_t.copy()
-    h[j] -= 1.0
+    h[(C.entries[q] + M[t]).argmin()] -= 1.0
     return h
 
 
@@ -132,31 +137,39 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     Draws t from problem.weights, s uniformly and q from state.r, in that
     order, with the same indices and generator stream as rng.choice and
     rng.integers. Only row t of M moves, so only it is clipped to the box and
-    checked, with log_r, for non-finite entries; one softmax per step gives
-    the new r, which the next step reuses.
+    checked; `set_log_r` shifts and checks log_r and takes the one softmax
+    per step that gives the new r, which the next step reuses.
+
+    The row check reads one min: the box bound is finite (FiniteProblem
+    refuses a cost with a non-finite entry), so after the clip every entry
+    is finite or NaN, and min propagates NaN. The sign of a zero g_s from
+    `oracle_g` leaves log_r[s] alone, since x - 0.0 and x - (-0.0) differ
+    only for x = -0.0, and no step leaves -0.0 in log_r: x - y is -0.0 only
+    for x = -0.0, and the shift by the max gives +0.0 at the max.
     """
     n = problem.n
+    C = problem.C
     t = draw_index(problem.weights_cdf, rng)
     s = int(rng.integers(n))
     q = draw_index(sampling_cdf(state.r), rng)
 
-    _, g_s = oracle_g(state.M, t, s, problem.C)
-    h = oracle_h(state.M, t, q, problem.measures[t], problem.C)
+    _, g_s = oracle_g(state.M, t, s, C)
+    h = oracle_h(state.M, t, q, problem.measures[t], C)
 
+    eta = state.eta
     log_r = state.log_r.copy()
-    log_r[s] -= state.alpha * state.eta * g_s
-    log_r -= log_r.max()  # keep the representation bounded; softmax unchanged
-    row = state.M[t] - state.beta * state.eta * h
+    log_r[s] -= state.alpha * eta * g_s
+    row = state.M[t] - state.beta * eta * h
     bound = problem.box_bound
     np.maximum(row, -bound, out=row)
     np.minimum(row, bound, out=row)
-    if not (np.isfinite(log_r).all() and np.isfinite(row).all()):
+    if not math.isfinite(row.min()):
         raise NumericalAbort(f"non-finite iterate at k={state.k + 1}: "
-                             f"log_r={log_r!r}")
+                             f"row {t} of M")
+    state.set_log_r(log_r, "iterate")
     # each mean scaled in place, then x/k added: IEEE addition commutes
     state.k = k = state.k + 1
     state.M[t] = row
-    state.log_r, state.r = log_r, np.exp(log_r - logsumexp(log_r))
     state.r_avg *= (k - 1) / k
     state.r_avg += state.r / k
     state.M_avg *= (k - 1) / k

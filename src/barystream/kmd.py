@@ -18,10 +18,8 @@ import numpy as np
 from barystream.dual_core import (
     AveragedIterate,
     CostMatrix,
-    NumericalAbort,
     SolverError,
     drive,
-    logsumexp,
 )
 from barystream.measures import MeasureStream
 
@@ -200,11 +198,12 @@ def _box(f: np.ndarray, bound: float) -> np.ndarray:
 
 
 def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
-                   C: CostMatrix, eta_k: float, config: KmdConfig, k: int):
+                   C: CostMatrix, eta_k: float, config: KmdConfig):
     """Shared per-step algebra: argmin indices, primal gradient, updates.
 
     r is the softmax of log_r, which the state carries. Returns (new_log_r,
-    pattern) where pattern = sum_i r_i e_{J_i} is the part of
+    pattern), new_log_r not yet shifted or checked (the state's `set_log_r`
+    does both), where pattern = sum_i r_i e_{J_i} is the part of
     beta^(k) / (eta_k * beta_scale) = pattern - c that does not depend on the
     sample; the caller folds in its sample c.
 
@@ -219,26 +218,21 @@ def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
     J = np.argmin(scores, axis=1)
     g = scores[np.arange(C.n), J]
     pattern = np.bincount(J, weights=r, minlength=C.n)
-    new_log_r = log_r - eta_k * config.alpha * g
-    new_log_r -= new_log_r.max()
-    if not np.isfinite(new_log_r).all():
-        raise NumericalAbort(f"non-finite primal iterate in KMD step at k={k}")
-    return new_log_r, pattern
+    return log_r - eta_k * config.alpha * g, pattern
 
 
 def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     """One KMD iteration on either dual: state.dual(config, c) evaluates it on the
     sample, state.add(beta, c) folds the step's history entry into it. Advances
-    state in place and returns it; _saddle_update aborts before any change."""
+    state in place and returns it; set_log_r aborts before any change."""
     k = state.k + 1
     eta_k = config.stepsize(k)
     c = np.asarray(c_sample, dtype=float)
     new_log_r, pattern = _saddle_update(state.log_r, state.r,
-                                        state.dual(config, c), C, eta_k, config,
-                                        k)
+                                        state.dual(config, c), C, eta_k, config)
+    state.set_log_r(new_log_r, "primal iterate in KMD step")
     state.add(eta_k * config.beta_scale * (pattern - c), c)
     weight = eta_k if config.mode == "dynamic" else 1.0
-    state.log_r, state.r = new_log_r, np.exp(new_log_r - logsumexp(new_log_r))
     state.avg_num += weight * state.r
     state.avg_den += weight
     state.k = k

@@ -27,6 +27,7 @@ from barystream.cli import (
 )
 from barystream.dual_core import NumericalAbort
 from barystream.kmd import KmdConfig
+from barystream.measures import MeasureError, MeasureStream
 
 
 def _unchecked_kmd_config(config, kernel, C):
@@ -923,6 +924,49 @@ def test_a_grid_with_no_gaussian_truth_is_the_one_config_error_line(tmp_path,
         "config error: data.grid.lo=-1e+200, data.grid.hi=1e+200, "
         "data.law.mu0=1.0 and data.law.rate=0.5 give no true barycenter on the "
         "grid: normalize: total mass is zero or non-finite\n")
+    assert not report.exists()
+
+
+def test_an_eval_holdout_with_no_mass_is_the_one_config_error_line(tmp_path, capsys,
+                                                                   monkeypatch):
+    # eval takes no step, so every draw it makes is a holdout measure's; each
+    # comes out with no mass on the grid here
+    ckpt = tmp_path / "state.json"
+    assert main(["run"] + _sets("N=10", "halt_after=4", "data.grid.n=8",
+                                f"output.checkpoint={ckpt}")) == 0
+
+    def no_mass(stream):
+        raise MeasureError("normalize: total mass is zero or non-finite")
+
+    monkeypatch.setattr(MeasureStream, "sample", no_mass)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--set", "eval.gap_holdout=2"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: data.law.mu0=1.0, data.law.sigma0_sq=4.0, data.law.rate=0.5, "
+        "cost.p=2.0, cost.normalize=False, data.grid.lo=-10.0, data.grid.hi=10.0, "
+        "data.grid.n=8 and seed=0 give no score: normalize: total mass is zero or "
+        "non-finite\n")
+
+
+def test_a_corpus_run_names_no_gaussian_law_key(tmp_path, capsys, monkeypatch):
+    # a corpus draw cannot fail, so a score past the float range stands for
+    # what the run loop's block catches; the corpus gives the grid
+    corpus = tmp_path / "corpus.csv"
+    assert main(["gen-data"] + _sets("data.count=3", "data.grid.n=8",
+                                     f"data.path={corpus}")) == 0
+
+    def overflow(r, holdout, C):
+        raise OverflowError("the gap is past the float range")
+
+    monkeypatch.setattr(cli.evaluation, "gap_surrogate", overflow)
+    capsys.readouterr()
+    report = tmp_path / "report.csv"
+    assert main(["run"] + _sets("N=5", "method=linear_kmd", "data.kind=finite",
+                                f"data.path={corpus}", "eval.gap_holdout=1",
+                                f"output.report={report}")) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cost.p=2.0, cost.normalize=False, data.path={str(corpus)!r} "
+        "and seed=0 give no run: the gap is past the float range\n")
     assert not report.exists()
 
 

@@ -465,16 +465,37 @@ def test_sinkhorn_unstable_exit_returns_the_last_finite_iterate():
     assert unstable and np.array_equal(grad, np.zeros(3))
 
 
-def test_exact_ot_refuses_a_plan_that_misses_its_marginals():
-    # HiGHS drops c's mass of 2^-23 / (2 + 2^-23) below its 1e-7 feasibility
-    # tolerance: the plan's cost is 1.4999999106 against the true 1.4999999404,
-    # with a certificate gap of 0
+def _dropped_mass_case():
+    """HiGHS, at its default 1e-7 feasibility tolerance, drops c's mass of
+    2^-23 / (2 + 2^-23): the plan's cost is 1.4999999106 against the true
+    1.4999999404, with a certificate gap of 0."""
     C = CostMatrix.from_entries(0.5 * np.abs(np.subtract.outer(np.arange(7),
                                                                np.arange(7))))
     r = DiscreteMeasure(np.eye(7)[6])
     c = normalize(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0 ** -23, 1.0]))
+    return C, r, c
+
+
+def test_exact_ot_refuses_a_plan_that_misses_its_marginals(monkeypatch):
+    # a solver that ignores the tighter tolerance of the second solve gives
+    # the loose plan again, and exact_ot refuses it
+    C, r, c = _dropped_mass_case()
+    highs, tolerances = dual_core.linprog, []
+
+    def ignoring_the_tolerance(*args, options, **kwargs):
+        tolerances.append(options.pop("primal_feasibility_tolerance", None))
+        return highs(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(dual_core, "linprog", ignoring_the_tolerance)
     with pytest.raises(SolverError, match="misses its marginals by 1.19e-07"):
         exact_ot(r, c, C)
+    assert tolerances == [None, dual_core.LP_RETRY_FEAS_TOL]
+
+
+def test_exact_ot_keeps_a_dropped_mass_at_the_tighter_tolerance():
+    C, r, c = _dropped_mass_case()
+    exact = exact_ot(r, c, C)
+    assert exact.value == staircase_dual(r.weights, c.weights, C)[0] == 1.4999999403953588
 
 
 def test_sinkhorn_rejects():
@@ -560,6 +581,71 @@ def test_grid_cost_mark():
 
 
 @st.composite
+def shifted_vectors(draw):
+    """x - x.max() of a real vector of length 1-199 at a scale of 1e-3 to
+    300, with ties at the max and -inf entries: a log_r as `set_log_r`
+    leaves it, or with -inf entries, as none is."""
+    n = draw(st.integers(1, 199))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(n) * draw(st.floats(1e-3, 300.0))
+    x[draw(st.lists(st.integers(0, n - 1), max_size=n))] = x.max()
+    x -= x.max()
+    below = np.flatnonzero(x < 0)
+    if below.size:
+        x[draw(st.lists(st.sampled_from(below), max_size=below.size))] = -np.inf
+    return x
+
+
+class _Softmax(dual_core.CarriedSoftmax):
+    """A bare carrier of log_r and r at step k."""
+
+    def __init__(self, log_r, k=4):
+        self.log_r, self.k, self.r = log_r, k, None
+        self.__post_init__()
+
+
+@scipy_lse_arithmetic
+@settings(max_examples=500, deadline=None)
+@given(shifted_vectors())
+def test_shifted_softmax_is_exp_of_x_minus_logsumexp(x):
+    assert x.max() == 0 and not np.signbit(x.max())
+    expected = np.exp(x - logsumexp(x))
+    assert _same_bits(np.exp(x - dual_core.logsumexp(x)), expected)
+    assert _same_bits(dual_core._shifted_softmax(x), expected)
+
+
+@scipy_lse_arithmetic
+@settings(max_examples=300, deadline=None)
+@given(shifted_vectors(), st.floats(-1e3, 1e3))
+def test_set_log_r_writes_the_shifted_x_and_its_softmax(x, offset):
+    # a finite x: the shift, and the rebuild of a restored state, agree with it
+    x = x[np.isfinite(x)] + offset
+    shifted = x - x.max()
+    state = _Softmax(np.zeros(x.size))
+    state.set_log_r(x, "iterate")
+    assert _same_bits(state.log_r, shifted)
+    assert _same_bits(state.r, np.exp(shifted - logsumexp(shifted)))
+    assert _same_bits(_Softmax(state.log_r.copy()).r, state.r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_vectors(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_set_log_r_refuses_a_non_finite_x_and_writes_nothing(x, bad, data):
+    x = x.copy()
+    x[data.draw(st.integers(0, x.size - 1))] = bad
+    state = _Softmax(np.log(np.arange(1.0, 4.0)))
+    before = state.log_r.tobytes(), state.r.tobytes()
+    # only an infinite max (+inf, or -inf everywhere) makes the shift's
+    # inf - inf, which the steps' callers run under np.errstate; the softmax
+    # itself never sees a non-finite x
+    with (pytest.raises(dual_core.NumericalAbort,
+                        match="^non-finite iterate in a test at k=5$"),
+          np.errstate(invalid="ignore" if np.isinf(x.max()) else "raise")):
+        state.set_log_r(x, "iterate in a test")
+    assert (state.log_r.tobytes(), state.r.tobytes()) == before
+
+
+@st.composite
 def grid_costs(draw):
     """|x_i - x_j|^p, p in {1, 2}, on a random sorted grid in [-3, 3] of 2-30
     points, scaled half of the time."""
@@ -642,6 +728,43 @@ def test_staircase_dual_matches_the_lp(data):
     assert gap_surrogate(r, holdout, C) >= -1e-9
     assert abs(gap_surrogate(c, [c], C)) <= 1e-9
 
+
+
+def test_exact_ot_solves_a_loose_plan_again_at_a_tighter_tolerance():
+    # found by test_staircase_dual_matches_the_lp's strategies: HiGHS's first
+    # plan misses these marginals by 1.56e-7 in L1, and exact_ot refused it
+    n = 26
+    points = 3.0 * np.concatenate([[0.0], np.cumsum(np.ones(n - 1))]) / (n - 1)
+    C = squared_distance_cost(Grid1D(points, points[0], points[-1]), 1.0)
+    mass = np.r_[0, 11:n]
+    r = np.zeros(n)
+    r[mass] = 1.0 / 16
+    raw = np.zeros(n)
+    raw[mass] = 1.0
+    raw[-1] = 0.99999
+    c = raw / raw.sum()
+    exact = exact_ot(DiscreteMeasure(r), DiscreteMeasure(c), C)
+    assert (np.abs(exact.plan.sum(axis=1) - r).sum()
+            + np.abs(exact.plan.sum(axis=0) - c).sum()) <= dual_core.FEAS_TOL
+    assert abs(exact.value - staircase_dual(r, c, C)[0]) <= 1e-12
+
+
+def test_staircase_keeps_the_last_cell_past_a_cumsum_that_overshoots_1():
+    # found by test_staircase_dual_matches_the_lp's strategies: c's cumsum
+    # ends 1.3e-15 past 1, and the last cell, of mass 0.0044, was dropped, so
+    # gap_surrogate(c, [c], C) read 0.11
+    n = 28
+    points = 3.0 * np.concatenate([[0.0], np.cumsum(np.ones(n - 1))]) / (n - 1)
+    C = squared_distance_cost(Grid1D(points, points[0], points[-1]), 1.0)
+    raw = np.full(n, 0.01)
+    raw[0] = 2.0
+    c = raw / raw.sum()
+    assert np.cumsum(c)[-1] > 1 + 1e-15
+    i, j, widths = staircase(c, c)
+    assert i[-1] == j[-1] == n - 1 and abs(widths.sum() - 1) <= 1e-14
+    assert gap_surrogate(c, [c], C) == 0.0
+    assert wasserstein_1d(DiscreteMeasure(c), DiscreteMeasure(c), Grid1D(
+        points, points[0], points[-1])) == 0.0
 
 
 def _gap_cases():

@@ -218,6 +218,47 @@ def test_md_step_aborts_on_a_non_finite_iterate():
         md_step(state, problem, np.random.Generator(np.random.PCG64(0)))
 
 
+def _snapshot(state):
+    return (state.k, state.log_r.tobytes(), state.r.tobytes(), state.M.tobytes(),
+            state.r_avg.tobytes(), state.M_avg.tobytes())
+
+
+# (field, value) putting a NaN or an infinity into log_r or into row t: alpha
+# scales log_r[s]'s step and beta row t's; M at half the box makes g_s > 0,
+# so an infinite alpha gives log_r[s] = -/+inf and h's entries of both signs
+# give an infinite beta +/-inf entries in the row
+@pytest.mark.parametrize("field, value, aborts", [
+    ("alpha", math.nan, True), ("alpha", math.inf, True), ("alpha", -math.inf, True),
+    ("beta", math.nan, True), ("beta", math.inf, False), ("beta", -math.inf, False),
+], ids=["log_r_nan", "log_r_-inf", "log_r_+inf", "row_nan", "row_inf", "row_-inf"])
+def test_a_non_finite_log_r_or_row_aborts_and_changes_nothing(field, value, aborts):
+    grid = Grid1D.uniform(0.0, 1.0, 4)
+    problem = FiniteProblem.from_measures(
+        [normalize(np.array([1.0, 2.0, 3.0, 4.0]), grid)],
+        squared_distance_cost(grid, 2.0))
+    state = FiniteSaddleState.cold_start(problem, 10)
+    state.M[:] = 0.5 * problem.box_bound
+    setattr(state, field, value)
+    before = _snapshot(state)
+    rng = np.random.Generator(np.random.PCG64(0))
+    with np.errstate(invalid="ignore"):  # inf - inf, as the run loop steps
+        if not aborts:
+            # an infinite entry of row t is clipped into the box, as any is
+            md_step(state, problem, rng)
+            assert (np.abs(state.M[0]) == problem.box_bound).all()
+            assert state.k == 1 and np.isfinite(state.log_r).all()
+            return
+        with pytest.raises(finite_md.NumericalAbort, match="^non-finite iterate at k=1"):
+            md_step(state, problem, rng)
+    assert _snapshot(state) == before
+
+
+def test_a_cost_with_an_infinite_entry_is_refused():
+    C = CostMatrix.from_entries([[0.0, math.inf], [1.0, 0.0]])
+    with pytest.raises(SolverError, match="the cost must be finite"):
+        FiniteProblem.from_measures([DiscreteMeasure(np.array([0.5, 0.5]))], C)
+
+
 def test_box_and_simplex_preserved():
     rng = np.random.default_rng(5)
     g = Grid1D.uniform(0, 1, 4)

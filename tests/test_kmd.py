@@ -369,8 +369,9 @@ def test_for_run_rejects_an_unknown_choice(key):
 
 
 def _three_pass_saddle_update(log_r, r, f, C, eta_k, config, k):
-    """_saddle_update's arithmetic before its one-pass form: the argmax and
-    max of -C - f."""
+    """_saddle_update's arithmetic before its one-pass form, the argmax and
+    max of -C - f, then the shift, check and softmax the step took before
+    `set_log_r`: (new_log_r, pattern, new_r)."""
     scores = -C.entries - f[None, :]
     J = np.argmax(scores, axis=1)
     g = -np.max(scores, axis=1)
@@ -379,7 +380,17 @@ def _three_pass_saddle_update(log_r, r, f, C, eta_k, config, k):
     new_log_r -= new_log_r.max()
     if not np.all(np.isfinite(new_log_r)):
         raise NumericalAbort(f"non-finite primal iterate in KMD step at k={k}")
-    return new_log_r, pattern
+    return new_log_r, pattern, np.exp(new_log_r - logsumexp(new_log_r))
+
+
+def _one_pass_saddle_update(log_r, r, f, C, eta_k, config, k):
+    """_saddle_update, then set_log_r on a state at step k - 1, as _step
+    runs them: (new_log_r, pattern, new_r)."""
+    new_log_r, pattern = _saddle_update(log_r, r, f, C, eta_k, config)
+    state = LinearKmdState(log_r=log_r.copy(), theta=np.zeros((C.n, C.n)),
+                           avg_num=np.zeros(C.n), avg_den=0.0, k=k - 1, r=r)
+    state.set_log_r(new_log_r, "primal iterate in KMD step")
+    return state.log_r, pattern, state.r
 
 
 # small values that tie and cancel: f_j = -C_ij makes a score exactly 0
@@ -408,7 +419,7 @@ def test_one_pass_saddle_update_matches_three_passes(data, n, eta_k):
                        beta_scale=1.0, clip_bound=1.0, mode="constant",
                        eta=eta_k, L=1.0)
     outcomes = []
-    for update in (_saddle_update, _three_pass_saddle_update):
+    for update in (_one_pass_saddle_update, _three_pass_saddle_update):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 outcomes.append(update(log_r, r, f, C, eta_k, config, 3))
