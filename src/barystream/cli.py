@@ -52,7 +52,7 @@ from barystream.measures import (
     save_corpus,
 )
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # a checkpoint's top-level keys, each one fact of the run
 CHECKPOINT_RECORDS = ("version", "config", "k", "rng", "state")
 # a kmd history: the first k rows of <checkpoint>ROWS_SUFFIX, a beta then its sample
@@ -334,10 +334,11 @@ def _restore_state(cold, payload: dict, rows_path: str):
     method's setup builds: every field of cold but k, r (rebuilt from log_r)
     and the kmd history (the first k rows of the rows file at rows_path) must
     be stored, and nothing else; each goes through _restore_field, and one
-    the class lists in SETUP_FIELDS must equal cold's."""
+    the class lists in SETUP_FIELDS must equal cold's, and each entry of one
+    it lists in STEP_FIELDS must be a whole number in [0, k]."""
     colds = {f.name: getattr(cold, f.name) for f in dataclasses.fields(cold)
              if f.name not in ("k", "r")}
-    stored, values = _stored(payload, "state"), {}
+    k, stored, values = payload["k"], _stored(payload, "state"), {}
     if not isinstance(stored, dict):
         raise ConfigError("checkpoint state must be a JSON object")
     for name, value in stored.items():
@@ -348,7 +349,11 @@ def _restore_state(cold, payload: dict, rows_path: str):
         if name in getattr(cold, "SETUP_FIELDS", ()) and values[name] != colds[name]:
             raise ConfigError(f"checkpoint state field {name!r} must be "
                               f"{colds[name]!r}, as its config sets it, got {value!r}")
-    k = payload["k"]
+        if name in getattr(cold, "STEP_FIELDS", ()):
+            steps = values[name]
+            if not ((steps >= 0) & (steps <= k) & (steps == np.floor(steps))).all():
+                raise ConfigError(f"checkpoint state field {name!r} must hold "
+                                  f"whole numbers in [0, k={k}]")
     values.update({name: _read_rows(rows_path, k, cold.log_r.size)
                    for name, value in colds.items() if isinstance(value, _History)})
     missing = [name for name in colds if name not in values]

@@ -63,17 +63,21 @@ def drive(state, step, N: int, callback=None):
 class CarriedSoftmax:
     """r, the softmax of a state's log_r, carried from step to step.
 
-    A step passes the softmax it computed for its running average. A state
-    built without r (a cold start, a checkpoint restore) computes it from
-    log_r here as exp(log_r - logsumexp(log_r)). Every step writes both
-    fields through `set_log_r`, the one writer of either, whose log_r has
-    max exactly 0; its r has the bits of that expression there, so the
-    carried and the rebuilt r agree. Checkpoints do not store r.
+    A step passes the softmax it computed for its running average. Every
+    state's log_r has max exactly 0: construction shifts log_r in place by
+    its max, which changes no bit of a log_r whose max is already 0 (x - 0.0
+    is x), and every step writes both fields through `set_log_r` or
+    `set_log_r_entry`, the only writers of either. A state built without r
+    (a cold start, a checkpoint restore) computes it from log_r here as
+    exp(log_r - logsumexp(log_r)); the writers' r has the bits of that
+    expression on such a log_r, so the carried and the rebuilt r agree.
+    Checkpoints do not store r.
     """
 
     r: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
+        self.log_r -= self.log_r.max()
         if self.r is None:
             self.r = np.exp(self.log_r - logsumexp(self.log_r))
 
@@ -92,6 +96,27 @@ class CarriedSoftmax:
         if not math.isfinite(x.min()):
             raise NumericalAbort(f"non-finite {what} at k={self.k + 1}")
         self.log_r, self.r = x, _shifted_softmax(x)
+
+    def set_log_r_entry(self, s: int, value: float, what: str) -> None:
+        """`set_log_r` of a copy of log_r with entry s set to value, writing
+        log_r in place when that keeps its max at 0.
+
+        When log_r[s] < 0 and value <= 0, an entry other than s holds the
+        max, 0, before and after, so the shift by the max changes no bit and
+        only value needs checking: a non-finite value raises NumericalAbort
+        as `set_log_r` does, before anything is written. Otherwise (s holds
+        the max, or value is > 0 or NaN) the copy goes through `set_log_r`.
+        """
+        log_r = self.log_r
+        if log_r[s] < 0 and value <= 0:
+            if not math.isfinite(value):
+                raise NumericalAbort(f"non-finite {what} at k={self.k + 1}")
+            log_r[s] = value
+            self.r = _shifted_softmax(log_r)
+        else:
+            x = log_r.copy()
+            x[s] = value
+            self.set_log_r(x, what)
 
 
 def _shifted_softmax(x: np.ndarray) -> np.ndarray:
@@ -117,8 +142,8 @@ def _shifted_softmax(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AveragedIterate(CarriedSoftmax):
-    """r_avg of a stream-method state: the running sum avg_num of iterates over
-    its total weight avg_den (r before any step)."""
+    """r_avg of a state: the running sum avg_num of iterates over its total
+    weight avg_den (r before any step)."""
 
     @property
     def r_avg(self) -> np.ndarray:

@@ -4,7 +4,8 @@ The dual function over a finite family {c_1..c_m} is an m x n matrix M
 boxed at |M|_inf <= |C|_inf. One iteration samples a measure index t, a
 uniform coordinate s and a coordinate q from the law r, applies the sparse
 unbiased oracles, an entropic step on r and a boxed Euclidean step on row
-M_(t), then updates the running averages.
+M_(t), then adds r and row t to the sums the averages are read from. The
+step moves one entry of log r and one row of M, so it costs O(n).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from barystream.dual_core import (
-    CarriedSoftmax,
+    AveragedIterate,
     CostMatrix,
     NumericalAbort,
     SolverError,
@@ -75,26 +76,44 @@ class FiniteProblem:
 
 
 @dataclass
-class FiniteSaddleState(CarriedSoftmax):
+class FiniteSaddleState(AveragedIterate):
     """Iterate of the finite-support saddle-point mirror descent.
 
     r is kept in log-domain (exponential-weights updates only shift logs),
-    read back through a softmax; M lives directly in the l_inf box. Running
-    averages of both r and M are maintained for gap evaluation.
+    read back through a softmax; M lives directly in the l_inf box. The
+    averages for gap evaluation are kept as sums: avg_num is the sum of the
+    k iterates r, and M_sum[t] the sum of row t's iterates through step
+    M_since[t], a whole number in [0, k] held as float64. A step rewrites one
+    row, so it settles only that row into M_sum. r_avg and M_avg are computed
+    from the sums when read.
     """
 
     # set by cold_start (and the run's eta_scale), never assigned by a step,
     # so a restored state must carry the values its setup gives them
     SETUP_FIELDS = ("eta", "alpha", "beta")
+    # fields whose every entry is a step number in [0, k]
+    STEP_FIELDS = ("M_since",)
 
     log_r: np.ndarray
     M: np.ndarray
-    r_avg: np.ndarray
-    M_avg: np.ndarray
+    avg_num: np.ndarray
+    M_sum: np.ndarray
+    M_since: np.ndarray
     k: int
     eta: float
     alpha: float
     beta: float
+
+    @property
+    def avg_den(self) -> int:
+        return self.k               # every iterate enters avg_num with weight 1
+
+    @property
+    def M_avg(self) -> np.ndarray:
+        """The mean of the k iterates M: zeros at k = 0."""
+        if self.k == 0:
+            return np.zeros_like(self.M)
+        return (self.M_sum + (self.k - self.M_since)[:, None] * self.M) / self.k
 
     @classmethod
     def cold_start(cls, problem: FiniteProblem, N: int) -> "FiniteSaddleState":
@@ -107,8 +126,8 @@ class FiniteSaddleState(CarriedSoftmax):
         beta = 4.0 * m * n * c_inf
         eta = 2.0 / (c_inf * math.sqrt(8 * n * n * math.log(n) + 16 * m * n)
                      * math.sqrt(5.0 * N))
-        return cls(log_r=np.zeros(n), M=np.zeros((m, n)),
-                   r_avg=np.full(n, 1.0 / n), M_avg=np.zeros((m, n)),
+        return cls(log_r=np.zeros(n), M=np.zeros((m, n)), avg_num=np.zeros(n),
+                   M_sum=np.zeros((m, n)), M_since=np.zeros(m),
                    k=0, eta=eta, alpha=alpha, beta=beta)
 
 
@@ -136,9 +155,10 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
 
     Draws t from problem.weights, s uniformly and q from state.r, in that
     order, with the same indices and generator stream as rng.choice and
-    rng.integers. Only row t of M moves, so only it is clipped to the box and
-    checked; `set_log_r` shifts and checks log_r and takes the one softmax
-    per step that gives the new r, which the next step reuses.
+    rng.integers. Only row t of M moves, so only it is clipped to the box,
+    checked and settled into M_sum; only log_r[s] moves, so
+    `set_log_r_entry` writes it and takes the one softmax per step that
+    gives the new r, which the next step reuses. Each step costs O(n).
 
     The row check reads one min: the box bound is finite (FiniteProblem
     refuses a cost with a non-finite entry), so after the clip every entry
@@ -157,8 +177,6 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     h = oracle_h(state.M, t, q, problem.measures[t], C)
 
     eta = state.eta
-    log_r = state.log_r.copy()
-    log_r[s] -= state.alpha * eta * g_s
     row = state.M[t] - state.beta * eta * h
     bound = problem.box_bound
     np.maximum(row, -bound, out=row)
@@ -166,14 +184,13 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     if not math.isfinite(row.min()):
         raise NumericalAbort(f"non-finite iterate at k={state.k + 1}: "
                              f"row {t} of M")
-    state.set_log_r(log_r, "iterate")
-    # each mean scaled in place, then x/k added: IEEE addition commutes
+    state.set_log_r_entry(s, state.log_r[s] - state.alpha * eta * g_s, "iterate")
+    # row t held its old value through step k - 1: settle those steps first
     state.k = k = state.k + 1
+    state.M_sum[t] += (k - 1 - state.M_since[t]) * state.M[t]
+    state.M_since[t] = k - 1
     state.M[t] = row
-    state.r_avg *= (k - 1) / k
-    state.r_avg += state.r / k
-    state.M_avg *= (k - 1) / k
-    state.M_avg += state.M / k
+    state.avg_num += state.r
     return state
 
 
@@ -184,7 +201,11 @@ def run_finite(problem: FiniteProblem, N: int, seed: int,
     """Run N total iterations from a cold start, or resume a given state and
     generator, which advance in place.
 
-    Returns (r_avg, M_avg, state), state the last iterate.
+    Returns (r_avg, M_avg, state), state the last iterate. r_avg and M_avg
+    are new arrays computed from the state's sums (`FiniteSaddleState`). They
+    agree with the running means r_avg*(k-1)/k + r/k and M_avg*(k-1)/k + M/k
+    to rounding: within 1e-12 relative for r_avg and the duality gap, and
+    1e-12 * |C|_inf for M_avg, whose entries cross 0.
     """
     if state is None:
         state = FiniteSaddleState.cold_start(problem, N)

@@ -342,12 +342,12 @@ def _run_small(tmp_path, *extra, n=8, N=20):
 
 
 def test_checkpoint_stores_matrices_as_bytes(tmp_path):
-    # v4: the kmd history is the first k rows of a raw rows file beside the
-    # JSON, each row a beta and then its sample as little-endian float64
+    # since v4 the kmd history is the first k rows of a raw rows file beside
+    # the JSON, each row a beta and then its sample as little-endian float64
     _, ckpt = _run_small(tmp_path, "--set", "method=kmd", "--set",
                          'kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}')
     payload = json.loads(ckpt.read_text())
-    assert payload["version"] == cli.CHECKPOINT_VERSION == 4
+    assert payload["version"] == cli.CHECKPOINT_VERSION == 5
     state = payload["state"]
     assert payload["k"] == 20 and set(state) == {"log_r", "avg_num", "avg_den"}
     assert isinstance(state["log_r"], list)
@@ -389,6 +389,68 @@ def test_version_1_checkpoint_is_rejected(tmp_path, capsys, command):
     ckpt.write_text("[3]")
     assert main([command, "--checkpoint", str(ckpt)]) == 1
     assert "config error: unsupported checkpoint version None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resume", "eval"])
+def test_a_version_4_checkpoint_names_both_versions(tmp_path, capsys, command):
+    # v4 stored finite_md's averages as running means, r_avg and M_avg
+    _, ckpt = _run_small(tmp_path, *_sets(*_method_args(tmp_path)["finite_md"]),
+                         "--set", "halt_after=10")
+    payload = json.loads(ckpt.read_text())
+    payload["version"] = 4
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == ("config error: unsupported checkpoint "
+                                       "version 4 (this version reads 5)\n")
+
+
+def test_a_finite_md_run_halted_at_half_resumes_to_the_straight_runs_bytes(tmp_path):
+    common = ["run"] + _sets("N=40", "data.grid.n=8", "seed=6", "checkpoint_every=7",
+                             *_method_args(tmp_path)["finite_md"])
+    full, half = tmp_path / "full.json", tmp_path / "half.json"
+    assert main(common + _sets(f"output.checkpoint={full}")) == 0
+    assert main(common + _sets("halt_after=20", f"output.checkpoint={half}")) == 0
+    assert json.loads(half.read_text())["k"] == 20
+    assert main(["resume", "--checkpoint", str(half)]) == 0
+    a, b = json.loads(full.read_text()), json.loads(half.read_text())
+    assert a["k"] == b["k"] == 40
+    assert a["state"] == b["state"] and a["rng"] == b["rng"]
+
+
+def test_a_restored_log_r_is_shifted_to_max_0_and_steps_as_set_log_r(tmp_path,
+                                                                      monkeypatch):
+    # a hand-edited log_r of max 1 resumes from its shifted copy; each next
+    # step's one-entry write gives the bytes of set_log_r on a copy of log_r
+    _, ckpt = _run_small(tmp_path, *_sets(*_method_args(tmp_path)["finite_md"]),
+                         "--set", "halt_after=10")
+    payload = json.loads(ckpt.read_text())
+    stored = np.array(payload["state"]["log_r"]) + 1.0
+    payload["state"]["log_r"] = stored.tolist()
+    ckpt.write_text(json.dumps(payload))
+    _, run = cli._open_checkpoint(str(ckpt), [])
+    state = run.state
+    assert state.log_r.max() == 0 and not np.signbit(state.log_r.max())
+    assert state.log_r.tobytes() == (stored - stored.max()).tobytes()
+
+    writes, paths = [], set()
+    one_entry = type(state).set_log_r_entry
+
+    def recorded(self, s, value, what):
+        writes.append((self.log_r.copy(), s, value))
+        paths.add(bool(self.log_r[s] < 0 and value <= 0))
+        one_entry(self, s, value, what)
+
+    monkeypatch.setattr(type(state), "set_log_r_entry", recorded)
+    for _ in range(40):
+        run.step(state)
+        log_r, s, value = writes[-1]
+        reference = dataclasses.replace(state, log_r=log_r.copy(), r=None)
+        log_r[s] = value
+        reference.set_log_r(log_r, "iterate")
+        assert state.log_r.tobytes() == reference.log_r.tobytes()
+        assert state.r.tobytes() == reference.r.tobytes()
+    assert paths == {True, False}
 
 
 def _rows_file(ckpt):
@@ -666,8 +728,22 @@ def test_sinkhorn_unstable_count_is_kept(tmp_path, monkeypatch, capsys):
     ("finite_md", lambda p: p["state"].update(beta=51200.000000000007),
      "checkpoint state field 'beta' must be 51200.0, as its config sets it, "
      "got 51200.00000000001"),
+    # M_since counts steps, each a whole number in [0, k]; the sums are finite
+    ("finite_md", lambda p: p["state"]["M_since"].__setitem__(1, 2.5),
+     "checkpoint state field 'M_since' must hold whole numbers in [0, k=10]"),
+    ("finite_md", lambda p: p["state"]["M_since"].__setitem__(0, -1.0),
+     "checkpoint state field 'M_since' must hold whole numbers in [0, k=10]"),
+    ("finite_md", lambda p: p["state"]["M_since"].__setitem__(2, 11),
+     "checkpoint state field 'M_since' must hold whole numbers in [0, k=10]"),
+    ("finite_md", lambda p: p["state"]["avg_num"].__setitem__(0, float("nan")),
+     "checkpoint state field 'avg_num' holds a non-finite value"),
+    ("finite_md", lambda p: p["state"].update(
+        M_sum=_encode_matrix(_decode_matrix(p["state"]["M_sum"]) + np.inf)),
+     "checkpoint state field 'M_sum' holds a non-finite value"),
 ], ids=["missing_field", "extra_field", "stream", "rng", "k", "state", "config",
-        "unconverged", "nan_log_r", "nan_M", "method", "eta", "alpha", "beta"])
+        "unconverged", "nan_log_r", "nan_M", "method", "eta", "alpha", "beta",
+        "M_since_fraction", "M_since_negative", "M_since_past_k", "nan_avg_num",
+        "inf_M_sum"])
 def test_a_checkpoint_that_does_not_fit_its_method_is_a_config_error(
         tmp_path, capsys, command, method, edit, message):
     # the stored config's method sets the run up, and the state is restored
@@ -1242,9 +1318,12 @@ def _sets(*items):
 # (version 4, where the rows file's first k rows are the history): with that
 # key put back after log_r, each state hashes as before. linear_kmd_corpus,
 # linear_kmd drawing the finite_md corpus by its uniform law, was recorded
-# before the stream became a generator and a draw, to pin the finite draws
+# before the stream became a generator and a draw, to pin the finite draws.
+# The finite_md hash was re-recorded when its averages became sums (version
+# 5: avg_num, M_sum and M_since in place of r_avg and M_avg); log_r, M, eta,
+# alpha, beta and the rng are those of the running-mean code, bit for bit
 SEEDED_GUARD = {
-    "finite_md": ("fe156ed31d8d10f74f51bfb4e5ea84502246a1466df61c4ec32a3a0dff867a9e",
+    "finite_md": ("09aad8a4d1ad365e5067cf6a77ab65c7a94401dd0b41b7eea4ad6df356b028e0",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
                    0.18677162696367908, 0.34192672091788384, 0.1407247175625001,
                    0.06525148637768098, 0.05061822516202479]),
@@ -1498,21 +1577,92 @@ def _schema_valid_sets(draw):
                "data.grid.hi=1e300", "data.law.mu0=1e150", "data.law.rate=1e-300",
                "cost.p=1", "baseline.inner_iters=5", "checkpoint_every=2"])
 def test_every_schema_valid_run_exits_0_or_with_one_line_naming_a_key(sets):
-    # in process, so a numpy RuntimeWarning fails the test; a config error
-    # names a SCHEMA key, as key=value or key must
+    with tempfile.TemporaryDirectory() as tmp:
+        _exits_0_or_with_one_line(
+            ["run"] + _sets(*sets, f"output.report={Path(tmp) / 'r.csv'}"))
+
+
+def _exits_0_or_with_one_line(argv, names_a_key=True) -> bool:
+    """Whether main(argv) exits 0; otherwise it must exit 2 with one
+    `numerical abort:` line or 1 with one `config error:` line, which, when
+    names_a_key, names a SCHEMA key as key=value or key must. In process, so
+    a numpy RuntimeWarning fails the test."""
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        rc = main(["run"] + _sets(*sets, f"output.report={Path(tmp) / 'r.csv'}"))
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
     err = err.getvalue()
     if rc == 0:
         assert "error" not in err and "abort" not in err
-        return
+        return True
     assert err.count("\n") == 1 and err.endswith("\n"), err
     if rc == 2:
         assert err.startswith("numerical abort: "), err
-        return
+        return False
     assert rc == 1 and err.startswith("config error: "), err
-    assert any(f"{key}=" in err or f"{key} must" in err for key in cli.SCHEMA), err
+    assert not names_a_key or any(f"{key}=" in err or f"{key} must" in err
+                                  for key in cli.SCHEMA), err
+    return False
+
+
+@st.composite
+def _schema_valid_finite_md_cases(draw):
+    """(gen-data sets, run sets, eval sets): a corpus of 1-4 measures that
+    gen-data draws at n <= 8 with numbers anywhere in their rules' ranges,
+    and a finite_md run on it, with or without data.weights, halted half of
+    the time; eval takes eval.gap_holdout, the key it may override."""
+    # half of the grids and costs at a desk scale, so that most runs step
+    ends = st.one_of(_ANY_NUMBER, st.floats(-10.0, 10.0))
+    lo, hi = sorted([draw(ends, label="lo"), draw(ends, label="hi")])
+    if lo == hi:
+        hi = draw(st.sampled_from([math.nextafter(lo, math.inf), lo + 1, 1.7e308]))
+    count = draw(st.integers(1, 4), label="count")
+    gen = [f"data.count={count}", f"data.grid.n={draw(st.integers(2, 8), label='n')}",
+           f"data.grid.lo={lo!r}", f"data.grid.hi={hi!r}",
+           f"data.law.mu0={draw(_ANY_NUMBER, label='mu0')!r}",
+           f"data.law.sigma0_sq={draw(_POSITIVE, label='sigma0_sq')!r}",
+           f"data.law.rate={draw(_POSITIVE, label='rate')!r}",
+           f"seed={draw(st.integers(0, 2 ** 16), label='seed')}"]
+    N = draw(st.integers(1, 6), label="N")
+    run = ["method=finite_md", "data.kind=finite", f"N={N}",
+           f"checkpoint_every={draw(st.integers(1, N), label='every')}",
+           f"cost.p={draw(st.one_of(_COST_P, st.just(2)), label='p')!r}",
+           f"cost.normalize={json.dumps(draw(st.booleans(), label='normalize'))}",
+           f"eta_scale={draw(_POSITIVE, label='eta_scale')!r}"]
+    if draw(st.booleans(), label="set weights"):
+        weights = draw(st.lists(st.one_of(st.sampled_from([0, 1, 1e-300, 1e300]),
+                                          st.floats(0, 1e308)),
+                                min_size=count, max_size=count), label="weights")
+        run.append(f"data.weights={json.dumps(weights)}")
+    if N > 1 and draw(st.booleans(), label="halt"):
+        run.append(f"halt_after={draw(st.integers(1, N - 1), label='halt_after')}")
+    return gen, run, [f"eval.gap_holdout={draw(st.integers(0, 2), label='holdout')}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_schema_valid_finite_md_cases())
+# a weight of 1e308 and another of 1e308 sum past the float range
+@example(case=(["data.count=2", "data.grid.n=3", "seed=1"],
+               ["method=finite_md", "data.kind=finite", "N=2", "halt_after=1",
+                "data.weights=[1e308, 1e308]"], ["eval.gap_holdout=1"]))
+def test_every_schema_valid_finite_md_run_resume_and_eval_exit_0_or_with_one_line(case):
+    gen, run, evaluate = case
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, ckpt = Path(tmp) / "corpus.csv", Path(tmp) / "state.json"
+        if not _exits_0_or_with_one_line(
+                ["gen-data"] + _sets(*gen, f"data.path={corpus}")):
+            return
+        # the corpus's header gives the run its grid; gen[-1] is the seed
+        if not _exits_0_or_with_one_line(
+                ["run"] + _sets(gen[-1], *run, f"data.path={corpus}",
+                                f"output.checkpoint={ckpt}",
+                                f"output.report={Path(tmp) / 'r.csv'}")):
+            return
+        # eval's complaint of no score to take names eval.gap_holdout >= 1
+        _exits_0_or_with_one_line(["eval", "--checkpoint", str(ckpt),
+                                   *_sets(*evaluate)], names_a_key=False)
+        payload = json.loads(ckpt.read_text())
+        if payload["k"] < payload["config"]["N"]:
+            _exits_0_or_with_one_line(["resume", "--checkpoint", str(ckpt)])
 
 
 def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):

@@ -645,6 +645,57 @@ def test_set_log_r_refuses_a_non_finite_x_and_writes_nothing(x, bad, data):
     assert (state.log_r.tobytes(), state.r.tobytes()) == before
 
 
+def test_construction_shifts_log_r_to_max_0_in_place():
+    log_r = np.log(np.arange(1.0, 4.0)) + 1.0
+    state = _Softmax(log_r)
+    assert state.log_r is log_r and log_r.max() == 0 and not np.signbit(log_r.max())
+    assert _same_bits(log_r, np.log(np.arange(1.0, 4.0)) + 1.0 - (np.log(3.0) + 1.0))
+    # a log_r of max 0 keeps every bit
+    again = log_r.copy()
+    assert _same_bits(_Softmax(again).log_r, log_r)
+
+
+# new values for an entry: at, just above and below 0, and non-finite; -0.0 is
+# left out because md_step never writes it (log_r[s] - d is -0.0 only for a
+# log_r[s] of -0.0, which no state holds)
+ENTRY_VALUES = [0.0, 5e-324, -5e-324, 1.0, -1.0, -800.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=500, deadline=None)
+@given(shifted_vectors(), st.data())
+def test_set_log_r_entry_gives_the_bytes_of_set_log_r_on_a_copy(x, data):
+    # a state's log_r is finite with max exactly 0; s at the max half the time
+    x = x[np.isfinite(x)]
+    at_max = np.flatnonzero(x == 0)
+    s = data.draw(st.one_of(st.sampled_from(at_max), st.integers(0, x.size - 1)),
+                  label="s")
+    value = data.draw(st.one_of(st.sampled_from(ENTRY_VALUES),
+                                st.floats(-1e3, 1e3).map(lambda v: v + 0.0),
+                                st.floats(-1.0, 0.0).map(lambda d: x[s] + d + 0.0)),
+                      label="value")
+    copy = x.copy()
+    copy[s] = value
+    reference, state = _Softmax(x.copy()), _Softmax(x.copy())
+    before = state.log_r.tobytes(), state.r.tobytes()
+    outcomes = []
+    # only a +inf value makes set_log_r's inf - inf, as in its own property
+    with np.errstate(invalid="ignore" if value == np.inf else "raise"):
+        for write in (lambda: reference.set_log_r(copy, "iterate"),
+                      lambda: state.set_log_r_entry(s, value, "iterate")):
+            try:
+                write()
+                outcomes.append(None)
+            except dual_core.NumericalAbort as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is not None:
+        assert outcomes[0] == "non-finite iterate at k=5" and not np.isfinite(value)
+        assert (state.log_r.tobytes(), state.r.tobytes()) == before
+        return
+    assert _same_bits(state.log_r, reference.log_r)
+    assert _same_bits(state.r, reference.r)
+
+
 @st.composite
 def grid_costs(draw):
     """|x_i - x_j|^p, p in {1, 2}, on a random sorted grid in [-3, 3] of 2-30

@@ -279,13 +279,17 @@ def test_box_and_simplex_preserved():
 def test_running_average_is_arithmetic_mean():
     problem = toy_problem()
     state = FiniteSaddleState.cold_start(problem, N=50)
+    # before any step: r_avg is r, M_avg zeros
+    assert state.r_avg is state.r and not state.M_avg.any()
     rng = np.random.Generator(np.random.PCG64(1))
-    iterates = []
+    iterates, Ms = [], []
     for _ in range(50):
         state = md_step(state, problem, rng)
         iterates.append(state.r)
+        Ms.append(state.M.copy())
     np.testing.assert_allclose(state.r_avg, np.mean(iterates, axis=0),
                                atol=1e-10)
+    np.testing.assert_allclose(state.M_avg, np.mean(Ms, axis=0), atol=1e-10)
 
 
 def test_run_finite_single_step_and_determinism():
@@ -384,3 +388,66 @@ def test_gap_decreases_with_iterations():
         r_avg, M_avg, _ = run_finite(problem, N=N, seed=21)
         gaps[N] = duality_gap_finite(r_avg, M_avg, problem)
     assert gaps[3200] < gaps[200]
+
+
+def _running_mean_run(problem, N, seed, eta_scale):
+    """md_step's trajectory with the averages kept as running means, as before
+    they were sums: each mean scaled by (k-1)/k, then x/k added."""
+    state = FiniteSaddleState.cold_start(problem, N)
+    state.eta *= eta_scale
+    rng = np.random.Generator(np.random.PCG64(seed))
+    r_avg, M_avg = np.full(problem.n, 1.0 / problem.n), np.zeros_like(state.M)
+    for k in range(1, N + 1):
+        md_step(state, problem, rng)
+        r_avg *= (k - 1) / k
+        r_avg += state.r / k
+        M_avg *= (k - 1) / k
+        M_avg += state.M / k
+    return r_avg, M_avg, state
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_averages_kept_as_sums_match_the_running_means(case):
+    # within 1e-12 relative for r_avg and the gap, and 1e-12 |C|_inf for M_avg,
+    # whose entries cross 0; the sums change only the averages' rounding
+    rng = np.random.default_rng(600 + case)
+    n, m = [(5, 5), (3, 1), (8, 7), (5, 12)][case % 4]
+    grid = Grid1D.uniform(0.0, 1.0, n)
+    C = squared_distance_cost(grid, 2.0)
+    weights = rng.random(m)
+    problem = FiniteProblem.from_measures(
+        [normalize(rng.random(n) + 0.05, grid) for _ in range(m)], C,
+        weights / weights.sum())
+    eta_scale = [1.0, 50.0, 1000.0][case % 3]
+    r_ref, M_ref, ref = _running_mean_run(problem, 2000, case, eta_scale)
+    state = FiniteSaddleState.cold_start(problem, 2000)
+    state.eta *= eta_scale
+    r_avg, M_avg, state = run_finite(problem, 2000, case, state=state)
+    for a, b in ((state.log_r, ref.log_r), (state.r, ref.r), (state.M, ref.M)):
+        assert a.tobytes() == b.tobytes()
+    np.testing.assert_allclose(r_avg, r_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(M_avg, M_ref, rtol=0, atol=1e-12 * C.inf_norm)
+    np.testing.assert_allclose(duality_gap_finite(r_avg, M_avg, problem),
+                               duality_gap_finite(r_ref, M_ref, problem),
+                               rtol=1e-12, atol=0)
+
+
+def test_the_sums_settle_each_row_when_it_is_rewritten():
+    grid = Grid1D.uniform(0.0, 1.0, 4)
+    rng = np.random.default_rng(3)
+    problem = FiniteProblem.from_measures(
+        [normalize(rng.random(4) + 0.05, grid) for _ in range(3)],
+        squared_distance_cost(grid, 2.0))
+    state = FiniteSaddleState.cold_start(problem, 50)
+    step_rng = np.random.Generator(np.random.PCG64(5))
+    Ms = []
+    for k in range(1, 51):
+        md_step(state, problem, step_rng)
+        Ms.append(state.M.copy())
+        # M_sum[t] holds row t of steps 1..M_since[t], a whole number < k
+        assert (state.M_since < k).all()
+        assert (state.M_since == np.floor(state.M_since)).all()
+        for t in range(3):
+            settled = [M[t] for M in Ms[:int(state.M_since[t])]]
+            np.testing.assert_allclose(state.M_sum[t], np.sum(settled, axis=0)
+                                       if settled else 0.0, rtol=1e-13, atol=1e-15)
