@@ -94,11 +94,22 @@ def lp_subgradient(r: DiscreteMeasure, c: DiscreteMeasure,
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
+    """Euclidean projection onto the probability simplex.
+
+    The first sorted index always passes the test u_1 - (u_1 - 1) > 0, but
+    in floats only while |u_1| < 2**53. Where no index passes, a finite v is
+    projected shifted to max 0, which has the same projection and where the
+    first index passes; a v with a NaN or an inf projects to NaN, without
+    the division by 0.
+    """
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
     rho = np.max(np.where(u - css / idx > 0, idx, 0))
+    if rho == 0:
+        if not np.isfinite(v).all():
+            return np.full_like(v, np.nan)
+        return _project_simplex(v - u[0])
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 

@@ -229,9 +229,12 @@ def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
+    """Write payload's JSON to path through a temporary file. One json.dumps
+    call runs the C encoder, where json.dump streams through the Python one;
+    the bytes are the same."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
 
 

@@ -1321,7 +1321,9 @@ def _sets(*items):
 # before the stream became a generator and a draw, to pin the finite draws.
 # The finite_md hash was re-recorded when its averages became sums (version
 # 5: avg_num, M_sum and M_since in place of r_avg and M_avg); log_r, M, eta,
-# alpha, beta and the rng are those of the running-mean code, bit for bit
+# alpha, beta and the rng are those of the running-mean code, bit for bit.
+# The sinkhorn_sgd hash was re-recorded when Sinkhorn's half-steps began to
+# run from frozen kernels, which sum in another order; its r_avg held at 1e-12
 SEEDED_GUARD = {
     "finite_md": ("09aad8a4d1ad365e5067cf6a77ab65c7a94401dd0b41b7eea4ad6df356b028e0",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -1344,7 +1346,7 @@ SEEDED_GUARD = {
         [0.0025541550733871464, 0.006473536801041738, 0.024537618967472214,
          0.18025705058184532, 0.7387571524777141, 0.03831745230460663,
          0.00679578391532853, 0.002307249878605068]),
-    "sinkhorn_sgd": ("f1b1c9274e1cd9c60597e2d3c3f369a3bf13f1ee76448686f860adbeccbfd2e3",
+    "sinkhorn_sgd": ("5ceba1ae2d340bef2d294efd3a1858142c85e29e732fcbd4ec55fd729d38a6d9",
                      [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
                       0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
                       0.08023703758014075, 0.040553652980500975]),
@@ -1373,6 +1375,25 @@ def test_seeded_checkpoint_guard(tmp_path, name):
     rows = _rows_file(ckpt).read_bytes() if _rows_file(ckpt).exists() else b""
     assert hashlib.sha256(json.dumps(payload["state"]).encode()
                           + rows).hexdigest() == sha
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
+def test_checkpoint_file_holds_the_bytes_json_dump_writes(tmp_path, monkeypatch, name):
+    write, written = cli._atomic_write_json, []
+
+    def recording(path, payload):
+        write(path, payload)
+        written.append((Path(path).read_bytes(), payload))
+
+    monkeypatch.setattr(cli, "_atomic_write_json", recording)
+    assert main(["run"] + _sets("N=20", "data.grid.n=8", "seed=3", "checkpoint_every=10",
+                                f"output.checkpoint={tmp_path / 'state.json'}",
+                                *_method_args(tmp_path)[name])) == 0
+    assert len(written) == 2
+    for raw, payload in written:
+        streamed = io.StringIO()
+        json.dump(payload, streamed)
+        assert raw == streamed.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_GUARD))
@@ -1533,6 +1554,11 @@ _ANY_NUMBER = st.one_of(st.sampled_from(_TINY_TO_HUGE + [0, -1, -1e200, -1.7e308
                         st.floats(-1e308, 1e308))
 _POSITIVE = st.one_of(st.sampled_from(_TINY_TO_HUGE),
                       st.floats(1e-308, 1e308, exclude_min=True))
+# through -C/gamma = 0 and -C/gamma = -inf off the zero diagonal
+_GAMMA = st.one_of(st.sampled_from([1e-300, 1e-150, 1e-10, 5e-5, 1e-2, 1, 1e10,
+                                    1e150, 1e300]),
+                   st.floats(1e-300, 1e300))
+_TOL = st.one_of(st.sampled_from([0, 1e-300, 1e-9, 1, 1e300]), st.floats(0, 1e300))
 _COST_P = st.one_of(st.sampled_from([1, 2, 10, 2000, 1e300, 1.7e308]),
                     st.floats(1, 1e308))
 
@@ -1560,7 +1586,13 @@ def _schema_valid_sets(draw):
             f"cost.normalize={json.dumps(draw(st.booleans(), label='normalize'))}",
             f"kernel={json.dumps(kernel)}",
             f"eta_scale={draw(_POSITIVE, label='eta_scale')!r}",
-            "baseline.inner_iters=5", "checkpoint_every=2"]
+            f"baseline.gamma={draw(_GAMMA, label='gamma')!r}",
+            f"baseline.inner_iters={draw(st.integers(1, 8), label='inner_iters')}",
+            f"baseline.inner_tol={draw(_TOL, label='inner_tol')!r}",
+            f"baseline.schedule={draw(st.sampled_from(baselines.SCHEDULES))}",
+            f"baseline.stepper={draw(st.sampled_from(baselines.STEPPERS))}",
+            f"baseline.stepsize={draw(_POSITIVE, label='stepsize')!r}",
+            "checkpoint_every=2"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1576,6 +1608,12 @@ def _schema_valid_sets(draw):
 @example(sets=["method=sinkhorn_sgd", "N=3", "data.grid.n=7", "data.grid.lo=0",
                "data.grid.hi=1e300", "data.law.mu0=1e150", "data.law.rate=1e-300",
                "cost.p=1", "baseline.inner_iters=5", "checkpoint_every=2"])
+# a euclidean step to |v| past 2**53, where no index of the simplex
+# projection's test passes and it divided by 0
+@example(sets=["method=lp_sgd", "N=1", "data.grid.n=6", "data.grid.lo=1e-300",
+               "data.grid.hi=1", "data.law.mu0=1e-300", "data.law.sigma0_sq=1e-300",
+               "data.law.rate=1e-300", "cost.p=1", "baseline.schedule=constant",
+               "baseline.stepper=euclidean", "baseline.stepsize=2.8308340514897588e+16"])
 def test_every_schema_valid_run_exits_0_or_with_one_line_naming_a_key(sets):
     with tempfile.TemporaryDirectory() as tmp:
         _exits_0_or_with_one_line(

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -273,6 +275,25 @@ def _sinkhorn_full_plan_loop(r, c, C, gamma, max_iter, tol):
     return u, v, it, np.array(dual_values)
 
 
+def _assert_potentials_close(sol, u, v):
+    """sinkhorn's potentials against (u, v) of a loop of exact log-sum-exps:
+    within POTENTIAL_TOL of max(1, |u|_inf, |v|_inf). The frozen half-steps
+    sum in another order, through exps of other arguments, and drop terms
+    below e^-108 of their sum; each log-sum-exp moves by some ulps of the
+    size of -C/gamma plus the potentials, and the iteration does not
+    amplify that."""
+    scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
+    for got, expected in ((sol.u, u), (sol.v, v)):
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=POTENTIAL_TOL * scale)
+
+
+# 1,500 draws of sinkhorn_problems (below) put them within 3.3e-14 of that
+# scale, and a sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
+# 4 seeds and 300 iterations within 1.6e-14
+POTENTIAL_TOL = 1e-12
+
+
 @pytest.mark.parametrize("gamma, converged", [
     (1e-1, True), (1e-2, True), (1e-3, False), (5e-5, False)])
 def test_sinkhorn_matches_full_plan_loop(gamma, converged):
@@ -282,8 +303,7 @@ def test_sinkhorn_matches_full_plan_loop(gamma, converged):
                                                          1000, 1e-9)
     assert (sol.n_iter < 1000) == converged and not sol.unstable
     assert sol.n_iter == n_iter
-    np.testing.assert_array_equal(sol.u, u)
-    np.testing.assert_array_equal(sol.v, v)
+    _assert_potentials_close(sol, u, v)
     # the half-step dual values differ from the plan's only in rounding;
     # the returned iterate's own value comes from its plan
     assert len(sol.dual_values) == sol.n_iter
@@ -429,24 +449,168 @@ def test_half_step_lse_moves_by_at_most_the_skipped_exps(a, axis):
                                rtol=2.0 ** -52, atol=a.shape[axis] * 2.0 ** -1021)
 
 
-@pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
-    (1e-2, 1000, 401,
-     "970f4bc738851db489a3b4ecf8e79ef65ec9cee88cd287ee6a006f3ee094d070"),
-    (5e-5, 200, 200,
-     "7dda08808323f6bdf6119c26c56c6f6e3520d2a2cafdd5836270f5b5fddbd375"),
-])
-def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
-    # sha256 of u, v, plan, dual_values, reg_value and n_iter, recorded before
-    # the half-steps skipped the exps that underflow: few do at gamma=1e-2,
-    # which converges, and most at 5e-5, which stops at max_iter
-    r, c, C = _sinkhorn_case(100, seed=11)
-    sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
-    assert sol.n_iter == n_iter and not sol.unstable
+def _sinkhorn_sha256(sol):
+    """sha256 of u, v, plan, dual_values, reg_value and n_iter."""
     h = hashlib.sha256()
     for a in (sol.u, sol.v, sol.plan, sol.dual_values, np.float64(sol.reg_value)):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     h.update(np.int64(sol.n_iter).astype("<i8").tobytes())
-    assert h.hexdigest() == sha
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
+    pytest.param(1e-2, 1000, 401,
+                 "b003d18782c4ac405def9599869fb8f5211bcf5fe969dc13adf84e5aee04a7a5",
+                 id="1e-2"),
+    pytest.param(5e-5, 200, 200,
+                 "d86adcdce607e7f22c9d5eb59db79530358e5e85c10a9e3a7f16489fe9d3efc6",
+                 id="5e-5"),
+])
+def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
+    # recorded when the half-steps began to run from frozen kernels: gamma=1e-2
+    # converges, and at 5e-5, where most exps underflow, it stops at max_iter
+    r, c, C = _sinkhorn_case(100, seed=11)
+    sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
+    assert sol.n_iter == n_iter and not sol.unstable
+    assert _sinkhorn_sha256(sol) == sha
+
+
+@pytest.mark.parametrize("gamma, max_iter, sha", [
+    pytest.param(1e-2, 1000,
+                 "970f4bc738851db489a3b4ecf8e79ef65ec9cee88cd287ee6a006f3ee094d070",
+                 id="1e-2"),
+    pytest.param(5e-5, 200,
+                 "7dda08808323f6bdf6119c26c56c6f6e3520d2a2cafdd5836270f5b5fddbd375",
+                 id="5e-5"),
+])
+def test_sinkhorn_of_exact_half_steps_keeps_the_earlier_bits(monkeypatch, gamma,
+                                                              max_iter, sha):
+    # no drift is within a TAU below 0, so every half-step is the exact pass,
+    # and the solve has the hashes the guard above held before the kernels
+    # were frozen (and before the exact pass skipped subnormal exps)
+    monkeypatch.setattr(dual_core, "TAU", -1.0)
+    r, c, C = _sinkhorn_case(100, seed=11)
+    assert _sinkhorn_sha256(sinkhorn(r, c, C, gamma, max_iter=max_iter,
+                                     tol=1e-9)) == sha
+
+
+@st.composite
+def sinkhorn_problems(draw, overflow=False):
+    """(r, c, C, gamma): n from 2 to 40, gamma from 1e-5 to 10, a grid cost
+    scaled to sup-norm 1 or `CostMatrix.from_entries` of entries in [0, 1]
+    with some exact zeros. With overflow, some rows and columns of the
+    entries are 1e300, or 1.7e308, whose -C/gamma is -inf at gamma < 1."""
+    n = draw(st.integers(2, 40), label="n")
+    gamma = 10.0 ** draw(st.floats(-5.0, 1.0), label="log10 gamma")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if draw(st.booleans(), label="grid"):
+        C = squared_distance_cost(Grid1D.uniform(0.0, 1.0, n),
+                                  draw(st.sampled_from([1.0, 2.0, 3.0]), label="p"))
+        C = C.scaled(1.0 / C.inf_norm)
+    else:
+        entries = rng.random((n, n))
+        entries[rng.random((n, n)) < draw(st.floats(0.0, 0.5), label="zeros")] = 0.0
+        if overflow:
+            huge = draw(st.sampled_from([1e300, 1.7e308]), label="huge")
+            entries[rng.random(n) < 0.3] = huge
+            entries[:, rng.random(n) < 0.3] = huge
+        C = CostMatrix.from_entries(entries)
+    r = normalize(rng.random(n) + 0.01)
+    c = normalize(rng.random(n) + 0.01)
+    return r, c, C, gamma
+
+
+def _exact_half_step(neg_cg, p, axis):
+    """`_half_step_lse` at a 1-D potential p, in fresh buffers."""
+    return dual_core._half_step_lse(neg_cg, np.expand_dims(p, 1 - axis), axis,
+                                    np.empty_like(neg_cg), np.empty_like(neg_cg))
+
+
+def _frozen_at(neg_cg, p_ref, axis):
+    """A half-step frozen at p_ref, after checking that its first call is
+    the exact pass, with its bits."""
+    half = dual_core._FrozenHalfStep(neg_cg, axis, np.empty_like(neg_cg))
+    assert _same_bits(half(p_ref), _exact_half_step(neg_cg, p_ref, axis))
+    assert np.array_equal(half.p_ref, p_ref)
+    return half
+
+
+# a drift past TAU, which re-freezes
+@example(problem=_sinkhorn_case(30, seed=5) + (5e-5,), axis=0, scale=1.0,
+         drift=2 * dual_core.TAU, seed=0)
+@settings(max_examples=200, deadline=None)
+@given(problem=sinkhorn_problems(), axis=st.sampled_from([0, 1]),
+       scale=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+       drift=st.one_of(st.floats(0.0, dual_core.TAU),
+                       st.floats(dual_core.TAU, 10 * dual_core.TAU)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_frozen_half_step_is_the_exact_pass_within_its_bound(problem, axis, scale,
+                                                             drift, seed):
+    # within TAU of p_ref the frozen half-step moves from the exact pass by
+    # some ulps of the log-sum-exps' size, of the drift and of the sum's n
+    # terms, plus the dropped terms (each below e^-108.4 of its sum); past
+    # TAU it re-freezes, and is the exact pass with its bits
+    _, _, C, gamma = problem
+    n, neg_cg = C.n, -C.entries / gamma
+    rng = np.random.default_rng(seed)
+    p_ref = scale * rng.uniform(-1.0, 1.0, n)
+    d = drift * rng.uniform(-1.0, 1.0, n)
+    d[rng.integers(n)] = drift
+    p = p_ref + d
+    half = _frozen_at(neg_cg, p_ref, axis)
+    got, expected = half(p), _exact_half_step(neg_cg, p, axis)
+    if np.abs(p - p_ref).max() <= dual_core.TAU:
+        eps = 2.0 ** -52
+        bound = (n * math.exp(dual_core.KEEP_ABOVE + 2 * dual_core.TAU)
+                 + 8 * eps * (np.abs(expected) + dual_core.TAU + n))
+        assert np.all(np.abs(got - expected) <= bound)
+        assert np.array_equal(half.p_ref, p_ref)
+    else:
+        assert _same_bits(got, expected) and np.array_equal(half.p_ref, p)
+
+
+def test_frozen_half_step_refreezes_on_a_sum_of_0_and_not_on_nan():
+    _, _, C = _sinkhorn_case(8, seed=3)
+    neg_cg = -C.entries / 5e-5
+    p_ref = np.zeros(8)
+    for axis in (0, 1):
+        half = _frozen_at(neg_cg, p_ref, axis)
+        # a slice of the kernel zeroed: its frozen sum is 0
+        half.K[(slice(None), 0) if axis == 0 else (0, slice(None))] = 0.0
+        p = p_ref + 1.0
+        assert _same_bits(half(p), _exact_half_step(neg_cg, p, axis))
+        assert np.array_equal(half.p_ref, p)
+        # a NaN potential is the exact pass, which freezes nothing
+        nan = np.full(8, np.nan)
+        assert _same_bits(half(nan), _exact_half_step(neg_cg, nan, axis))
+        assert half.p_ref is None and half.m is None
+        assert _same_bits(half(p), _exact_half_step(neg_cg, p, axis))
+        assert np.array_equal(half.p_ref, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=sinkhorn_problems(), max_iter=st.integers(1, 300))
+def test_sinkhorn_matches_full_plan_loop_on_any_problem(problem, max_iter):
+    r, c, C, gamma = problem
+    sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
+    u, v, n_iter, _ = _sinkhorn_full_plan_loop(r, c, C, gamma, max_iter, 1e-9)
+    assert not sol.unstable and sol.n_iter == n_iter
+    _assert_potentials_close(sol, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=sinkhorn_problems(overflow=True), max_iter=st.integers(1, 50))
+def test_sinkhorn_exits_unstable_where_its_exact_half_steps_do(problem, max_iter):
+    # with TAU below 0 every half-step is the exact pass: the loop before
+    # the kernels were frozen
+    r, c, C, gamma = problem
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = sinkhorn(r, c, C, gamma, max_iter=max_iter)
+        with mock.patch.object(dual_core, "TAU", -1.0):
+            exact = sinkhorn(r, c, C, gamma, max_iter=max_iter)
+    assert (sol.unstable, sol.n_iter) == (exact.unstable, exact.n_iter)
+    assert sol.dual_values.shape == exact.dual_values.shape
+    _assert_potentials_close(sol, exact.u, exact.v)
 
 
 def test_sinkhorn_unstable_exit_returns_the_last_finite_iterate():
@@ -678,8 +842,9 @@ def test_set_log_r_entry_gives_the_bytes_of_set_log_r_on_a_copy(x, data):
     reference, state = _Softmax(x.copy()), _Softmax(x.copy())
     before = state.log_r.tobytes(), state.r.tobytes()
     outcomes = []
-    # only a +inf value makes set_log_r's inf - inf, as in its own property
-    with np.errstate(invalid="ignore" if value == np.inf else "raise"):
+    # only an infinite max of the copy (a +inf value, or -inf everywhere)
+    # makes set_log_r's inf - inf, as in its own property
+    with np.errstate(invalid="ignore" if np.isinf(copy.max()) else "raise"):
         for write in (lambda: reference.set_log_r(copy, "iterate"),
                       lambda: state.set_log_r_entry(s, value, "iterate")):
             try:
@@ -694,6 +859,18 @@ def test_set_log_r_entry_gives_the_bytes_of_set_log_r_on_a_copy(x, data):
         return
     assert _same_bits(state.log_r, reference.log_r)
     assert _same_bits(state.r, reference.r)
+
+
+def test_set_log_r_entry_of_a_one_entry_log_r_to_minus_inf_aborts():
+    # the copy is -inf everywhere, so its max is infinite and the shift's
+    # -inf - -inf is NaN, under the np.errstate the steps' callers hold
+    state = _Softmax(np.array([0.0]))
+    before = state.log_r.tobytes(), state.r.tobytes()
+    with (pytest.raises(dual_core.NumericalAbort,
+                        match="^non-finite iterate at k=5$"),
+          np.errstate(invalid="ignore")):
+        state.set_log_r_entry(0, -np.inf, "iterate")
+    assert (state.log_r.tobytes(), state.r.tobytes()) == before
 
 
 @st.composite
