@@ -736,7 +736,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built at the first call of `main` and kept
+    for the process: it holds no state of a parse."""
     parser = _Parser(prog="barystream")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -751,9 +754,12 @@ def main(argv=None) -> int:
     p.add_argument("--n-hi", type=int, default=6)
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "gen-data":
             return cmd_gen_data(load_config(args.config, args.overrides))
         if args.command == "run":

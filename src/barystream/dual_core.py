@@ -422,10 +422,11 @@ def logsumexp_axis(a: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 
 def _half_step_lse(neg_cg: np.ndarray, p: np.ndarray, axis: int,
-                   z: np.ndarray, e: np.ndarray) -> np.ndarray:
+                   z: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`logsumexp_axis(neg_cg + p, axis)` of a 2-D `neg_cg`, in the buffers
     `z` and `e` (each shaped and laid out as `neg_cg`), without the exps
-    whose result is subnormal.
+    whose result is subnormal; returned with the slice maxima of neg_cg + p,
+    their dims kept.
 
     z = neg_cg + p is shifted by its max in place, so the entries at the max
     are the zeros of z (a - a_max == 0 exactly when a == a_max, for a finite
@@ -440,7 +441,7 @@ def _half_step_lse(neg_cg: np.ndarray, p: np.ndarray, axis: int,
     np.add(neg_cg, p, out=z)
     z_max = z.max(axis=axis, keepdims=True)
     if not np.isfinite(z_max).all():
-        return logsumexp_axis(z, axis)
+        return logsumexp_axis(z, axis), z_max
     z -= z_max
     at_max = z == 0
     live = z > SUBNORMAL_CUT
@@ -454,7 +455,7 @@ def _half_step_lse(neg_cg: np.ndarray, p: np.ndarray, axis: int,
         m = at_max.sum(axis=axis, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + z_max
-    return out.squeeze(axis=axis)
+    return out.squeeze(axis=axis), z_max
 
 
 class _FrozenHalfStep:
@@ -464,12 +465,14 @@ class _FrozenHalfStep:
     The row half-step (axis 1) runs over v, the column one (axis 0) over u,
     and each keeps its own frozen state. A re-freeze is the exact pass,
     `_half_step_lse` at p, with its bits, in the shared buffer z and this
-    half-step's kernel K: it sets p_ref = p, m to the slice maxima of
+    half-step's kernel K: it sets p_ref = p, m to the pass's slice maxima of
     neg_cg + p, and K = exp(z) of the pass's shifted buffer
     z = neg_cg + p - m, zeroed where z <= KEEP_ABOVE. While
     max|p - p_ref| <= TAU, a half-step is then one matrix-vector product and
     O(n) work: m + log(K @ exp(p - p_ref)) over rows,
-    m + log(exp(p - p_ref) @ K) over columns.
+    m + log(exp(p - p_ref) @ K) over columns. `sinkhorn` runs most of its
+    iterations on K directly, in the scaled form, and calls this object only
+    where that form breaks.
 
     Every kept product K_ij e^(p_j - p_ref_j) is above
     e^(KEEP_ABOVE - TAU) = 2**-1022, so the product never meets a subnormal.
@@ -492,22 +495,27 @@ class _FrozenHalfStep:
             d = p - self.p_ref
             if np.abs(d).max() <= TAU:
                 w = np.exp(d)
-                s = self.K @ w if self.axis == 1 else w @ self.K
-                if s.min() > 0 and s.max() < math.inf:
-                    return self.m + np.log(s)
+                return self.lse_of_sum(self.K @ w if self.axis == 1 else w @ self.K, p)
+        return self.refreeze(p)
+
+    def lse_of_sum(self, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """m + log(s) of the kernel's sums s at p, or the exact pass at p
+        where s is not finite and > 0."""
+        if s.min() > 0 and s.max() < math.inf:
+            return self.m + np.log(s)
         return self.refreeze(p)
 
     def refreeze(self, p: np.ndarray) -> np.ndarray:
         """The exact pass at p; its buffers become the frozen kernel."""
         p_b = np.expand_dims(p, 1 - self.axis)
-        out = _half_step_lse(self.neg_cg, p_b, self.axis, self.z, self.K)
+        out, m = _half_step_lse(self.neg_cg, p_b, self.axis, self.z, self.K)
         self.p_ref = self.m = None
         # at a finite p, out is finite exactly when every slice max is
         if np.isfinite(p).all() and np.isfinite(out).all():
             # the pass left exp(z) where SUBNORMAL_CUT < z < 0, else 0
             self.K *= self.z > KEEP_ABOVE
             np.copyto(self.K, 1.0, where=self.z == 0)
-            self.p_ref, self.m = p.copy(), (self.neg_cg + p_b).max(axis=self.axis)
+            self.p_ref, self.m = p.copy(), m.squeeze(self.axis)
         return out
 
 
@@ -525,9 +533,14 @@ class SinkhornSolution:
     unstable: bool
 
 
+# the most scaled iterations whose dual values wait to be computed together
+DUAL_BATCH = 64
+
+
 def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
              gamma: float, max_iter: int = 1000, tol: float = 1e-9) -> SinkhornSolution:
-    """Entropy-regularized OT by alternating scaling, fully in log domain.
+    """Entropy-regularized OT by alternating scaling, stabilized in the log
+    domain.
 
     The plan is diag(e^u) e^{-C/gamma} diag(e^v); the dual objective of the
     regularized problem is tracked per iteration (block-coordinate ascent,
@@ -540,76 +553,186 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     (measured below 2e-15 in the residual at n=100); when the residual is
     within `tol` that iterate is returned. The plan, `marginal_residual`,
     `reg_value` and the last dual value are computed once, at exit, from the
-    returned (u, v). If a potential goes non-finite the last finite iterate
-    is returned with the `unstable` flag set. A grid cost cannot reach that
-    exit: its zero diagonal puts a finite term in every row and column of
-    -C/gamma plus a finite potential, so every log-sum-exp stays finite. A
-    cost with no zero entry reaches it once -C/gamma overflows to -inf.
+    returned (u, v); the exp is taken only where u - C/gamma + v is not
+    below UNDERFLOW_BELOW and the log only where the plan is > 0, which
+    gives the bits of the exp and log of every entry. If a potential goes
+    non-finite the last finite iterate is returned with the `unstable` flag
+    set. A grid cost cannot reach that exit: its zero diagonal puts a finite
+    term in every row and column of -C/gamma plus a finite potential, so
+    every log-sum-exp stays finite. A cost with no zero entry reaches it
+    once -C/gamma overflows to -inf.
 
-    Each half-step is a `_FrozenHalfStep`: the row one over v, the column
+    Each half-step has a `_FrozenHalfStep`: the row one over v, the column
     one over u, each with its own n x n kernel, frozen at a reference
-    potential p_ref, and one n x n buffer shared by both. While the potential
-    stays within TAU = 200 of p_ref, a half-step is one matrix-vector product
-    with that kernel and O(n) work. The kernel keeps the exps of the shifted
-    -C/gamma + p_ref above KEEP_ABOVE = SUBNORMAL_CUT + TAU = -508.4, so the
-    dropped terms of a sum are below n * e^-108.4 of it and no product is
-    subnormal. Otherwise, and on the first half-step, the half-step is the
-    exact pass `_half_step_lse`, which re-freezes the kernel. That pass
-    gives the bits of `logsumexp_axis(-C/gamma + potential, axis)` except
-    that it skips the exps whose result is subnormal (z <= SUBNORMAL_CUT =
-    -708.40), which numpy's exp takes about a hundred times longer to make
-    than a normal result; a log-sum-exp moves by at most n * 2**-1021 plus
-    one rounding there (BENCH_sinkhorn_halfstep.json). The frozen half-steps
-    sum in another order: a sweep of n, gamma and seeds put u and v within
-    1.6e-14 of max(1, |u|_inf, |v|_inf) of the exact loop's, with the same
-    n_iter. On the runs of BENCH_sinkhorn_frozen.json 1.7-6.8% of the
-    half-steps re-froze, and a solve of 200 iterations at n = 100 and
-    gamma = 5e-5 went from 27 ms with exact half-steps to 7 ms.
+    potential p_ref, and one n x n buffer shared by both. The kernel keeps
+    the exps of the shifted -C/gamma + p_ref above KEEP_ABOVE =
+    SUBNORMAL_CUT + TAU = -508.4, so the dropped terms of a sum are below
+    n * e^-108.4 of it and no product is subnormal. On the first half-step,
+    on a drift past TAU = 200 from p_ref and on a sum that is not finite and
+    > 0, the half-step is the exact pass `_half_step_lse`, which re-freezes
+    the kernel. That pass gives the bits of
+    `logsumexp_axis(-C/gamma + potential, axis)` except that it skips the
+    exps whose result is subnormal (z <= SUBNORMAL_CUT = -708.40), which
+    numpy's exp takes about a hundred times longer to make than a normal
+    result; a log-sum-exp moves by at most n * 2**-1021 plus one rounding
+    there (BENCH_sinkhorn_halfstep.json).
+
+    Between re-freezes the iterations run in the scaled form of the
+    stabilized scaling of Schmitzer (SIAM J. Sci. Comput. 2019, Alg. 2).
+    When both kernels are frozen, K_row at v_ref with slice maxima m_row and
+    K_col at u_ref with m_col, and |u - u_ref| and |v - v_ref| are within
+    TAU (checked on the potentials, before any exp), the loop carries
+    a = e^(u - u_ref) and b = e^(v - v_ref). alpha = e^(log r - m_row -
+    u_ref) and beta = e^(log c - m_col - v_ref) are set on entry, and an
+    iteration is s = K_row @ b, a = alpha / s, t = a @ K_col, b = beta / t:
+    two matrix-vector products and a few O(n) divisions. Each new a and b
+    must lie in the band [e^-TAU, e^TAU], a test that also rejects NaN, 0
+    and inf; inside it alpha and beta lie in [e^-2 TAU, n e^2 TAU].
+    u = u_ref + log a and v = v_ref + log b are formed only where the band
+    breaks and at exit. Where a leaves it, the whole iteration runs in the
+    log domain from s (the exact pass where s is not finite and > 0), and
+    its column half-step re-freezes; where b leaves it, the iteration ends
+    with v = log c - (m_col + log t) and the next row half-step re-freezes.
+    In the scaled form the row residual is sum r |a / a_new - 1|, as the
+    row sums of (a, b) are r a s / alpha; its column part is left out, since
+    v came from the column half-step and those sums are c up to rounding.
+    The log domain keeps both parts. Dual values of scaled iterates are
+    computed in batches of at most DUAL_BATCH, so the memory stays O(n).
+    With TAU < 0 nothing enters the scaled form and every half-step is the
+    exact pass.
+
+    The frozen kernels and the scaled form sum in another order than the
+    exact pass. A sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
+    4 seeds and 300 iterations put u and v within 3.3e-14 of
+    max(1, |u|_inf, |v|_inf) of a loop of exact log-sum-exps, with the same
+    n_iter. 92.6% of the iterations of the perfbench sinkhorn-sgd rounds
+    ran in the scaled form and 99.5% at n = 100 with marginals bounded away
+    from 0; 7.2% of the half-steps re-froze there. A solve of 200 iterations
+    at n = 100 and gamma = 5e-5 took 11.4 ms with the frozen half-steps
+    alone and 6.1 ms with the scaled form, in one process
+    (BENCH_sinkhorn_scaling.json).
     """
     if gamma <= 0:
         raise SolverError("sinkhorn: gamma must be positive")
-    if np.any(r.weights <= 0) or np.any(c.weights <= 0):
+    r_w, c_w = r.weights, c.weights
+    if np.any(r_w <= 0) or np.any(c_w <= 0):
         raise SolverError("sinkhorn: marginals must be strictly positive")
-    log_r = np.log(r.weights)
-    log_c = np.log(c.weights)
+    log_r = np.log(r_w)
+    log_c = np.log(c_w)
     neg_cg = -C.entries / gamma
     z = np.empty_like(neg_cg)
     row_half_step = _FrozenHalfStep(neg_cg, 1, z)
     col_half_step = _FrozenHalfStep(neg_cg, 0, z)
+    K_row, K_col = row_half_step.K, col_half_step.K
+    lo, hi = math.exp(-TAU), math.exp(TAU)
     u = np.zeros(C.n)
     v = np.zeros(C.n)
     col_lse = None
+    scaled = False
+    batch = []
     dual_values = []
+
+    def flush_batch():
+        """gamma (u.r + v.c - q) of each scaled iterate (a, b, q) waiting in
+        the batch, u = u_ref + log a and v = v_ref + log b: one log and one
+        matrix-vector product per side for the whole batch."""
+        if batch:
+            a_s, b_s, q_s = zip(*batch)
+            dual_values.extend(gamma * ((np.log(a_s) + u_ref) @ r_w
+                                        + (np.log(b_s) + v_ref) @ c_w
+                                        - np.array(q_s)))
+            batch.clear()
+
     unstable = False
     it = 0
     for it in range(1, max_iter + 1):
-        row_lse = row_half_step(v)
-        if it > 1:
-            # marginals of the previous iterate (u, v)
-            row_sums = np.exp(u + row_lse)
-            residual = (np.abs(row_sums - r.weights).sum()
-                        + np.abs(np.exp(v + col_lse) - c.weights).sum())
-            if residual <= tol:
-                it -= 1
-                break
-        u_new = log_r - row_lse
-        col_lse_new = col_half_step(u_new)
+        if (not scaled and row_half_step.p_ref is not None
+                and col_half_step.p_ref is not None):
+            u_ref, v_ref = col_half_step.p_ref, row_half_step.p_ref
+            du, dv = u - u_ref, v - v_ref
+            if np.abs(du).max() <= TAU and np.abs(dv).max() <= TAU:
+                scaled, t = True, None
+                a, b = np.exp(du), np.exp(dv)
+                # alpha and beta overflow only where the potentials' rounding
+                # exceeds TAU; the a and b they give then leave the band
+                with np.errstate(over="ignore"):
+                    alpha = np.exp(log_r - row_half_step.m - u_ref)
+                    beta = np.exp(log_c - col_half_step.m - v_ref)
+        scaled_row = False
+        if scaled:
+            s = K_row @ b
+            a_new = alpha / s
+            scaled_row = a_new.min() >= lo and a_new.max() <= hi
+            if scaled_row:
+                # the row sums of (a, b) over r
+                ratio = a / a_new
+                q = ratio @ r_w
+                ratio -= 1.0
+                np.abs(ratio, out=ratio)
+                if ratio @ r_w <= tol:
+                    it -= 1
+                    break
+                t_new = a_new @ K_col
+                b_new = beta / t_new
+                if b_new.min() >= lo and b_new.max() <= hi:
+                    batch.append((a, b, q))
+                    if len(batch) == DUAL_BATCH:
+                        flush_batch()
+                    a, b, t = a_new, b_new, t_new
+                    continue
+            # the band breaks: (u, v) comes back and the iteration ends in
+            # the log domain
+            flush_batch()
+            scaled = False
+            u, v = u_ref + np.log(a), v_ref + np.log(b)
+            if scaled_row:
+                # b left the band: the next row half-step re-freezes
+                u_new = u_ref + np.log(a_new)
+                col_lse_new = col_half_step.lse_of_sum(t_new, u_new)
+            else:
+                # a left the band: this column half-step re-freezes
+                if t is not None:
+                    col_lse = col_half_step.m + np.log(t)
+                row_lse = row_half_step.lse_of_sum(s, v)
+        else:
+            row_lse = row_half_step(v)
+        if not scaled_row:
+            if it > 1:
+                # marginals of the previous iterate (u, v)
+                row_sums = np.exp(u + row_lse)
+                residual = (np.abs(row_sums - r_w).sum()
+                            + np.abs(np.exp(v + col_lse) - c_w).sum())
+                if residual <= tol:
+                    it -= 1
+                    break
+                q = row_sums.sum()
+            u_new = log_r - row_lse
+            col_lse_new = col_half_step(u_new)
         v_new = log_c - col_lse_new
         if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
             unstable = True
             break
         if it > 1:
-            dual_values.append(
-                gamma * (u @ r.weights + v @ c.weights - row_sums.sum()))
+            dual_values.append(gamma * (u @ r_w + v @ c_w - q))
         u, v, col_lse = u_new, v_new, col_lse_new
-    plan = np.exp(u[:, None] + neg_cg + v[None, :])
+    if scaled:
+        u, v = u_ref + np.log(a), v_ref + np.log(b)
+        flush_batch()
+    # exp only where u + (-C/gamma) + v is not below the underflow cut, and
+    # log only where the plan is > 0: the bits of the full exp and log
+    np.add(u[:, None], neg_cg, out=z)
+    z += v
+    plan = np.zeros_like(z)
+    np.exp(z, out=plan, where=~(z <= UNDERFLOW_BELOW))
     if it - unstable > 0:
         # the returned iterate's own dual value, from its plan
-        dual_values.append(gamma * (u @ r.weights + v @ c.weights - plan.sum()))
-    residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
-                + np.abs(plan.sum(axis=0) - c.weights).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(plan > 0, plan * np.log(plan), 0.0)
+        dual_values.append(gamma * (u @ r_w + v @ c_w - plan.sum()))
+    residual = (np.abs(plan.sum(axis=1) - r_w).sum()
+                + np.abs(plan.sum(axis=0) - c_w).sum())
+    positive = plan > 0
+    ent = np.zeros_like(plan)
+    np.log(plan, out=ent, where=positive)
+    np.multiply(ent, plan, out=ent, where=positive)
     reg_value = float((C.entries * plan).sum() + gamma * ent.sum())
     return SinkhornSolution(u=u, v=v, plan=plan, reg_value=reg_value,
                             marginal_residual=float(residual),

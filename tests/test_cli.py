@@ -123,6 +123,21 @@ def test_run_writes_report_and_checkpoint(tmp_path):
     assert payload["config"]["method"] == "linear_kmd"
 
 
+def test_successive_main_calls_keep_their_own_overrides(monkeypatch):
+    # main parses with one parser per process; what one call's --set
+    # appends must not reach the next call's config
+    configs = []
+    monkeypatch.setattr(cli, "cmd_run", lambda config: configs.append(config) or 0)
+    assert main(["run", "--set", "N=5", "--set", "data.grid.n=8"]) == 0
+    assert main(["run", "--set", "N=7"]) == 0
+    assert main(["run"]) == 0
+    defaults = load_config(None, [])
+    assert [(c["N"], c["data"]["grid"]["n"]) for c in configs] == [
+        (5, 8), (7, defaults["data"]["grid"]["n"]),
+        (defaults["N"], defaults["data"]["grid"]["n"])]
+    assert cli._parser() is cli._parser()
+
+
 def test_run_rejects_finite_md_on_gaussian():
     assert main(["run", "--set", "method=finite_md", "--set", "N=5"]) == 1
 
@@ -1323,7 +1338,9 @@ def _sets(*items):
 # 5: avg_num, M_sum and M_since in place of r_avg and M_avg); log_r, M, eta,
 # alpha, beta and the rng are those of the running-mean code, bit for bit.
 # The sinkhorn_sgd hash was re-recorded when Sinkhorn's half-steps began to
-# run from frozen kernels, which sum in another order; its r_avg held at 1e-12
+# run from frozen kernels, which sum in another order, and again when its
+# iterations between re-freezes began to run in the scaled form (r_avg moved
+# by 5.9e-16 relative); its r_avg held at 1e-12 both times
 SEEDED_GUARD = {
     "finite_md": ("09aad8a4d1ad365e5067cf6a77ab65c7a94401dd0b41b7eea4ad6df356b028e0",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -1346,7 +1363,7 @@ SEEDED_GUARD = {
         [0.0025541550733871464, 0.006473536801041738, 0.024537618967472214,
          0.18025705058184532, 0.7387571524777141, 0.03831745230460663,
          0.00679578391532853, 0.002307249878605068]),
-    "sinkhorn_sgd": ("5ceba1ae2d340bef2d294efd3a1858142c85e29e732fcbd4ec55fd729d38a6d9",
+    "sinkhorn_sgd": ("c77290ef3f33f3114fd4ca54f1f3d7ff75f88fd7f2088c18048656c999ac1348",
                      [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
                       0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
                       0.08023703758014075, 0.040553652980500975]),

@@ -278,19 +278,20 @@ def _sinkhorn_full_plan_loop(r, c, C, gamma, max_iter, tol):
 def _assert_potentials_close(sol, u, v):
     """sinkhorn's potentials against (u, v) of a loop of exact log-sum-exps:
     within POTENTIAL_TOL of max(1, |u|_inf, |v|_inf). The frozen half-steps
-    sum in another order, through exps of other arguments, and drop terms
-    below e^-108 of their sum; each log-sum-exp moves by some ulps of the
-    size of -C/gamma plus the potentials, and the iteration does not
-    amplify that."""
+    and the scaled form sum in another order, through exps of other
+    arguments, and drop terms below e^-108 of their sum; each log-sum-exp
+    moves by some ulps of the size of -C/gamma plus the potentials, and the
+    iteration does not amplify that."""
     scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
     for got, expected in ((sol.u, u), (sol.v, v)):
         np.testing.assert_allclose(got, expected, rtol=0,
                                    atol=POTENTIAL_TOL * scale)
 
 
-# 1,500 draws of sinkhorn_problems (below) put them within 3.3e-14 of that
-# scale, and a sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
-# 4 seeds and 300 iterations within 1.6e-14
+# with the scaled form between re-freezes, 1,500 draws of sinkhorn_problems
+# (below) put them within 2.9e-14 of that scale, and a sweep over n in
+# {5, 8, 30, 100}, six gamma from 1 to 5e-5, 4 seeds and 300 iterations
+# within 3.3e-14
 POTENTIAL_TOL = 1e-12
 
 
@@ -422,7 +423,7 @@ def test_exp_is_zero_below_the_underflow_cut():
 def _half_step(a, axis):
     """sinkhorn's half-step log-sum-exp of a, with p = 0, in fresh buffers."""
     return dual_core._half_step_lse(a, 0.0, axis, np.empty_like(a),
-                                    np.empty_like(a))
+                                    np.empty_like(a))[0]
 
 
 # a tie at a row's max (m = 2), and a column whose max is -inf (the fallback)
@@ -460,15 +461,16 @@ def _sinkhorn_sha256(sol):
 
 @pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
     pytest.param(1e-2, 1000, 401,
-                 "b003d18782c4ac405def9599869fb8f5211bcf5fe969dc13adf84e5aee04a7a5",
+                 "04669a1062ecc095f96d145ccc3cb7fa94c535b0357718effa78af37356dee6b",
                  id="1e-2"),
     pytest.param(5e-5, 200, 200,
-                 "d86adcdce607e7f22c9d5eb59db79530358e5e85c10a9e3a7f16489fe9d3efc6",
+                 "f5fe51f683b3d1390c4ddff1118257693cffdc9709eda0692dcc45066e81ec20",
                  id="5e-5"),
 ])
 def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
-    # recorded when the half-steps began to run from frozen kernels: gamma=1e-2
-    # converges, and at 5e-5, where most exps underflow, it stops at max_iter
+    # recorded when the iterations between re-freezes began to run in the
+    # scaled form: gamma=1e-2 converges, and at 5e-5, where most exps
+    # underflow, it stops at max_iter
     r, c, C = _sinkhorn_case(100, seed=11)
     sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
     assert sol.n_iter == n_iter and not sol.unstable
@@ -523,7 +525,7 @@ def sinkhorn_problems(draw, overflow=False):
 def _exact_half_step(neg_cg, p, axis):
     """`_half_step_lse` at a 1-D potential p, in fresh buffers."""
     return dual_core._half_step_lse(neg_cg, np.expand_dims(p, 1 - axis), axis,
-                                    np.empty_like(neg_cg), np.empty_like(neg_cg))
+                                    np.empty_like(neg_cg), np.empty_like(neg_cg))[0]
 
 
 def _frozen_at(neg_cg, p_ref, axis):
@@ -588,6 +590,13 @@ def test_frozen_half_step_refreezes_on_a_sum_of_0_and_not_on_nan():
         assert np.array_equal(half.p_ref, p)
 
 
+# after one iteration v is about 1e4 from the row kernel's v_ref = 0, and
+# exp(v - v_ref) overflows: the scaled form's band is checked on the
+# potentials before any exp
+@example(problem=(DiscreteMeasure(np.array([0.5, 0.5])),
+                  DiscreteMeasure(np.array([0.5, 0.5])),
+                  CostMatrix.from_entries(np.array([[0.0, 1.0], [0.0, 1.0]])), 1e-4),
+         max_iter=2)
 @settings(max_examples=60, deadline=None)
 @given(problem=sinkhorn_problems(), max_iter=st.integers(1, 300))
 def test_sinkhorn_matches_full_plan_loop_on_any_problem(problem, max_iter):
@@ -596,6 +605,49 @@ def test_sinkhorn_matches_full_plan_loop_on_any_problem(problem, max_iter):
     u, v, n_iter, _ = _sinkhorn_full_plan_loop(r, c, C, gamma, max_iter, 1e-9)
     assert not sol.unstable and sol.n_iter == n_iter
     _assert_potentials_close(sol, u, v)
+
+
+def test_sinkhorn_runs_most_iterations_in_the_scaled_form(monkeypatch):
+    # an iteration outside the scaled form calls the column half-step once,
+    # one inside it calls neither half-step: a silent fall-back to the log
+    # domain would show here and not only in the benchmark
+    outside = []
+    call = dual_core._FrozenHalfStep.__call__
+
+    def counted(self, p):
+        outside.append(self.axis == 0)
+        return call(self, p)
+
+    monkeypatch.setattr(dual_core._FrozenHalfStep, "__call__", counted)
+    r, c, C = _sinkhorn_case(100, seed=11)
+    sol = sinkhorn(r, c, C, 5e-5, max_iter=200, tol=1e-9)
+    assert sol.n_iter == 200 and not sol.unstable
+    assert 1 - sum(outside) / sol.n_iter >= 0.75
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=st.one_of(sinkhorn_problems(), sinkhorn_problems(overflow=True)),
+       max_iter=st.integers(1, 50))
+def test_sinkhorn_exit_has_the_bits_of_the_full_exp_and_log(problem, max_iter):
+    # the plan takes exps only above the underflow cut and the entropy logs
+    # only where the plan is > 0; the exit terms of the returned (u, v) are
+    # those of the exp and log of every entry
+    r, c, C, gamma = problem
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = sinkhorn(r, c, C, gamma, max_iter=max_iter)
+        u, v = sol.u, sol.v
+        plan = np.exp(u[:, None] + -C.entries / gamma + v[None, :])
+        residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
+                    + np.abs(plan.sum(axis=0) - c.weights).sum())
+        with np.errstate(divide="ignore"):
+            ent = np.where(plan > 0, plan * np.log(plan), 0.0)
+        reg_value = (C.entries * plan).sum() + gamma * ent.sum()
+        dual = gamma * (u @ r.weights + v @ c.weights - plan.sum())
+    assert _same_bits(sol.plan, plan)
+    assert _same_bits(sol.marginal_residual, residual)
+    assert _same_bits(sol.reg_value, reg_value)
+    if sol.n_iter - sol.unstable > 0:
+        assert _same_bits(sol.dual_values[-1], dual)
 
 
 @settings(max_examples=60, deadline=None)
