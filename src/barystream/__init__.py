@@ -42,7 +42,6 @@ from barystream.kmd import (
     kernel_eval,
     kmd_run,
     kmd_step,
-    linear_kmd_run,
     linear_kmd_step,
 )
 from barystream.baselines import (

@@ -39,7 +39,7 @@ from barystream.dual_core import (
     squared_distance_cost,
 )
 from barystream.finite_md import FiniteProblem, FiniteSaddleState
-from barystream.kmd import Kernel, KmdConfig, KmdState, LinearKmdState, _History
+from barystream.kmd import Kernel, KmdConfig, KmdState, _History
 from barystream.measures import (
     DiscreteMeasure,
     GaussianParamLaw,
@@ -390,14 +390,13 @@ def _finite_md_run(config: dict) -> _Run:
     return _Run(grid, C, state, lambda s: finite_md.md_step(s, problem, rng), rng)
 
 
-def _stream_method(state_cls, make_step) -> Callable[[dict], _Run]:
+def _stream_method(make_step) -> Callable[[dict], _Run]:
     """The setup of a method whose step takes one sample of the configured
-    stream, built by make_step(config, C, stream)."""
+    stream: make_step(config, C, stream) gives its cold state and step."""
     def setup(config: dict) -> _Run:
         stream, grid = _build_stream(config)
         C = _build_cost(config, grid)
-        return _Run(grid, C, state_cls.cold_start(C.n),
-                    make_step(config, C, stream), stream.rng)
+        return _Run(grid, C, *make_step(config, C, stream), stream.rng)
     return setup
 
 
@@ -421,30 +420,27 @@ def _kmd_config(config: dict, kernel: Kernel, C: CostMatrix) -> KmdConfig:
     return c
 
 
-def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
+def _kmd_step(config: dict, C: CostMatrix, stream: MeasureStream):
+    if config["method"] == "linear_kmd" and config["kernel"]["family"] != "linear":
+        raise ConfigError("method='linear_kmd' runs the linear kernel only, got "
+                          f"kernel.family={config['kernel']['family']!r}")
+    with _derived(config, "kernel", "kernel.family", "kernel.param", "kernel.r_sq"):
+        kernel = Kernel(**config["kernel"])
+    state, step = kmd.cold_start(kernel, C.n)
     need = 2 * config["N"] * C.n * 8  # a beta and a sample row of n float64 per step
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 3 * need > have:
+    if isinstance(state, KmdState) and 3 * need > have:
         raise ConfigError(f"kmd history of {need} bytes (N={config['N']}, n={C.n}) "
                           f"peaks at 3x that while it grows, past the {have} "
                           "bytes of physical memory")
-    with _derived(config, "kernel", "kernel.family", "kernel.param", "kernel.r_sq"):
-        kernel = Kernel(**config["kernel"])
     run_config = _kmd_config(config, kernel, C)
-    return lambda s: kmd.kmd_step(s, run_config, stream.sample().weights, C)
+    return state, lambda s: step(s, run_config, stream.sample().weights, C)
 
 
-def _linear_kmd_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
-    if config["kernel"]["family"] != "linear":
-        raise ConfigError("method='linear_kmd' runs the linear kernel only, got "
-                          f"kernel.family={config['kernel']['family']!r}")
-    run_config = _kmd_config(config, Kernel.linear(config["kernel"]["r_sq"]), C)
-    return lambda s: kmd.linear_kmd_step(s, run_config, stream.sample().weights, C)
-
-
-def _baseline_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callable:
+def _baseline_step(config: dict, C: CostMatrix, stream: MeasureStream):
     run_config = baselines.BaselineConfig(method=config["method"], **config["baseline"])
-    return lambda s: baselines.baseline_step(s, run_config, stream.sample(), C)
+    return (baselines.BaselineState.cold_start(C.n),
+            lambda s: baselines.baseline_step(s, run_config, stream.sample(), C))
 
 
 # Each method's setup(config) -> _Run at a cold start. Steps look their
@@ -452,10 +448,10 @@ def _baseline_step(config: dict, C: CostMatrix, stream: MeasureStream) -> Callab
 # there (by a test or a tracer) is the one that runs.
 METHODS = {
     "finite_md": _finite_md_run,
-    "kmd": _stream_method(KmdState, _kmd_step),
-    "linear_kmd": _stream_method(LinearKmdState, _linear_kmd_step),
-    "sinkhorn_sgd": _stream_method(baselines.BaselineState, _baseline_step),
-    "lp_sgd": _stream_method(baselines.BaselineState, _baseline_step),
+    "kmd": _stream_method(_kmd_step),
+    "linear_kmd": _stream_method(_kmd_step),
+    "sinkhorn_sgd": _stream_method(_baseline_step),
+    "lp_sgd": _stream_method(_baseline_step),
 }
 
 
@@ -627,16 +623,18 @@ def cmd_gen_data(config: dict) -> int:
 def _run_loop(config: dict, run: _Run):
     """Step the run to N (or halt_after), scoring and checkpointing every
     checkpoint_every steps and at the last one; returns the last state."""
-    N = config["N"]
-    target = N if config["halt_after"] is None else min(N, config["halt_after"])
+    N, k, halt = config["N"], run.state.k, config["halt_after"]
+    if halt is not None and halt <= k:
+        raise ConfigError(f"halt_after={halt} must be above the checkpoint's k={k}")
+    target = N if halt is None else min(N, halt)
     every = config["checkpoint_every"]
     report_path = config["output"]["report"]
     checkpoint_path = config["output"]["checkpoint"]
     report = evaluation.ExperimentReport(method=config["method"],
                                          seed=config["seed"],
                                          config_hash=config_hash(config))
-    if report_path and run.state.k:
-        report.read_csv(report_path, run.state.k)
+    if report_path and k:
+        report.read_csv(report_path, k)
     t0 = time.monotonic_ns()
     # kmd history rows this command has put in the rows file: its first
     # checkpoint writes the whole file, each later one appends the new rows

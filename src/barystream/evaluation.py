@@ -94,9 +94,9 @@ class ExperimentReport:
         })
 
     def read_csv(self, path, upto: int) -> None:
-        """Add the rows up to samples_processed upto that this run (its
-        config_hash) wrote to the report at path, as a resumed run continues
-        them; a missing report, or one of another run, adds none."""
+        """Add this run's (its config_hash's) rows up to samples_processed upto
+        from the report at path, as a resumed run continues them: a missing
+        report, or one of another run, adds none; a line that is not a row raises."""
         try:
             with open(path) as fh:
                 lines = fh.read().splitlines()
@@ -104,11 +104,15 @@ class ExperimentReport:
             return
         if lines[:1] != [CSV_HEADER]:
             return
-        for line in lines[1:]:
-            k, w2, gap, wall_ns, _, _, config_hash = line.split(",")
-            if config_hash == self.config_hash and int(k) <= upto:
-                self.add(int(k), float(w2) if w2 else None,
-                         float(gap) if gap else None, int(wall_ns))
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                k, w2, gap, wall_ns, _, _, config_hash = line.split(",")
+                row = (int(k), float(w2) if w2 else None,
+                       float(gap) if gap else None, int(wall_ns))
+                if config_hash == self.config_hash and row[0] <= upto:
+                    self.add(*row)
+            except (ValueError, SolverError) as exc:
+                raise SolverError(f"report {path} line {number}: {exc}") from None
 
     def write_csv(self, path) -> None:
         """Put the rows in the report at path: the first call writes the whole

@@ -1,10 +1,9 @@
 """Kernel Mirror Descent for streaming barycenter estimation.
 
-The dual function is searched in the n-fold product of an RKHS; it is
-represented by per-sample coefficient vectors beta^(k), so evaluating it
-on a fresh measure costs O(k n) at step k. A linear kernel admits an
-equivalent O(n^2)-memory representation as a single matrix applied to the
-sample. Both representations offer one dual interface, dual(config, c) and
+The dual function is searched in the n-fold product of an RKHS. `cold_start`
+picks its form: per-sample coefficient vectors beta^(k) for rbf and diffusion
+(an evaluation costs O(k n) at step k), exactly one n x n matrix theta for the
+linear kernel (O(n^2)). Both offer one dual interface, dual(config, c) and
 add(beta, c), and take the same step through it.
 """
 
@@ -246,21 +245,6 @@ def kmd_step(state: KmdState, config: KmdConfig, c_sample: np.ndarray,
     return _step(state, config, c_sample, C)
 
 
-def kmd_run(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
-            eta_scale: float = 1.0,
-            mode: str = "constant") -> tuple[np.ndarray, KmdState]:
-    """Run N KMD iterations from a cold start; returns (r_avg, state).
-
-    mode "constant" takes the fixed stepsize of an N-step run and the plain
-    average; "dynamic" is the online (infinite-horizon) variant: eta_k ~
-    1/sqrt(k) and the stepsize-weighted average.
-    """
-    config = KmdConfig.for_run(kernel, C, N, mode=mode, eta_scale=eta_scale)
-    state = drive(KmdState.cold_start(C.n),
-                  lambda s: kmd_step(s, config, stream.sample().weights, C), N)
-    return state.r_avg, state
-
-
 @dataclass
 class LinearKmdState(AveragedIterate):
     """Linear-kernel iterate: the dual function is the matrix map c -> theta c."""
@@ -291,11 +275,25 @@ def linear_kmd_step(state: LinearKmdState, config: KmdConfig,
     return _step(state, config, c_sample, C)
 
 
-def linear_kmd_run(stream: MeasureStream, C: CostMatrix,
-                   N: int) -> tuple[np.ndarray, LinearKmdState]:
-    """Constant-stepsize run of the matrix-form linear-kernel method."""
-    config = KmdConfig.for_run(Kernel.linear(), C, N)
-    state = drive(LinearKmdState.cold_start(C.n),
-                  lambda s: linear_kmd_step(s, config, stream.sample().weights, C),
-                  N)
+def cold_start(kernel: Kernel, n: int):
+    """kernel's cold dual and its step: theta and linear_kmd_step for the linear
+    kernel, the beta history and kmd_step for rbf and diffusion, each looked up
+    on this module at every call, so one replaced here (by a tracer) runs."""
+    if kernel.family == "linear":
+        return LinearKmdState.cold_start(n), lambda *args: linear_kmd_step(*args)
+    return KmdState.cold_start(n), lambda *args: kmd_step(*args)
+
+
+def kmd_run(stream: MeasureStream, kernel: Kernel, C: CostMatrix, N: int,
+            eta_scale: float = 1.0, mode: str = "constant"
+            ) -> tuple[np.ndarray, KmdState | LinearKmdState]:
+    """Run N KMD iterations from kernel's cold start; returns (r_avg, state).
+
+    mode "constant" takes the fixed stepsize of an N-step run and the plain
+    average; "dynamic" is the online (infinite-horizon) variant: eta_k ~
+    1/sqrt(k) and the stepsize-weighted average.
+    """
+    config = KmdConfig.for_run(kernel, C, N, mode=mode, eta_scale=eta_scale)
+    state, step = cold_start(kernel, C.n)
+    state = drive(state, lambda s: step(s, config, stream.sample().weights, C), N)
     return state.r_avg, state

@@ -356,7 +356,7 @@ def _run_small(tmp_path, *extra, n=8, N=20):
     return report, ckpt
 
 
-def test_checkpoint_stores_matrices_as_bytes(tmp_path):
+def test_checkpoint_stores_matrices_as_bytes(tmp_path, capsys):
     # since v4 the kmd history is the first k rows of a raw rows file beside
     # the JSON, each row a beta and then its sample as little-endian float64
     _, ckpt = _run_small(tmp_path, "--set", "method=kmd", "--set",
@@ -384,6 +384,20 @@ def test_checkpoint_stores_matrices_as_bytes(tmp_path):
     theta = json.loads(ckpt.read_text())["state"]["theta"]
     assert theta["shape"] == [8, 8] and _decode_matrix(theta).shape == (8, 8)
     assert not _rows_file(ckpt).exists()
+    # kmd with the linear kernel runs theta, as linear_kmd does: the same state
+    # and rng, and no rows file
+    (tmp_path / "kmd_linear").mkdir()
+    _, kmd_ckpt = _run_small(tmp_path / "kmd_linear", "--set", "method=kmd")
+    a, b = json.loads(ckpt.read_text()), json.loads(kmd_ckpt.read_text())
+    assert "theta" in b["state"] and not _rows_file(kmd_ckpt).exists()
+    for key in ("state", "rng"):
+        assert a[key] == b[key], key
+    # as a version-5 kmd checkpoint written while kmd kept the linear kernel's
+    # beta history: its state holds no theta
+    b["state"].pop("theta")
+    kmd_ckpt.write_text(json.dumps(b))
+    assert main(["resume", "--checkpoint", str(kmd_ckpt)]) == 1
+    assert "checkpoint state lacks 'theta'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["resume", "eval"])
@@ -1269,14 +1283,43 @@ def test_a_usage_error_exits_1(capsys, argv):
     assert capsys.readouterr().err.startswith("config error: barystream")
 
 
-@pytest.mark.parametrize("value", ["-3", "0", "abc"])
+@pytest.mark.parametrize("value", ["-3", "0", "abc", "5", "10"])
 def test_resume_rejects_a_bad_halt_after(tmp_path, capsys, value):
-    _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    # a halt_after at or below the checkpoint's k=10 would take no step
+    report, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    before = ckpt.read_bytes(), report.read_bytes()
     capsys.readouterr()
     assert main(["resume", "--checkpoint", str(ckpt),
                  "--set", f"halt_after={value}"]) == 1
     assert "halt_after" in capsys.readouterr().err
-    assert json.loads(ckpt.read_text())["k"] == 10
+    assert (ckpt.read_bytes(), report.read_bytes()) == before
+
+
+def test_resume_at_or_below_k_names_halt_after_and_k(tmp_path, capsys):
+    _, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(ckpt), "--set", "halt_after=5"]) == 1
+    assert capsys.readouterr().err == ("config error: halt_after=5 must be above "
+                                       "the checkpoint's k=10\n")
+    # eval takes no step, so it reads no halt_after
+    assert main(["eval", "--checkpoint", str(ckpt), "--set", "halt_after=5"]) == 0
+
+
+@pytest.mark.parametrize("line", ["15,0.5", "10,x,,1,linear_kmd,1,abc",
+                                  "10,nan,,1,linear_kmd,1,{hash}"])
+def test_an_unparsable_report_line_is_one_config_error_line(tmp_path, capsys,
+                                                            line):
+    report, ckpt = _run_small(tmp_path, "--set", "halt_after=10")
+    config_hash = report.read_text().split("\n")[1].split(",")[-1]
+    with open(report, "a") as fh:
+        fh.write(line.format(hash=config_hash) + "\n")
+    before = ckpt.read_bytes(), report.read_bytes()
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: report {report} line 3: ")
+    assert err.count("\n") == 1
+    assert (ckpt.read_bytes(), report.read_bytes()) == before
 
 
 def test_finite_md_without_a_path_is_a_config_error(capsys):
@@ -1302,6 +1345,7 @@ def _method_args(tmp_path, n=8):
                         "cost.normalize=true", "eta_scale=100.0"],
         "linear_kmd": ["method=linear_kmd", "cost.normalize=true",
                        "eta_scale=2000.0"],
+        "kmd_linear": ["method=kmd", "cost.normalize=true", "eta_scale=2000.0"],
         "linear_kmd_corpus": ["method=linear_kmd", "cost.normalize=true",
                               "eta_scale=2000.0", "data.kind=finite",
                               f"data.path={corpus}"],
@@ -1340,7 +1384,8 @@ def _sets(*items):
 # The sinkhorn_sgd hash was re-recorded when Sinkhorn's half-steps began to
 # run from frozen kernels, which sum in another order, and again when its
 # iterations between re-freezes began to run in the scaled form (r_avg moved
-# by 5.9e-16 relative); its r_avg held at 1e-12 both times
+# by 5.9e-16 relative); its r_avg held at 1e-12 both times. kmd_linear, kmd on
+# its default linear kernel, runs theta, so its row is linear_kmd's
 SEEDED_GUARD = {
     "finite_md": ("09aad8a4d1ad365e5067cf6a77ab65c7a94401dd0b41b7eea4ad6df356b028e0",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -1355,6 +1400,10 @@ SEEDED_GUARD = {
                      0.1932169864964062, 0.4216303132501782, 0.23862699392516348,
                      0.05333957132442007, 0.016777952816552033]),
     "linear_kmd": ("bb53c639e35fe716187fa6bf3296bc431e0e4f65178f6da18586d04e1ec641f3",
+                   [0.0025078114503235133, 0.00575328880303214, 0.019775053396683083,
+                    0.14128641936335165, 0.6539741945800016, 0.15092569063696415,
+                    0.020073169738235048, 0.005704372031409044]),
+    "kmd_linear": ("bb53c639e35fe716187fa6bf3296bc431e0e4f65178f6da18586d04e1ec641f3",
                    [0.0025078114503235133, 0.00575328880303214, 0.019775053396683083,
                     0.14128641936335165, 0.6539741945800016, 0.15092569063696415,
                     0.020073169738235048, 0.005704372031409044]),
@@ -1439,8 +1488,9 @@ def test_a_step_advances_its_state_in_place(tmp_path, name):
 
 
 # a setting under which each method's steps overflow to a non-finite iterate
-_OVERFLOW = {name: ["eta_scale=1e308"] for name in ("kmd", "kmd_dynamic",
-                                                    "linear_kmd", "linear_kmd_corpus")}
+_OVERFLOW = {name: ["eta_scale=1e308"]
+             for name in ("kmd", "kmd_dynamic", "kmd_linear", "linear_kmd",
+                          "linear_kmd_corpus")}
 _OVERFLOW.update({name: ["baseline.schedule=constant", "baseline.stepsize=1e308"]
                   for name in ("sinkhorn_sgd", "lp_sgd", "lp_sgd_euclidean")})
 
@@ -1720,15 +1770,26 @@ def test_every_schema_valid_finite_md_run_resume_and_eval_exit_0_or_with_one_lin
             _exits_0_or_with_one_line(["resume", "--checkpoint", str(ckpt)])
 
 
+# a history kernel; halt_after=1 makes a guard that stops firing fail after
+# one step, not run on
+_RBF_HALTED = ('kernel={"family": "rbf", "param": 0.001, "r_sq": 25.0}',
+               "halt_after=1")
+
+
 def test_kmd_history_past_physical_memory_is_refused(tmp_path, capsys):
     ckpt = tmp_path / "state.json"
     N = 10 ** 12
-    assert main(["run"] + _sets("method=kmd", f"N={N}",
+    assert main(["run"] + _sets("method=kmd", f"N={N}", *_RBF_HALTED,
                                 f"output.checkpoint={ckpt}")) == 1
     err = capsys.readouterr().err
     # 2 N n float64 at the default grid size n = 100
     assert err.startswith("config error: ") and f"{2 * N * 100 * 8} bytes" in err
     assert not ckpt.exists()
+    # the linear kernel's dual is theta, n^2 float64 at any N
+    assert main(["run"] + _sets("method=kmd", f"N={N}", "halt_after=1",
+                                f"output.checkpoint={ckpt}")) == 0
+    assert "theta" in json.loads(ckpt.read_text())["state"]
+    assert not _rows_file(ckpt).exists()
 
 
 def test_kmd_history_peak_past_physical_memory_is_refused(monkeypatch, capsys):
@@ -1736,7 +1797,8 @@ def test_kmd_history_peak_past_physical_memory_is_refused(monkeypatch, capsys):
     need = 2 * 10 * 8 * 8
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * need}
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    assert main(["run"] + _sets("method=kmd", "N=10", "data.grid.n=8")) == 1
+    assert main(["run"] + _sets("method=kmd", "N=10", "data.grid.n=8",
+                                *_RBF_HALTED)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{need} bytes" in err
 

@@ -26,7 +26,6 @@ from barystream.kmd import (
     kernel_vec,
     kmd_run,
     kmd_step,
-    linear_kmd_run,
     linear_kmd_step,
 )
 from barystream.measures import (
@@ -331,8 +330,9 @@ def test_memory_contract_and_cap():
     assert state.history.betas.shape == (40, 3)
     assert state.history.samples.shape == (40, 3)
 
-    _, lin = linear_kmd_run(degenerate_stream(c0), C, N=40)
-    assert lin.theta.shape == (3, 3)
+    # the linear kernel's dual is theta, whatever the run length
+    _, lin = kmd_run(degenerate_stream(c0), Kernel.linear(), C, N=40)
+    assert isinstance(lin, LinearKmdState) and lin.theta.shape == (3, 3)
 
 
 @pytest.mark.parametrize("N", [17, 1024, 1025])
@@ -359,7 +359,7 @@ def test_run_rejects_bad_n():
     with pytest.raises(SolverError):
         kmd_run(degenerate_stream(c0), Kernel.rbf(1.0, 25.0), C, N=0)
     with pytest.raises(SolverError):
-        linear_kmd_run(degenerate_stream(c0), C, N=0)
+        kmd_run(degenerate_stream(c0), Kernel.linear(), C, N=0)
 
 
 @pytest.mark.parametrize("key", ["mode"])
