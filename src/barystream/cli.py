@@ -624,9 +624,11 @@ def _run_loop(config: dict, run: _Run):
     """Step the run to N (or halt_after), scoring and checkpointing every
     checkpoint_every steps and at the last one; returns the last state."""
     N, k, halt = config["N"], run.state.k, config["halt_after"]
-    if halt is not None and halt <= k:
-        raise ConfigError(f"halt_after={halt} must be above the checkpoint's k={k}")
     target = N if halt is None else min(N, halt)
+    if target <= k:
+        raise ConfigError(f"halt_after={halt} must be above the checkpoint's k={k}"
+                          if target == halt else f"the checkpoint's k={k} is "
+                          f"already N={N}: resume would take no step")
     every = config["checkpoint_every"]
     report_path = config["output"]["report"]
     checkpoint_path = config["output"]["checkpoint"]

@@ -385,138 +385,24 @@ def logsumexp(x: np.ndarray) -> np.float64:
     return np.log1p(s) + np.log(m) + a
 
 
-def logsumexp_axis(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """`logsumexp` of a real array reduced along `axis` (all axes for None).
+def _lean_pass(neg_cg: np.ndarray, p: np.ndarray, z: np.ndarray,
+               K: np.ndarray) -> np.ndarray:
+    """Freeze one of `sinkhorn`'s kernels at the other side's potential p;
+    returns m, the row maxima of neg_cg + p.
 
-    The same arithmetic as the 1-D version, per slice, with the same
-    reductions scipy 1.17 makes, so results agree with
-    `scipy.special.logsumexp(a, axis=axis)` bit for bit. No fallback is
-    needed here: since the entries at the max are zeroed after the exp, a
-    slice with max -inf, +inf or NaN comes out -inf, +inf or NaN, as scipy's
-    log(sum(exp(a))) gives. The 1-D version is kept for vectors: it costs a
-    quarter of this one there.
-
-    The exp is taken only where z = a - max > UNDERFLOW_BELOW and a is not
-    at the max, on a zeroed buffer. That is exact: every float64 below
-    -745.14 has exp exactly 0.0, and the entries at the max are zeroed
-    anyway, so the sums see the same addends in the same order as from a
-    full exp, -inf, +inf and NaN slices included (their z is NaN or -inf,
-    which the mask leaves at 0.0). numpy's exp is several times slower on
-    arguments that underflow than on others, and at Sinkhorn's small gamma
-    most of them do; where few do, the mask costs a few microseconds.
+    K = exp(z) where z = neg_cg + p - m lies above KEEP_ABOVE, and 0 at or
+    below it; z is scratch of neg_cg's shape. K is 1 at each row max, so
+    m + log(K.sum(axis=1)) is the row log-sum-exp of neg_cg + p up to the
+    dropped terms, each below e^KEEP_ABOVE of the max term. A row whose max
+    is not finite (all -inf, or holding +inf or NaN) has K 0.
     """
-    axes = tuple(range(a.ndim)) if axis is None else (axis,)
-    a_max = a.max(axis=axes, keepdims=True)
-    at_max = a == a_max
-    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite maxima
-        z = a - a_max
-        live = z > UNDERFLOW_BELOW
-        live &= ~at_max
-        e = np.zeros_like(z)
-        np.exp(z, out=e, where=live)
-        s = e.sum(axis=axes, keepdims=True)
-        m = at_max.sum(axis=axes, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max).squeeze(axis=axes)
-    return out[()] if out.ndim == 0 else out
-
-
-def _half_step_lse(neg_cg: np.ndarray, p: np.ndarray, axis: int,
-                   z: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`logsumexp_axis(neg_cg + p, axis)` of a 2-D `neg_cg`, in the buffers
-    `z` and `e` (each shaped and laid out as `neg_cg`), without the exps
-    whose result is subnormal; returned with the slice maxima of neg_cg + p,
-    their dims kept.
-
-    z = neg_cg + p is shifted by its max in place, so the entries at the max
-    are the zeros of z (a - a_max == 0 exactly when a == a_max, for a finite
-    max). The exp is taken into `e` where SUBNORMAL_CUT < z < 0. Each skipped
-    addend is below 2**-1021, so a slice's result moves by at most
-    n * 2**-1021 plus one rounding, and only where its other exps all lie
-    below about 1e-292; every other slice gets the bits of `logsumexp_axis`.
-    When every slice has one max, m = 1 and s / m and + log(m) change no
-    bit, so one count replaces the per-slice sums. A slice with a non-finite
-    max goes to `logsumexp_axis` unchanged.
-    """
-    np.add(neg_cg, p, out=z)
-    z_max = z.max(axis=axis, keepdims=True)
-    if not np.isfinite(z_max).all():
-        return logsumexp_axis(z, axis), z_max
-    z -= z_max
-    at_max = z == 0
-    live = z > SUBNORMAL_CUT
-    live ^= at_max  # at_max lies inside live
-    e.fill(0.0)
-    np.exp(z, out=e, where=live)
-    s = e.sum(axis=axis, keepdims=True)
-    if np.count_nonzero(at_max) == z_max.size:
-        out = np.log1p(s) + z_max
-    else:
-        m = at_max.sum(axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + z_max
-    return out.squeeze(axis=axis), z_max
-
-
-class _FrozenHalfStep:
-    """One of `sinkhorn`'s half-steps: `_half_step_lse(neg_cg, p, axis)` of
-    the other side's potential p, from a kernel frozen at a reference p_ref.
-
-    The row half-step (axis 1) runs over v, the column one (axis 0) over u,
-    and each keeps its own frozen state. A re-freeze is the exact pass,
-    `_half_step_lse` at p, with its bits, in the shared buffer z and this
-    half-step's kernel K: it sets p_ref = p, m to the pass's slice maxima of
-    neg_cg + p, and K = exp(z) of the pass's shifted buffer
-    z = neg_cg + p - m, zeroed where z <= KEEP_ABOVE. While
-    max|p - p_ref| <= TAU, a half-step is then one matrix-vector product and
-    O(n) work: m + log(K @ exp(p - p_ref)) over rows,
-    m + log(exp(p - p_ref) @ K) over columns. `sinkhorn` runs most of its
-    iterations on K directly, in the scaled form, and calls this object only
-    where that form breaks.
-
-    Every kept product K_ij e^(p_j - p_ref_j) is above
-    e^(KEEP_ABOVE - TAU) = 2**-1022, so the product never meets a subnormal.
-    Every sum holds its slice's max term, K = 1 there, of at least e^-TAU,
-    and each dropped term is below e^(KEEP_ABOVE + TAU): below
-    e^(KEEP_ABOVE + 2 TAU) = e^-108.4 of its sum. A half-step re-freezes on
-    its first call, on a drift past TAU (a NaN or infinite one included) and
-    on a sum that is not finite and > 0. An exact pass at a p that is not
-    finite, or with a slice max that is not (`_half_step_lse`'s fallback),
-    freezes nothing, so the next half-step is exact again.
-    """
-
-    def __init__(self, neg_cg: np.ndarray, axis: int, z: np.ndarray):
-        self.neg_cg, self.axis, self.z = neg_cg, axis, z
-        self.K = np.empty_like(neg_cg)
-        self.p_ref = self.m = None
-
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        if self.p_ref is not None:
-            d = p - self.p_ref
-            if np.abs(d).max() <= TAU:
-                w = np.exp(d)
-                return self.lse_of_sum(self.K @ w if self.axis == 1 else w @ self.K, p)
-        return self.refreeze(p)
-
-    def lse_of_sum(self, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """m + log(s) of the kernel's sums s at p, or the exact pass at p
-        where s is not finite and > 0."""
-        if s.min() > 0 and s.max() < math.inf:
-            return self.m + np.log(s)
-        return self.refreeze(p)
-
-    def refreeze(self, p: np.ndarray) -> np.ndarray:
-        """The exact pass at p; its buffers become the frozen kernel."""
-        p_b = np.expand_dims(p, 1 - self.axis)
-        out, m = _half_step_lse(self.neg_cg, p_b, self.axis, self.z, self.K)
-        self.p_ref = self.m = None
-        # at a finite p, out is finite exactly when every slice max is
-        if np.isfinite(p).all() and np.isfinite(out).all():
-            # the pass left exp(z) where SUBNORMAL_CUT < z < 0, else 0
-            self.K *= self.z > KEEP_ABOVE
-            np.copyto(self.K, 1.0, where=self.z == 0)
-            self.p_ref, self.m = p.copy(), m.squeeze(self.axis)
-        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(neg_cg, p, out=z)
+        m = z.max(axis=1)
+        z -= m[:, None]
+    K.fill(0.0)
+    np.exp(z, out=K, where=z > KEEP_ABOVE)
+    return m
 
 
 @dataclass(frozen=True)
@@ -533,84 +419,64 @@ class SinkhornSolution:
     unstable: bool
 
 
-# the most scaled iterations whose dual values wait to be computed together
+# the most iterations whose dual values wait to be computed together
 DUAL_BATCH = 64
 
 
 def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
              gamma: float, max_iter: int = 1000, tol: float = 1e-9) -> SinkhornSolution:
-    """Entropy-regularized OT by alternating scaling, stabilized in the log
-    domain.
+    """Entropy-regularized OT by alternating scaling, stabilized by
+    absorption.
 
     The plan is diag(e^u) e^{-C/gamma} diag(e^v); the dual objective of the
     regularized problem is tracked per iteration (block-coordinate ascent,
-    so it is monotone non-decreasing). The loop never forms the plan: after
-    the v half-step the column sums of an iterate are exp(v + col_lse), and
-    its row sums are exp(u + row_lse), where row_lse is what the next u
-    half-step computes anyway. So the marginal residual and the dual value
-    gamma (u.r + v.c - sum of plan) of each iterate are read one half-step
-    late, in O(n), and differ from the plan's own sums only in rounding
-    (measured below 2e-15 in the residual at n=100); when the residual is
-    within `tol` that iterate is returned. The plan, `marginal_residual`,
-    `reg_value` and the last dual value are computed once, at exit, from the
-    returned (u, v); the exp is taken only where u - C/gamma + v is not
-    below UNDERFLOW_BELOW and the log only where the plan is > 0, which
-    gives the bits of the exp and log of every entry. If a potential goes
-    non-finite the last finite iterate is returned with the `unstable` flag
-    set. A grid cost cannot reach that exit: its zero diagonal puts a finite
-    term in every row and column of -C/gamma plus a finite potential, so
-    every log-sum-exp stays finite. A cost with no zero entry reaches it
-    once -C/gamma overflows to -inf.
+    so it is monotone non-decreasing). The loop is Cuturi's scaling
+    iteration (NIPS 2013) in the stabilized form of Schmitzer (SIAM J. Sci.
+    Comput. 2019, Alg. 2). Each potential is a reference plus the log of a
+    scaling, u = u_ref + log a and v = v_ref + log b. The row half-step runs
+    on a kernel K_row frozen at v_ref by `_lean_pass`: the exps of
+    -C/gamma + v_ref shifted by its row maxima m_row, kept above
+    KEEP_ABOVE = SUBNORMAL_CUT + TAU = -508.4 and 0 below. The column
+    half-step runs on K_col, frozen the same way at u_ref on the transpose.
+    With alpha = e^(log r - m_row - u_ref) and beta = e^(log c - m_col -
+    v_ref), an iteration is s = K_row @ b, a = alpha / s, t = K_col @ a,
+    b = beta / t: two matrix-vector products and a few O(n) divisions.
 
-    Each half-step has a `_FrozenHalfStep`: the row one over v, the column
-    one over u, each with its own n x n kernel, frozen at a reference
-    potential p_ref, and one n x n buffer shared by both. The kernel keeps
-    the exps of the shifted -C/gamma + p_ref above KEEP_ABOVE =
-    SUBNORMAL_CUT + TAU = -508.4, so the dropped terms of a sum are below
-    n * e^-108.4 of it and no product is subnormal. On the first half-step,
-    on a drift past TAU = 200 from p_ref and on a sum that is not finite and
-    > 0, the half-step is the exact pass `_half_step_lse`, which re-freezes
-    the kernel. That pass gives the bits of
-    `logsumexp_axis(-C/gamma + potential, axis)` except that it skips the
-    exps whose result is subnormal (z <= SUBNORMAL_CUT = -708.40), which
-    numpy's exp takes about a hundred times longer to make than a normal
-    result; a log-sum-exp moves by at most n * 2**-1021 plus one rounding
-    there (BENCH_sinkhorn_halfstep.json).
+    Each new scaling must lie in the band [e^-TAU, e^TAU], TAU = 200, a test
+    that also rejects NaN, 0 and inf. Where a leaves it, the loop absorbs
+    it: u_ref becomes the potential log r - m_row - log s, a becomes 1, and
+    one lean pass re-freezes K_col at the new u_ref; where b leaves it, v_ref
+    and K_row do the same. u has no reference before the first row
+    half-step, which therefore absorbs. In the band every kept product
+    K_ij b_j is above e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal;
+    every sum holds its row's max term, K = 1 there, of at least e^-TAU, and
+    each dropped term is below e^(KEEP_ABOVE + TAU), so the dropped terms of
+    a sum are below n e^-108.4 of it. So s and t lie in [e^-TAU, n e^TAU]
+    wherever the kernel's row max is finite, and the potentials formed from
+    them are finite.
 
-    Between re-freezes the iterations run in the scaled form of the
-    stabilized scaling of Schmitzer (SIAM J. Sci. Comput. 2019, Alg. 2).
-    When both kernels are frozen, K_row at v_ref with slice maxima m_row and
-    K_col at u_ref with m_col, and |u - u_ref| and |v - v_ref| are within
-    TAU (checked on the potentials, before any exp), the loop carries
-    a = e^(u - u_ref) and b = e^(v - v_ref). alpha = e^(log r - m_row -
-    u_ref) and beta = e^(log c - m_col - v_ref) are set on entry, and an
-    iteration is s = K_row @ b, a = alpha / s, t = a @ K_col, b = beta / t:
-    two matrix-vector products and a few O(n) divisions. Each new a and b
-    must lie in the band [e^-TAU, e^TAU], a test that also rejects NaN, 0
-    and inf; inside it alpha and beta lie in [e^-2 TAU, n e^2 TAU].
-    u = u_ref + log a and v = v_ref + log b are formed only where the band
-    breaks and at exit. Where a leaves it, the whole iteration runs in the
-    log domain from s (the exact pass where s is not finite and > 0), and
-    its column half-step re-freezes; where b leaves it, the iteration ends
-    with v = log c - (m_col + log t) and the next row half-step re-freezes.
-    In the scaled form the row residual is sum r |a / a_new - 1|, as the
-    row sums of (a, b) are r a s / alpha; its column part is left out, since
-    v came from the column half-step and those sums are c up to rounding.
-    The log domain keeps both parts. Dual values of scaled iterates are
-    computed in batches of at most DUAL_BATCH, so the memory stays O(n).
-    With TAU < 0 nothing enters the scaled form and every half-step is the
-    exact pass.
+    A lean pass at a finite potential gives a row max of -inf exactly where
+    that row of -C/gamma plus the potential is all -inf, and its log-sum-exp
+    is -inf. Such a row of K_row makes s = 0 there at the next row
+    half-step, and the u it absorbs is not finite; such a row of K_col
+    would make this iteration's v not finite. Either one is the `unstable`
+    exit: the last finite iterate is returned with the flag set. A grid
+    cost cannot reach it: its zero diagonal puts a finite term in every row
+    and column of -C/gamma plus a finite potential. A cost with no zero
+    entry reaches it once -C/gamma overflows to -inf.
 
-    The frozen kernels and the scaled form sum in another order than the
-    exact pass. A sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
-    4 seeds and 300 iterations put u and v within 3.3e-14 of
-    max(1, |u|_inf, |v|_inf) of a loop of exact log-sum-exps, with the same
-    n_iter. 92.6% of the iterations of the perfbench sinkhorn-sgd rounds
-    ran in the scaled form and 99.5% at n = 100 with marginals bounded away
-    from 0; 7.2% of the half-steps re-froze there. A solve of 200 iterations
-    at n = 100 and gamma = 5e-5 took 11.4 ms with the frozen half-steps
-    alone and 6.1 ms with the scaled form, in one process
-    (BENCH_sinkhorn_scaling.json).
+    The loop never forms the plan. The row sums of an iterate (a, b) are
+    r a / a_new, a_new the next row half-step's scaling, and its column
+    sums are c up to rounding, since b came from the column half-step
+    against a. So the marginal residual sum r |a / a_new - 1| and the dual
+    value gamma (u.r + v.c - q) of each iterate, q = r.(a / a_new) the
+    plan's total, are read one half-step late, in O(n); when the residual
+    is within `tol` that iterate is returned. Dual values are computed in
+    batches of at most DUAL_BATCH, so the memory stays O(n). The plan,
+    `marginal_residual`, `reg_value` and the last dual value are computed
+    once, at exit, from the returned (u, v); the exp is taken only where
+    u - C/gamma + v is not below UNDERFLOW_BELOW and the log only where the
+    plan is > 0, which gives the bits of the exp and log of every entry.
     """
     if gamma <= 0:
         raise SolverError("sinkhorn: gamma must be positive")
@@ -620,50 +486,37 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     log_r = np.log(r_w)
     log_c = np.log(c_w)
     neg_cg = -C.entries / gamma
+    neg_cg_t = np.ascontiguousarray(neg_cg.T)
     z = np.empty_like(neg_cg)
-    row_half_step = _FrozenHalfStep(neg_cg, 1, z)
-    col_half_step = _FrozenHalfStep(neg_cg, 0, z)
-    K_row, K_col = row_half_step.K, col_half_step.K
+    K_row, K_col = np.empty_like(neg_cg), np.empty_like(neg_cg)
     lo, hi = math.exp(-TAU), math.exp(TAU)
-    u = np.zeros(C.n)
-    v = np.zeros(C.n)
-    col_lse = None
-    scaled = False
+    ones = np.ones(C.n)
+    u_ref = v_ref = np.zeros(C.n)
+    a = b = ones
     batch = []
     dual_values = []
 
     def flush_batch():
-        """gamma (u.r + v.c - q) of each scaled iterate (a, b, q) waiting in
-        the batch, u = u_ref + log a and v = v_ref + log b: one log and one
-        matrix-vector product per side for the whole batch."""
+        """gamma (u.r + v.c - q) of each iterate (u_ref, a, v_ref, b, q)
+        waiting in the batch: one log and one matrix-vector product per side
+        for the whole batch."""
         if batch:
-            a_s, b_s, q_s = zip(*batch)
-            dual_values.extend(gamma * ((np.log(a_s) + u_ref) @ r_w
-                                        + (np.log(b_s) + v_ref) @ c_w
+            u_s, a_s, v_s, b_s, q_s = zip(*batch)
+            dual_values.extend(gamma * ((np.log(a_s) + u_s) @ r_w
+                                        + (np.log(b_s) + v_s) @ c_w
                                         - np.array(q_s)))
             batch.clear()
 
     unstable = False
     it = 0
-    for it in range(1, max_iter + 1):
-        if (not scaled and row_half_step.p_ref is not None
-                and col_half_step.p_ref is not None):
-            u_ref, v_ref = col_half_step.p_ref, row_half_step.p_ref
-            du, dv = u - u_ref, v - v_ref
-            if np.abs(du).max() <= TAU and np.abs(dv).max() <= TAU:
-                scaled, t = True, None
-                a, b = np.exp(du), np.exp(dv)
-                # alpha and beta overflow only where the potentials' rounding
-                # exceeds TAU; the a and b they give then leave the band
-                with np.errstate(over="ignore"):
-                    alpha = np.exp(log_r - row_half_step.m - u_ref)
-                    beta = np.exp(log_c - col_half_step.m - v_ref)
-        scaled_row = False
-        if scaled:
+    # every overflow, 0 and NaN is caught by the band test or the unstable exit
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m_row = _lean_pass(neg_cg, v_ref, z, K_row)
+        alpha = np.full(C.n, np.nan)  # u has no reference: the first a absorbs
+        for it in range(1, max_iter + 1):
             s = K_row @ b
             a_new = alpha / s
-            scaled_row = a_new.min() >= lo and a_new.max() <= hi
-            if scaled_row:
+            if it > 1:
                 # the row sums of (a, b) over r
                 ratio = a / a_new
                 q = ratio @ r_w
@@ -672,52 +525,27 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                 if ratio @ r_w <= tol:
                     it -= 1
                     break
-                t_new = a_new @ K_col
-                b_new = beta / t_new
-                if b_new.min() >= lo and b_new.max() <= hi:
-                    batch.append((a, b, q))
-                    if len(batch) == DUAL_BATCH:
-                        flush_batch()
-                    a, b, t = a_new, b_new, t_new
-                    continue
-            # the band breaks: (u, v) comes back and the iteration ends in
-            # the log domain
-            flush_batch()
-            scaled = False
-            u, v = u_ref + np.log(a), v_ref + np.log(b)
-            if scaled_row:
-                # b left the band: the next row half-step re-freezes
-                u_new = u_ref + np.log(a_new)
-                col_lse_new = col_half_step.lse_of_sum(t_new, u_new)
-            else:
-                # a left the band: this column half-step re-freezes
-                if t is not None:
-                    col_lse = col_half_step.m + np.log(t)
-                row_lse = row_half_step.lse_of_sum(s, v)
-        else:
-            row_lse = row_half_step(v)
-        if not scaled_row:
-            if it > 1:
-                # marginals of the previous iterate (u, v)
-                row_sums = np.exp(u + row_lse)
-                residual = (np.abs(row_sums - r_w).sum()
-                            + np.abs(np.exp(v + col_lse) - c_w).sum())
-                if residual <= tol:
-                    it -= 1
+                if len(batch) == DUAL_BATCH:
+                    flush_batch()
+                batch.append((u_ref, a, v_ref, b, q))
+            if not (a_new.min() >= lo and a_new.max() <= hi):
+                u_new = log_r - m_row - np.log(s)
+                m_col = _lean_pass(neg_cg_t, u_new, z, K_col)
+                if not (np.isfinite(u_new).all() and np.isfinite(m_col).all()):
+                    unstable = True
+                    del batch[-1:]  # (a, b) is returned, its value from its plan
                     break
-                q = row_sums.sum()
-            u_new = log_r - row_lse
-            col_lse_new = col_half_step(u_new)
-        v_new = log_c - col_lse_new
-        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-            unstable = True
-            break
-        if it > 1:
-            dual_values.append(gamma * (u @ r_w + v @ c_w - q))
-        u, v, col_lse = u_new, v_new, col_lse_new
-    if scaled:
-        u, v = u_ref + np.log(a), v_ref + np.log(b)
-        flush_batch()
+                u_ref, a_new, alpha = u_new, ones, s
+                beta = np.exp(log_c - m_col - v_ref)
+            t = K_col @ a_new
+            b_new = beta / t
+            if not (b_new.min() >= lo and b_new.max() <= hi):
+                v_ref, b_new, beta = log_c - m_col - np.log(t), ones, t
+                m_row = _lean_pass(neg_cg, v_ref, z, K_row)
+                alpha = np.exp(log_r - m_row - u_ref)
+            a, b = a_new, b_new
+    u, v = u_ref + np.log(a), v_ref + np.log(b)
+    flush_batch()
     # exp only where u + (-C/gamma) + v is not below the underflow cut, and
     # log only where the plan is > 0: the bits of the full exp and log
     np.add(u[:, None], neg_cg, out=z)

@@ -1305,6 +1305,19 @@ def test_resume_at_or_below_k_names_halt_after_and_k(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--set", "halt_after=5"]) == 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--set", "halt_after=30"]])
+def test_resume_of_a_checkpoint_at_N_is_a_config_error(tmp_path, capsys, extra):
+    # a checkpoint at k = N has no step left, whatever halt_after says past N
+    report, ckpt = _run_small(tmp_path, "--set", "method=linear_kmd")
+    before = [hashlib.md5(path.read_bytes()).hexdigest() for path in (report, ckpt)]
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint", str(ckpt), *extra]) == 1
+    assert capsys.readouterr().err == ("config error: the checkpoint's k=20 is "
+                                       "already N=20: resume would take no step\n")
+    assert [hashlib.md5(path.read_bytes()).hexdigest()
+            for path in (report, ckpt)] == before
+
+
 @pytest.mark.parametrize("line", ["15,0.5", "10,x,,1,linear_kmd,1,abc",
                                   "10,nan,,1,linear_kmd,1,{hash}"])
 def test_an_unparsable_report_line_is_one_config_error_line(tmp_path, capsys,
@@ -1384,8 +1397,10 @@ def _sets(*items):
 # The sinkhorn_sgd hash was re-recorded when Sinkhorn's half-steps began to
 # run from frozen kernels, which sum in another order, and again when its
 # iterations between re-freezes began to run in the scaled form (r_avg moved
-# by 5.9e-16 relative); its r_avg held at 1e-12 both times. kmd_linear, kmd on
-# its default linear kernel, runs theta, so its row is linear_kmd's
+# by 5.9e-16 relative), and once more when that scaled loop with absorption
+# became its only loop (r_avg moved by 6.9e-16 relative); its r_avg held at
+# 1e-12 each time. kmd_linear, kmd on its default linear kernel, runs theta,
+# so its row is linear_kmd's
 SEEDED_GUARD = {
     "finite_md": ("09aad8a4d1ad365e5067cf6a77ab65c7a94401dd0b41b7eea4ad6df356b028e0",
                   [0.04624747139258638, 0.05026358264447243, 0.11819616897917236,
@@ -1412,7 +1427,7 @@ SEEDED_GUARD = {
         [0.0025541550733871464, 0.006473536801041738, 0.024537618967472214,
          0.18025705058184532, 0.7387571524777141, 0.03831745230460663,
          0.00679578391532853, 0.002307249878605068]),
-    "sinkhorn_sgd": ("c77290ef3f33f3114fd4ca54f1f3d7ff75f88fd7f2088c18048656c999ac1348",
+    "sinkhorn_sgd": ("9904d6733d298ff133bba17ef8fbe252fa1b8ced1c469d8e375314a1e0c38e3b",
                      [0.026734370952663053, 0.0379598158220921, 0.07038214568318964,
                       0.16916620674537794, 0.37098155427903057, 0.2039852159570048,
                       0.08023703758014075, 0.040553652980500975]),
