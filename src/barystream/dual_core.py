@@ -391,7 +391,7 @@ def _lean_pass(neg_cg: np.ndarray, p: np.ndarray, z: np.ndarray,
     returns m, the row maxima of neg_cg + p.
 
     K = exp(z) where z = neg_cg + p - m lies above KEEP_ABOVE, and 0 at or
-    below it; z is scratch of neg_cg's shape. K is 1 at each row max, so
+    below it; z is a work buffer of neg_cg's shape. K is 1 at each row max, so
     m + log(K.sum(axis=1)) is the row log-sum-exp of neg_cg + p up to the
     dropped terms, each below e^KEEP_ABOVE of the max term. A row whose max
     is not finite (all -inf, or holding +inf or NaN) has K 0.
@@ -477,6 +477,14 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     once, at exit, from the returned (u, v); the exp is taken only where
     u - C/gamma + v is not below UNDERFLOW_BELOW and the log only where the
     plan is > 0, which gives the bits of the exp and log of every entry.
+
+    The frozen kernels sum in another order than a log-sum-exp of each
+    half-step. A sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
+    4 seeds and 300 iterations put u and v within 3.3e-14 of
+    max(1, |u|_inf, |v|_inf) of a loop of scipy's logsumexp, with the same
+    n_iter; on the perfbench sinkhorn-sgd rounds (n = 100, gamma = 5e-5,
+    200 iterations) a solve made 27 lean passes, 6.8% of its half-steps
+    (BENCH_sinkhorn_absorb.json).
     """
     if gamma <= 0:
         raise SolverError("sinkhorn: gamma must be positive")

@@ -1,7 +1,5 @@
 import hashlib
 import itertools
-import math
-from unittest import mock
 
 import numpy as np
 import pytest
