@@ -29,6 +29,9 @@ SUBNORMAL_CUT = math.log(2.0 ** -1022)
 # was frozen at, and the shifted exponent at or below which the kernel is 0
 TAU = 200.0
 KEEP_ABOVE = SUBNORMAL_CUT + TAU
+# float64 spacing is 512 at and above 2**61, so adding a log-scaling in
+# [-TAU, TAU] to a sinkhorn potential this large leaves it as it is
+PIN_AT = 2.0 ** 61
 
 
 class SolverError(RuntimeError):
@@ -465,10 +468,21 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     and column of -C/gamma plus a finite potential. A cost with no zero
     entry reaches it once -C/gamma overflows to -inf.
 
-    The loop never forms the plan. The row sums of an iterate (a, b) are
-    r a / a_new, a_new the next row half-step's scaling, and its column
-    sums are c up to rounding, since b came from the column half-step
-    against a. So the marginal residual sum r |a / a_new - 1| and the dual
+    An absorbed potential at or above PIN_AT = 2**61 in size, as a row or
+    column of -C/gamma near -1e300 gives, is pinned: in float64 no scaling
+    in the band can move it, just as a log-sum-exp half-step leaves it where
+    its first half-step put it. Its value moves into a fixed offset and
+    into its entries of the other side's kernel, where it cancels to
+    entries of ordinary size; its reference stays 0 and its scaling 1 from
+    then on. The plan of (u, v), formed left to right as at exit, then no
+    longer follows the scalings (in a pinned column, u_i - C_ij/gamma
+    rounds to -C_ij/gamma), so once a potential is pinned the residual and
+    the plan's total are read from that plan, formed on each iteration.
+
+    Without a pinned potential the loop never forms the plan. The row sums
+    of an iterate (a, b) are r a / a_new, a_new the next row half-step's
+    scaling, and its column sums are c up to rounding, since b came from
+    the column half-step against a. So the marginal residual sum r |a / a_new - 1| and the dual
     value gamma (u.r + v.c - q) of each iterate, q = r.(a / a_new) the
     plan's total, are read one half-step late, in O(n); when the residual
     is within `tol` that iterate is returned. Dual values are computed in
@@ -503,6 +517,9 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     a = b = ones
     batch = []
     dual_values = []
+    # the offsets of pinned potentials, and their masks (None while none is)
+    U, V = np.zeros(C.n), np.zeros(C.n)
+    u_pin = v_pin = None
 
     def flush_batch():
         """gamma (u.r + v.c - q) of each iterate (u_ref, a, v_ref, b, q)
@@ -512,8 +529,45 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
             u_s, a_s, v_s, b_s, q_s = zip(*batch)
             dual_values.extend(gamma * ((np.log(a_s) + u_s) @ r_w
                                         + (np.log(b_s) + v_s) @ c_w
-                                        - np.array(q_s)))
+                                        - np.array(q_s)
+                                        + (U @ r_w + V @ c_w)))
             batch.clear()
+
+    def pin(p_new, pinned, offset, cost):
+        """Pin each finite entry of the absorbed potential p_new at or above
+        PIN_AT: move it into `offset` and into its column of `cost`, the
+        other side's layout of -C/gamma, and set it to 0. Returns the mask
+        of pinned entries, None while there is none."""
+        size = np.abs(p_new)
+        new = (size >= PIN_AT) & (size < np.inf)
+        if new.any():
+            flush_batch()  # the waiting dual values use the offsets before these
+            offset[new] = p_new[new]
+            cost[:, new] += p_new[new]
+            p_new[new] = 0.0
+            pinned = new if pinned is None else pinned | new
+        return pinned
+
+    def potentials():
+        """(u, v) of the iterate (u_ref, a, v_ref, b)."""
+        u, v = u_ref + np.log(a), v_ref + np.log(b)
+        if u_pin is not None:
+            u[u_pin] = U[u_pin]
+        if v_pin is not None:
+            v[v_pin] = V[v_pin]
+        return u, v
+
+    def plan_of(u, v):
+        """The plan of (u, v) and its marginal residual. The exp is taken
+        only where u + (-C/gamma) + v is not below the underflow cut: the
+        bits of the full exp."""
+        np.divide(C.entries, -gamma, out=z)
+        np.add(z, u[:, None], out=z)
+        np.add(z, v, out=z)
+        plan = np.zeros_like(z)
+        np.exp(z, out=plan, where=~(z <= UNDERFLOW_BELOW))
+        return plan, (np.abs(plan.sum(axis=1) - r_w).sum()
+                      + np.abs(plan.sum(axis=0) - c_w).sum())
 
     unstable = False
     it = 0
@@ -525,46 +579,57 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
             s = K_row @ b
             a_new = alpha / s
             if it > 1:
-                # the row sums of (a, b) over r
-                ratio = a / a_new
-                q = ratio @ r_w
-                ratio -= 1.0
-                np.abs(ratio, out=ratio)
-                if ratio @ r_w <= tol:
+                if u_pin is None and v_pin is None:
+                    # the row sums of (a, b) over r
+                    ratio = a / a_new
+                    q = ratio @ r_w
+                    ratio -= 1.0
+                    np.abs(ratio, out=ratio)
+                    residual = ratio @ r_w
+                else:
+                    plan, residual = plan_of(*potentials())
+                    q = plan.sum()
+                if residual <= tol:
                     it -= 1
                     break
                 if len(batch) == DUAL_BATCH:
                     flush_batch()
                 batch.append((u_ref, a, v_ref, b, q))
+            if u_pin is not None:
+                a_new[u_pin] = 1.0
             if not (a_new.min() >= lo and a_new.max() <= hi):
                 u_new = log_r - m_row - np.log(s)
+                if u_pin is not None:
+                    u_new[u_pin] = 0.0
                 m_col = _lean_pass(neg_cg_t, u_new, z, K_col)
                 if not (np.isfinite(u_new).all() and np.isfinite(m_col).all()):
                     unstable = True
                     del batch[-1:]  # (a, b) is returned, its value from its plan
                     break
+                # K_col, frozen at u_new, is the same after the fold
+                u_pin = pin(u_new, u_pin, U, neg_cg_t)
                 u_ref, a_new, alpha = u_new, ones, s
                 beta = np.exp(log_c - m_col - v_ref)
             t = K_col @ a_new
             b_new = beta / t
+            if v_pin is not None:
+                b_new[v_pin] = 1.0
             if not (b_new.min() >= lo and b_new.max() <= hi):
-                v_ref, b_new, beta = log_c - m_col - np.log(t), ones, t
+                v_new = log_c - m_col - np.log(t)
+                if v_pin is not None:
+                    v_new[v_pin] = 0.0
+                v_pin = pin(v_new, v_pin, V, neg_cg)
+                v_ref, b_new, beta = v_new, ones, t
                 m_row = _lean_pass(neg_cg, v_ref, z, K_row)
                 alpha = np.exp(log_r - m_row - u_ref)
             a, b = a_new, b_new
-    u, v = u_ref + np.log(a), v_ref + np.log(b)
+    u, v = potentials()
     flush_batch()
-    # exp only where u + (-C/gamma) + v is not below the underflow cut, and
-    # log only where the plan is > 0: the bits of the full exp and log
-    np.add(u[:, None], neg_cg, out=z)
-    z += v
-    plan = np.zeros_like(z)
-    np.exp(z, out=plan, where=~(z <= UNDERFLOW_BELOW))
+    plan, residual = plan_of(u, v)
     if it - unstable > 0:
         # the returned iterate's own dual value, from its plan
         dual_values.append(gamma * (u @ r_w + v @ c_w - plan.sum()))
-    residual = (np.abs(plan.sum(axis=1) - r_w).sum()
-                + np.abs(plan.sum(axis=0) - c_w).sum())
+    # log only where the plan is > 0: the bits of the full log
     positive = plan > 0
     ent = np.zeros_like(plan)
     np.log(plan, out=ent, where=positive)

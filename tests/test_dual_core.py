@@ -552,6 +552,20 @@ def test_sinkhorn_exit_has_the_bits_of_the_full_exp_and_log(problem, max_iter):
         assert _same_bits(sol.dual_values[-1], dual)
 
 
+# a row, then a column, of -C/gamma near -1e300 and -1.7e308: the first
+# half-step on that side puts its potential at about 1e300, and no later
+# half-step moves it; the reference loop converges at 18 on the first and
+# not at all on the second, whose plan drops u in the pinned column
+@example(problem=(DiscreteMeasure(np.array([0.3, 0.7])),
+                  DiscreteMeasure(np.array([0.4, 0.6])),
+                  CostMatrix.from_entries(np.array([[0.5, 0.95], [1e300, 1e300]])),
+                  1.0),
+         max_iter=50)
+@example(problem=(DiscreteMeasure(np.array([0.5, 0.5])),
+                  DiscreteMeasure(np.array([0.65, 0.35])),
+                  CostMatrix.from_entries(np.array([[1.7e308, 0.75], [1.7e308, 0.0]])),
+                  1.0),
+         max_iter=50)
 @settings(max_examples=60, deadline=None)
 @given(problem=sinkhorn_problems(overflow=True), max_iter=st.integers(1, 50))
 def test_sinkhorn_exits_unstable_where_its_exact_half_steps_do(problem, max_iter):
