@@ -161,7 +161,8 @@ class AveragedIterate(CarriedSoftmax):
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Non-negative n x n cost matrix with its sup-norm, computed here.
+    """Non-negative n x n cost matrix with its sup-norm, computed here. A NaN
+    entry is refused; a +inf entry is not.
 
     grid_monge marks |x_i - x_j|^p (p >= 1, times a factor >= 0) on a strictly
     increasing grid. Such a matrix is Monge, so the staircase coupling of two
@@ -178,8 +179,10 @@ class CostMatrix:
         object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise SolverError("cost matrix must be square")
-        if np.any(e < 0):
-            raise SolverError("cost matrix must be non-negative")
+        # +inf passes: FiniteProblem and the CLI refuse it with their own words
+        if not (e >= 0).all():
+            raise SolverError("cost matrix has a NaN entry" if np.isnan(e).any()
+                              else "cost matrix must be non-negative")
         object.__setattr__(self, "inf_norm", float(np.abs(e).max()))
 
     @classmethod
@@ -422,8 +425,29 @@ class SinkhornSolution:
     unstable: bool
 
 
-# the most iterations whose dual values wait to be computed together
+# the most iterates whose residuals and dual values wait to be read
+# together, and how many the first such batch holds
 DUAL_BATCH = 64
+FIRST_BATCH = 4
+
+
+def _next_batch_size(first: float, last: float, steps: int, tol: float) -> int:
+    """How many iterates `sinkhorn`'s next batch holds, when the marginal
+    residual went from `first` to `last` over the last `steps` iterations.
+
+    At that mean linear rate the residual reaches `tol` after
+    log(tol / last) / log(rate) more iterations; their count is the size,
+    at least 1 and at most DUAL_BATCH. Without a rate below 1 (no step, a
+    residual not above `tol`, stalled or growing, a NaN or inf, or a rate so
+    close to 1 that log(last) - log(first) rounds to 0) it is DUAL_BATCH.
+    """
+    if not (steps >= 1 and 0 < tol < last < first < math.inf):
+        return DUAL_BATCH
+    log_rate = (math.log(last) - math.log(first)) / steps
+    if not log_rate < 0:
+        return DUAL_BATCH
+    k = (math.log(tol) - math.log(last)) / log_rate
+    return DUAL_BATCH if k >= DUAL_BATCH else max(1, math.ceil(k))
 
 
 def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
@@ -446,10 +470,11 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     b = beta / t: two matrix-vector products and a few O(n) divisions.
 
     Each new scaling must lie in the band [e^-TAU, e^TAU], TAU = 200, a test
-    that also rejects NaN, 0 and inf. Where a leaves it, the loop absorbs
-    it: u_ref becomes the potential log r - m_row - log s, a becomes 1, and
-    one lean pass re-freezes K_col at the new u_ref; where b leaves it, v_ref
-    and K_row do the same. u has no reference before the first row
+    of its min and max (np.minimum.reduce and np.maximum.reduce, called
+    without the method's overhead) that also rejects NaN, 0 and inf. Where
+    a leaves it, the loop absorbs it: u_ref becomes the potential
+    log r - m_row - log s, a becomes 1, and one lean pass re-freezes K_col
+    at the new u_ref; where b leaves it, v_ref and K_row do the same. u has no reference before the first row
     half-step, which therefore absorbs. In the band every kept product
     K_ij b_j is above e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal;
     every sum holds its row's max term, K = 1 there, of at least e^-TAU, and
@@ -477,20 +502,35 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     then on. The plan of (u, v), formed left to right as at exit, then no
     longer follows the scalings (in a pinned column, u_i - C_ij/gamma
     rounds to -C_ij/gamma), so once a potential is pinned the residual and
-    the plan's total are read from that plan, formed on each iteration.
+    the plan's total come from that plan, formed on each iteration; they
+    wait in the batch as the scalings do.
 
     Without a pinned potential the loop never forms the plan. The row sums
     of an iterate (a, b) are r a / a_new, a_new the next row half-step's
-    scaling, and its column sums are c up to rounding, since b came from
-    the column half-step against a. So the marginal residual sum r |a / a_new - 1| and the dual
-    value gamma (u.r + v.c - q) of each iterate, q = r.(a / a_new) the
-    plan's total, are read one half-step late, in O(n); when the residual
-    is within `tol` that iterate is returned. Dual values are computed in
-    batches of at most DUAL_BATCH, so the memory stays O(n). The plan,
-    `marginal_residual`, `reg_value` and the last dual value are computed
-    once, at exit, from the returned (u, v); the exp is taken only where
-    u - C/gamma + v is not below UNDERFLOW_BELOW and the log only where the
-    plan is > 0, which gives the bits of the exp and log of every entry.
+    raw scaling, and its column sums are c up to rounding, since b came from
+    the column half-step against a. So the marginal residual
+    sum r |a / a_new - 1| and the dual value gamma (u.r + v.c - q) of each
+    iterate, q = r.(a / a_new) the plan's total, are known one half-step
+    late. The loop does not read them there: each iterate waits, with its
+    a_new, in a batch, and a flush reads the whole batch with one
+    matrix-vector product per quantity. The first iterate within `tol` is
+    returned, with its own n_iter; the iterates before it add their dual
+    values, and the iterations run after it in its batch (the speculative
+    tail, whose absorptions are discarded with it) change nothing returned.
+    A pin reads the batch before it moves anything, and so do the
+    unstable exit and the max_iter exit, so an earlier iterate within
+    `tol` comes first there too. The first batch holds FIRST_BATCH
+    iterates; each flush that finds none sizes the next one by the mean
+    rate of the residuals it read (`_next_batch_size`): the iterations
+    that rate takes to bring the residual to `tol`, at most DUAL_BATCH, or
+    DUAL_BATCH when the residual is not falling. Sinkhorn's residual falls
+    at a linear rate (Franklin and Lorenz, Linear Algebra Appl. 1989), so
+    on a converging solve the tail is short, and the memory stays O(n).
+    The plan, `marginal_residual`, `reg_value` and the last dual value are
+    computed once, at exit, from the returned (u, v); the exp is taken only
+    where u - C/gamma + v is not below UNDERFLOW_BELOW and the log only
+    where the plan is > 0, which gives the bits of the exp and log of every
+    entry.
 
     The frozen kernels sum in another order than a log-sum-exp of each
     half-step. A sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
@@ -498,7 +538,12 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     max(1, |u|_inf, |v|_inf) of a loop of scipy's logsumexp, with the same
     n_iter; on the perfbench sinkhorn-sgd rounds (n = 100, gamma = 5e-5,
     200 iterations) a solve made 27 lean passes, 6.8% of its half-steps
-    (BENCH_sinkhorn_absorb.json).
+    (BENCH_sinkhorn_absorb.json). Reading the residual in batches left u,
+    v, the plan, n_iter and the exit flags of 576 solves as they were
+    (n, gamma and seeds as above, max_iter from 1 to 1000); their dual
+    values moved by at most 7e-14 gamma. It took the 40 solves of five
+    perfbench sinkhorn-sgd runs from SOLVE_BEFORE to SOLVE_AFTER ms each
+    (BENCH_sinkhorn_batch.json).
     """
     if gamma <= 0:
         raise SolverError("sinkhorn: gamma must be positive")
@@ -512,40 +557,75 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     z = np.empty_like(neg_cg)
     K_row, K_col = np.empty_like(neg_cg), np.empty_like(neg_cg)
     lo, hi = math.exp(-TAU), math.exp(TAU)
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
     ones = np.ones(C.n)
     u_ref = v_ref = np.zeros(C.n)
     a = b = ones
+    # iterates (u_ref, a, v_ref, b, x) waiting to be read: x is the raw next
+    # row scaling, or (q, residual) from the plan once a potential is pinned
     batch = []
+    size, res_last = FIRST_BATCH, None
     dual_values = []
+    # the first iterate within tol, as (n_iter, u_ref, a, v_ref, b)
+    done = None
     # the offsets of pinned potentials, and their masks (None while none is)
     U, V = np.zeros(C.n), np.zeros(C.n)
     u_pin = v_pin = None
+    pinned_dual = 0.0  # U.r + V.c
 
-    def flush_batch():
-        """gamma (u.r + v.c - q) of each iterate (u_ref, a, v_ref, b, q)
-        waiting in the batch: one log and one matrix-vector product per side
-        for the whole batch."""
-        if batch:
-            u_s, a_s, v_s, b_s, q_s = zip(*batch)
-            dual_values.extend(gamma * ((np.log(a_s) + u_s) @ r_w
-                                        + (np.log(b_s) + v_s) @ c_w
-                                        - np.array(q_s)
-                                        + (U @ r_w + V @ c_w)))
-            batch.clear()
+    def flush_batch(last_value=True):
+        """Read the residual of each iterate waiting in the batch. The first
+        one within tol is `done`; each iterate before it, or each one when
+        there is none (but the last without last_value), adds its dual value
+        gamma (u.r + v.c - q). When there is none, the residuals set the size
+        of the next batch. One matrix-vector product per quantity for the
+        whole batch."""
+        nonlocal done, size, res_last
+        if not batch:
+            return
+        u_s, a_s, v_s, b_s, x_s = map(np.array, zip(*batch))
+        if u_pin is None and v_pin is None:
+            # the row sums of each (a, b) over r
+            ratio = a_s / x_s
+            res = np.abs(ratio - 1.0) @ r_w
+        else:
+            q, res = x_s.T
+        within = np.nonzero(res <= tol)[0]
+        if within.size:
+            k = int(within[0])
+            done = (it - len(batch) + k, *batch[k][:4])
+        else:
+            k = len(batch) - (not last_value)
+            first = res[0] if res_last is None else res_last
+            size = _next_batch_size(first, res[-1], len(res) - (res_last is None), tol)
+            res_last = res[-1]
+        if k:
+            if u_pin is None and v_pin is None:
+                # of those k rows alone: the bits of a solve stopped there
+                q = ratio[:k] @ r_w
+            dual_values.extend(gamma * ((np.log(a_s[:k]) + u_s[:k]) @ r_w
+                                        + (np.log(b_s[:k]) + v_s[:k]) @ c_w
+                                        - q[:k] + pinned_dual))
+        batch.clear()
 
     def pin(p_new, pinned, offset, cost):
         """Pin each finite entry of the absorbed potential p_new at or above
         PIN_AT: move it into `offset` and into its column of `cost`, the
         other side's layout of -C/gamma, and set it to 0. Returns the mask
-        of pinned entries, None while there is none."""
-        size = np.abs(p_new)
-        new = (size >= PIN_AT) & (size < np.inf)
+        of pinned entries, None while there is none. The waiting iterates
+        are read first, with the offsets before these; if one is within tol,
+        nothing is pinned."""
+        nonlocal pinned_dual
+        mag = np.abs(p_new)
+        new = (mag >= PIN_AT) & (mag < np.inf)
         if new.any():
-            flush_batch()  # the waiting dual values use the offsets before these
-            offset[new] = p_new[new]
-            cost[:, new] += p_new[new]
-            p_new[new] = 0.0
-            pinned = new if pinned is None else pinned | new
+            flush_batch()
+            if done is None:
+                offset[new] = p_new[new]
+                cost[:, new] += p_new[new]
+                p_new[new] = 0.0
+                pinned = new if pinned is None else pinned | new
+                pinned_dual = U @ r_w + V @ c_w
         return pinned
 
     def potentials():
@@ -580,51 +660,54 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
             a_new = alpha / s
             if it > 1:
                 if u_pin is None and v_pin is None:
-                    # the row sums of (a, b) over r
-                    ratio = a / a_new
-                    q = ratio @ r_w
-                    ratio -= 1.0
-                    np.abs(ratio, out=ratio)
-                    residual = ratio @ r_w
+                    batch.append((u_ref, a, v_ref, b, a_new))
                 else:
                     plan, residual = plan_of(*potentials())
-                    q = plan.sum()
-                if residual <= tol:
-                    it -= 1
-                    break
-                if len(batch) == DUAL_BATCH:
-                    flush_batch()
-                batch.append((u_ref, a, v_ref, b, q))
+                    batch.append((u_ref, a, v_ref, b, (plan.sum(), residual)))
             if u_pin is not None:
                 a_new[u_pin] = 1.0
-            if not (a_new.min() >= lo and a_new.max() <= hi):
+            if not (minimum(a_new) >= lo and maximum(a_new) <= hi):
                 u_new = log_r - m_row - np.log(s)
                 if u_pin is not None:
                     u_new[u_pin] = 0.0
                 m_col = _lean_pass(neg_cg_t, u_new, z, K_col)
                 if not (np.isfinite(u_new).all() and np.isfinite(m_col).all()):
                     unstable = True
-                    del batch[-1:]  # (a, b) is returned, its value from its plan
                     break
                 # K_col, frozen at u_new, is the same after the fold
                 u_pin = pin(u_new, u_pin, U, neg_cg_t)
+                if done is not None:
+                    break
                 u_ref, a_new, alpha = u_new, ones, s
                 beta = np.exp(log_c - m_col - v_ref)
             t = K_col @ a_new
             b_new = beta / t
             if v_pin is not None:
                 b_new[v_pin] = 1.0
-            if not (b_new.min() >= lo and b_new.max() <= hi):
+            if not (minimum(b_new) >= lo and maximum(b_new) <= hi):
                 v_new = log_c - m_col - np.log(t)
                 if v_pin is not None:
                     v_new[v_pin] = 0.0
                 v_pin = pin(v_new, v_pin, V, neg_cg)
+                if done is not None:
+                    break
                 v_ref, b_new, beta = v_new, ones, t
                 m_row = _lean_pass(neg_cg, v_ref, z, K_row)
                 alpha = np.exp(log_r - m_row - u_ref)
             a, b = a_new, b_new
+            if len(batch) >= size:
+                flush_batch()
+                if done is not None:
+                    break
+        if done is None:
+            # the max_iter or the unstable exit: an iterate within tol that
+            # waits in the batch comes first; at the unstable exit the last
+            # one, (a, b), is returned, its value from its plan
+            flush_batch(last_value=not unstable)
+    if done is not None:
+        it, u_ref, a, v_ref, b = done
+        unstable = False
     u, v = potentials()
-    flush_batch()
     plan, residual = plan_of(u, v)
     if it - unstable > 0:
         # the returned iterate's own dual value, from its plan

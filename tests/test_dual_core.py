@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ def test_cost_inf_norm_extremal():
         assert D.inf_norm == float(np.abs(D.entries).max())
     with pytest.raises(TypeError):
         CostMatrix(C.entries, inf_norm=1.0)
+
+
+def test_cost_matrix_refuses_a_nan_entry():
+    # a NaN entry used to build with inf_norm nan, and sinkhorn on it was
+    # unstable at iteration 1; +inf is kept, for the callers that name it
+    for entries in ([[np.nan, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -np.nan]]):
+        with pytest.raises(SolverError, match="^cost matrix has a NaN entry$"):
+            CostMatrix.from_entries(entries)
+    with pytest.raises(SolverError, match="^cost matrix must be non-negative$"):
+        CostMatrix.from_entries([[0.0, -1.0], [1.0, 0.0]])
+    assert CostMatrix.from_entries([[np.inf, 1.0], [1.0, 0.0]]).inf_norm == np.inf
 
 
 def test_lambda_star_basic():
@@ -296,9 +308,16 @@ def _assert_potentials_close(sol, u, v):
 POTENTIAL_TOL = 1e-12
 
 
-def _assert_matches_full_plan_loop(r, c, C, gamma, max_iter):
+def _cancellation_atol(gamma, u, v, r, c):
+    """1e-12 of gamma max(|u.r|, |v.c|): where gamma (u.r + v.c - q)
+    crosses 0 it cancels, and its rounding is of that size."""
+    return 1e-12 * gamma * max(abs(u @ r.weights), abs(v @ c.weights))
+
+
+def _assert_matches_full_plan_loop(r, c, C, gamma, max_iter, cancellation=False):
     """sinkhorn against the reference loop: the same n_iter, potentials
-    within POTENTIAL_TOL and dual values within rtol 1e-12; returns sinkhorn's
+    within POTENTIAL_TOL and dual values within rtol 1e-12, and with
+    cancellation also within `_cancellation_atol`; returns sinkhorn's
     solution."""
     sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
     u, v, n_iter, dual_values, _ = _sinkhorn_full_plan_loop(r, c, C, gamma,
@@ -308,7 +327,8 @@ def _assert_matches_full_plan_loop(r, c, C, gamma, max_iter):
     # the half-step dual values differ from the plan's only in rounding;
     # the returned iterate's own value comes from its plan
     assert len(sol.dual_values) == sol.n_iter
-    np.testing.assert_allclose(sol.dual_values, dual_values, rtol=1e-12)
+    atol = _cancellation_atol(gamma, u, v, r, c) if cancellation else 0.0
+    np.testing.assert_allclose(sol.dual_values, dual_values, rtol=1e-12, atol=atol)
     expected = gamma * (sol.u @ r.weights + sol.v @ c.weights - sol.plan.sum())
     np.testing.assert_allclose(sol.dual_values[-1], expected, rtol=1e-12)
     return sol
@@ -325,8 +345,13 @@ def test_sinkhorn_matches_full_plan_loop(gamma, converged):
 @pytest.mark.parametrize("gamma", [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 5e-5])
 @pytest.mark.parametrize("n", [5, 8, 30, 100])
 def test_sinkhorn_matches_full_plan_loop_over_the_sweep(n, gamma):
-    # the sweep sinkhorn's docstring and POTENTIAL_TOL cite, at one seed
-    _assert_matches_full_plan_loop(*_sinkhorn_case(n, seed=0), gamma, 300)
+    # the sweep sinkhorn's docstring and POTENTIAL_TOL cite; seed 0 holds
+    # the dual values to rtol 1e-12, and seeds 1-3 with the cancellation
+    # atol, which n = 100, gamma = 5e-5, seed 3 needs where a dual value
+    # crosses 0
+    for seed in range(4):
+        _assert_matches_full_plan_loop(*_sinkhorn_case(n, seed), gamma, 300,
+                                       cancellation=seed > 0)
 
 
 def test_sinkhorn_gradient_seeded_guard():
@@ -451,16 +476,17 @@ def _sinkhorn_sha256(sol):
 
 @pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
     pytest.param(1e-2, 1000, 401,
-                 "0efc51c4daf56380ef77b4070e12d7dc1908596528bf27c18b494a51cb7a58c3",
+                 "db5f624e4477e76e14831d8569107e27f9088cf11d0027c00493bdc30ffcd63a",
                  id="1e-2"),
     pytest.param(5e-5, 200, 200,
-                 "67fb80e47f9daf7953a23829f349fcd0e357ae5f18ff323f75df5ae33788f0b6",
+                 "7409cdc8e3b9619115f5cbff586c1f41d24af60abdb57a40943a2b2479364168",
                  id="5e-5"),
 ])
 def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
-    # recorded when the loop became the one scaled loop with absorption:
-    # gamma=1e-2 converges, and at 5e-5, where most exps underflow, it
-    # stops at max_iter
+    # recorded when the loop began to read the residual in batches (u, v,
+    # the plan and reg_value kept the bits of the one scaled loop with
+    # absorption; the dual values moved): gamma=1e-2 converges, and at 5e-5,
+    # where most exps underflow, it stops at max_iter
     r, c, C = _sinkhorn_case(100, seed=11)
     sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
     assert sol.n_iter == n_iter and not sol.unstable
@@ -493,12 +519,28 @@ def sinkhorn_problems(draw, overflow=False):
     return r, c, C, gamma
 
 
+def _drifting_case():
+    """A row and a column of mass 1e-19 and 1e-11, coupled to the rest
+    through e^-1000 only: their potentials drift by log(1e8) a half-step
+    while the residual, which they move by less than tol, converges at
+    iterate 30. The v absorbed at lean pass 7, in iteration 33 and about
+    608 in size (the six before it are below 450), comes after that iterate
+    in its batch, which the residuals' rate ends at 32."""
+    r = DiscreteMeasure(np.array([0.5, 0.5 - 1e-19, 1e-19]))
+    c = DiscreteMeasure(np.array([0.6, 0.4 - 1e-11, 1e-11]))
+    C = CostMatrix.from_entries(np.array([[0.0, 0.002, 1.0], [0.002, 0.0, 1.0],
+                                          [1.0, 1.0, 0.0]]))
+    return r, c, C, 1e-3
+
+
 # after one iteration v is about 1e4 from v_ref = 0: beta overflows, and b
 # leaves the band and is absorbed
 @example(problem=(DiscreteMeasure(np.array([0.5, 0.5])),
                   DiscreteMeasure(np.array([0.5, 0.5])),
                   CostMatrix.from_entries(np.array([[0.0, 1.0], [0.0, 1.0]])), 1e-4),
          max_iter=2)
+# an absorption among the iterations after the converged iterate, 30
+@example(problem=_drifting_case(), max_iter=300)
 @settings(max_examples=60, deadline=None)
 @given(problem=sinkhorn_problems(), max_iter=st.integers(1, 300))
 def test_sinkhorn_matches_full_plan_loop_on_any_problem(problem, max_iter):
@@ -623,6 +665,119 @@ def test_sinkhorn_unstable_exit_past_the_first_iteration(monkeypatch, poisoned):
                           (sol.plan, stopped.plan),
                           (sol.dual_values, stopped.dual_values)):
         assert _same_bits(got, expected)
+
+
+def _batch_geometries(monkeypatch):
+    """Set sinkhorn's batches to a fixed size from 1 to 8 in turn; yields
+    each size. The converged iterate then falls first, inside and last in
+    its batch."""
+    for size in range(1, 9):
+        monkeypatch.setattr(dual_core, "FIRST_BATCH", size)
+        monkeypatch.setattr(dual_core, "_next_batch_size",
+                            lambda *args, size=size: size)
+        yield size
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-1])
+@pytest.mark.parametrize("n", [5, 8, 30])
+def test_sinkhorn_returns_the_converged_iterate_wherever_it_waits(monkeypatch, n, gamma):
+    # the residuals are read at a flush, after the iterations that follow
+    # the converged iterate in its batch; where it falls in the batch
+    # changes no bit of what is returned and no n_iter of the reference loop
+    where = set()
+    for seed in range(4):
+        r, c, C = _sinkhorn_case(n, seed)
+        expected = _assert_matches_full_plan_loop(r, c, C, gamma, 1000)
+        atol = _cancellation_atol(gamma, expected.u, expected.v, r, c)
+        for size in _batch_geometries(monkeypatch):
+            sol = sinkhorn(r, c, C, gamma, max_iter=1000, tol=1e-9)
+            assert sol.n_iter == expected.n_iter and not sol.unstable
+            for got, want in ((sol.u, expected.u), (sol.v, expected.v),
+                              (sol.plan, expected.plan),
+                              (sol.marginal_residual, expected.marginal_residual),
+                              (sol.reg_value, expected.reg_value)):
+                assert _same_bits(got, want)
+            # each batch sums its dual values in one matrix-vector product
+            np.testing.assert_allclose(sol.dual_values, expected.dual_values,
+                                       rtol=1e-12, atol=atol)
+            position = (sol.n_iter - 1) % size
+            if size > 2:
+                where.add("first" if position == 0
+                          else "last" if position == size - 1 else "inside")
+    assert where == {"first", "inside", "last"}
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.13, 0.9, 0.993])
+@pytest.mark.parametrize("steps", [1, 3, 8])
+def test_next_batch_size_ends_at_the_first_residual_within_tol(rate, steps):
+    # on geometric residuals the batch ends where the residual reaches tol,
+    # or at the cap
+    first, tol = 0.3, 1e-9
+    last = first * rate ** steps
+    needed = next(k for k in itertools.count(1) if last * rate ** k <= tol)
+    assert (dual_core._next_batch_size(first, last, steps, tol)
+            == min(needed, dual_core.DUAL_BATCH))
+
+
+@pytest.mark.parametrize("first, last, steps, tol", [
+    (1e-3, 1e-3, 5, 1e-9),       # stalled
+    (1e-3, 2e-3, 5, 1e-9),       # growing
+    (np.nan, 1e-3, 5, 1e-9),
+    (1e-3, np.nan, 5, 1e-9),
+    (np.inf, 1e-3, 5, 1e-9),
+    (1e-2, 1e-3, 0, 1e-9),       # one residual: no rate
+    (1e-2, 1e-3, 5, 0.0),        # a tol no rate reaches
+    (1e-2, 1e-10, 5, 1e-9),      # already within tol
+])
+def test_next_batch_size_is_the_cap_without_a_rate_below_1(first, last, steps, tol):
+    assert dual_core._next_batch_size(first, last, steps, tol) == dual_core.DUAL_BATCH
+
+
+def test_next_batch_size_of_a_rate_that_rounds_to_1():
+    # the mean rate (last / first) ** (1 / steps) is 1.0 in float64, and
+    # here log(last) == log(first): neither divides by 0
+    first, last = 1.0, 1.0 - 2.0 ** -52
+    assert (last / first) ** (1 / 63) == 1.0
+    assert dual_core._next_batch_size(first, last, 63, 1e-9) == dual_core.DUAL_BATCH
+    first, last = 1e300, np.nextafter(1e300, 0.0)
+    assert math.log(last) == math.log(first)
+    assert dual_core._next_batch_size(first, last, 1, 1e-9) == dual_core.DUAL_BATCH
+
+
+@pytest.mark.parametrize("event", ["pin", "unstable"])
+def test_sinkhorn_pin_or_unstable_exit_after_the_converged_iterate(monkeypatch, event):
+    # a pin or an unstable exit among the iterations after the converged
+    # iterate reads the batch first and returns that iterate as it is
+    r, c, C, gamma = _drifting_case()
+    expected = sinkhorn(r, c, C, gamma)
+    assert expected.n_iter == 30 and not expected.unstable
+    calls = []
+    lean_pass = dual_core._lean_pass
+
+    def counted(neg_cg, p, z, K):
+        calls.append(None)
+        m = lean_pass(neg_cg, p, z, K)
+        if event == "unstable" and len(calls) == 7:
+            m[0], K[0] = -np.inf, 0.0
+        return m
+
+    monkeypatch.setattr(dual_core, "_lean_pass", counted)
+    # iterate 30 waits in a batch from 5 to 44, which holds iteration 33,
+    # where pass 7 runs, and 34
+    monkeypatch.setattr(dual_core, "_next_batch_size", lambda *args: 40)
+    if event == "pin":
+        # v at lean pass 7 is pinned, and nothing before it
+        monkeypatch.setattr(dual_core, "PIN_AT", 500.0)
+    sol = sinkhorn(r, c, C, gamma)
+    # the pin stops the loop before pass 7; the poisoned pass 7 makes the
+    # next row half-step's u infinite, at pass 8
+    assert len(calls) == {"pin": 6, "unstable": 8}[event]
+    assert sol.n_iter == 30 and not sol.unstable
+    for got, want in ((sol.u, expected.u), (sol.v, expected.v),
+                      (sol.plan, expected.plan), (sol.dual_values, expected.dual_values),
+                      (sol.reg_value, expected.reg_value)):
+        assert _same_bits(got, want)
 
 
 def _dropped_mass_case():
