@@ -521,7 +521,7 @@ def sinkhorn_problems(draw, overflow=False):
 
 def _drifting_case():
     """A row and a column of mass 1e-19 and 1e-11, coupled to the rest
-    through e^-1000 only: their potentials drift by log(1e8) a half-step
+    through e^-1000 only: their potentials drift by log(1e8) an iteration
     while the residual, which they move by less than tol, converges at
     iterate 30. The v absorbed at lean pass 7, in iteration 33 and about
     608 in size (the six before it are below 450), comes after that iterate
