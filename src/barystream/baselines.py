@@ -46,7 +46,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in ("sinkhorn_sgd", "lp_sgd"):
             raise SolverError(f"unknown baseline method {self.method!r}")
-        if self.method == "sinkhorn_sgd" and self.gamma <= 0:
+        if self.method == "sinkhorn_sgd" and not self.gamma > 0:
             raise SolverError("sinkhorn_sgd requires gamma > 0")
         if self.schedule not in SCHEDULES:
             raise SolverError(f"unknown stepsize schedule {self.schedule!r}")

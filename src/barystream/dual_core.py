@@ -413,21 +413,25 @@ def _lean_pass(neg_cg: np.ndarray, p: np.ndarray, z: np.ndarray,
 
 @dataclass(frozen=True)
 class SinkhornSolution:
-    """Converged (or last finite) state of the entropic scaling iteration."""
+    """Converged (or last finite) state of the entropic scaling iteration.
+
+    lean_passes counts the `_lean_pass` calls of the solve: the two first
+    freezes, one per absorption, and those of iterations run past the
+    returned iterate."""
 
     u: np.ndarray
     v: np.ndarray
     plan: np.ndarray
     reg_value: float
     marginal_residual: float
-    dual_values: np.ndarray
     n_iter: int
     unstable: bool
+    lean_passes: int
 
 
-# the most iterates whose residuals and dual values wait to be read
-# together, and how many the first such batch holds
-DUAL_BATCH = 64
+# the most iterates whose residuals wait to be read together, and how many
+# the first such batch holds
+RESIDUAL_BATCH = 64
 FIRST_BATCH = 4
 
 
@@ -437,17 +441,18 @@ def _next_batch_size(first: float, last: float, steps: int, tol: float) -> int:
 
     At that mean linear rate the residual reaches `tol` after
     log(tol / last) / log(rate) more iterations; their count is the size,
-    at least 1 and at most DUAL_BATCH. Without a rate below 1 (no step, a
-    residual not above `tol`, stalled or growing, a NaN or inf, or a rate so
-    close to 1 that log(last) - log(first) rounds to 0) it is DUAL_BATCH.
+    at least 1 and at most RESIDUAL_BATCH. Without a rate below 1 (no step,
+    a residual not above `tol`, stalled or growing, a NaN or inf, or a rate
+    so close to 1 that log(last) - log(first) rounds to 0) it is
+    RESIDUAL_BATCH.
     """
     if not (steps >= 1 and 0 < tol < last < first < math.inf):
-        return DUAL_BATCH
+        return RESIDUAL_BATCH
     log_rate = (math.log(last) - math.log(first)) / steps
     if not log_rate < 0:
-        return DUAL_BATCH
+        return RESIDUAL_BATCH
     k = (math.log(tol) - math.log(last)) / log_rate
-    return DUAL_BATCH if k >= DUAL_BATCH else max(1, math.ceil(k))
+    return RESIDUAL_BATCH if k >= RESIDUAL_BATCH else max(1, math.ceil(k))
 
 
 def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
@@ -455,16 +460,18 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     """Entropy-regularized OT by alternating scaling, stabilized by
     absorption.
 
-    The plan is diag(e^u) e^{-C/gamma} diag(e^v); the dual objective of the
-    regularized problem is tracked per iteration (block-coordinate ascent,
-    so it is monotone non-decreasing). The loop is Cuturi's scaling
-    iteration (NIPS 2013) in the stabilized form of Schmitzer (SIAM J. Sci.
-    Comput. 2019, Alg. 2). Each potential is a reference plus the log of a
-    scaling, u = u_ref + log a and v = v_ref + log b. The row half-step runs
-    on a kernel K_row frozen at v_ref by `_lean_pass`: the exps of
-    -C/gamma + v_ref shifted by its row maxima m_row, kept above
-    KEEP_ABOVE = SUBNORMAL_CUT + TAU = -508.4 and 0 below. The column
-    half-step runs on K_col, frozen the same way at u_ref on the transpose.
+    The plan is diag(e^u) e^{-C/gamma} diag(e^v). Each half-step maximizes
+    the regularized dual gamma (u.r + v.c - q), q the plan's total, over one
+    side's potential (block-coordinate ascent), so that value does not
+    decrease from iterate to iterate; the loop does not compute it. The
+    loop is Cuturi's scaling iteration (NIPS 2013) in the stabilized form
+    of Schmitzer (SIAM J. Sci. Comput. 2019, Alg. 2). Each potential is a
+    reference plus the log of a scaling, u = u_ref + log a and
+    v = v_ref + log b. The row half-step runs on a kernel K_row frozen at
+    v_ref by `_lean_pass`: the exps of -C/gamma + v_ref shifted by its row
+    maxima m_row, kept above KEEP_ABOVE = SUBNORMAL_CUT + TAU = -508.4 and
+    0 below. The column half-step runs on K_col, frozen the same way at
+    u_ref on the transpose.
     With alpha = e^(log r - m_row - u_ref) and beta = e^(log c - m_col -
     v_ref), an iteration is s = K_row @ b, a = alpha / s, t = K_col @ a,
     b = beta / t: two matrix-vector products and a few O(n) divisions.
@@ -474,12 +481,13 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     without the method's overhead) that also rejects NaN, 0 and inf. Where
     a leaves it, the loop absorbs it: u_ref becomes the potential
     log r - m_row - log s, a becomes 1, and one lean pass re-freezes K_col
-    at the new u_ref; where b leaves it, v_ref and K_row do the same. u has no reference before the first row
-    half-step, which therefore absorbs. In the band every kept product
-    K_ij b_j is above e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal;
-    every sum holds its row's max term, K = 1 there, of at least e^-TAU, and
-    each dropped term is below e^(KEEP_ABOVE + TAU), so the dropped terms of
-    a sum are below n e^-108.4 of it. So s and t lie in [e^-TAU, n e^TAU]
+    at the new u_ref; where b leaves it, v_ref and K_row do the same. u has
+    no reference before the first row half-step, which therefore absorbs.
+    In the band every kept product K_ij b_j is above
+    e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal; every sum holds
+    its row's max term, K = 1 there, of at least e^-TAU, and each dropped
+    term is below e^(KEEP_ABOVE + TAU), so the dropped terms of a sum are
+    below n e^-108.4 of it. So s and t lie in [e^-TAU, n e^TAU]
     wherever the kernel's row max is finite, and the potentials formed from
     them are finite.
 
@@ -501,36 +509,33 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     entries of ordinary size; its reference stays 0 and its scaling 1 from
     then on. The plan of (u, v), formed left to right as at exit, then no
     longer follows the scalings (in a pinned column, u_i - C_ij/gamma
-    rounds to -C_ij/gamma), so once a potential is pinned the residual and
-    the plan's total come from that plan, formed on each iteration; they
-    wait in the batch as the scalings do.
+    rounds to -C_ij/gamma), so once a potential is pinned the residual
+    comes from that plan, formed on each iteration; it waits in the batch
+    as the scalings do.
 
     Without a pinned potential the loop never forms the plan. The row sums
     of an iterate (a, b) are r a / a_new, a_new the next row half-step's
     raw scaling, and its column sums are c up to rounding, since b came from
     the column half-step against a. So the marginal residual
-    sum r |a / a_new - 1| and the dual value gamma (u.r + v.c - q) of each
-    iterate, q = r.(a / a_new) the plan's total, are known one half-step
-    late. The loop does not read them there: each iterate waits, with its
-    a_new, in a batch, and a flush reads the whole batch with one
-    matrix-vector product per quantity. The first iterate within `tol` is
-    returned, with its own n_iter; the iterates before it add their dual
-    values, and the iterations run after it in its batch (the speculative
-    tail, whose absorptions are discarded with it) change nothing returned.
-    A pin reads the batch before it moves anything, and so do the
-    unstable exit and the max_iter exit, so an earlier iterate within
-    `tol` comes first there too. The first batch holds FIRST_BATCH
+    sum r |a / a_new - 1| of each iterate is known one half-step late. The
+    loop does not read it there: each iterate waits, with its a_new, in a
+    batch, and a flush reads the residuals of the whole batch with one
+    matrix-vector product. The first iterate within `tol` is returned, with
+    its own n_iter; the iterations run after it in its batch (the
+    speculative tail, whose absorptions are discarded with it) change
+    nothing returned. A pin reads the batch before it moves anything, and
+    so do the unstable exit and the max_iter exit, so an earlier iterate
+    within `tol` comes first there too. The first batch holds FIRST_BATCH
     iterates; each flush that finds none sizes the next one by the mean
-    rate of the residuals it read (`_next_batch_size`): the iterations
-    that rate takes to bring the residual to `tol`, at most DUAL_BATCH, or
-    DUAL_BATCH when the residual is not falling. Sinkhorn's residual falls
-    at a linear rate (Franklin and Lorenz, Linear Algebra Appl. 1989), so
-    on a converging solve the tail is short, and the memory stays O(n).
-    The plan, `marginal_residual`, `reg_value` and the last dual value are
-    computed once, at exit, from the returned (u, v); the exp is taken only
-    where u - C/gamma + v is not below UNDERFLOW_BELOW and the log only
-    where the plan is > 0, which gives the bits of the exp and log of every
-    entry.
+    rate of the residuals it read (`_next_batch_size`): the iterations that
+    rate takes to bring the residual to `tol`, at most RESIDUAL_BATCH, or
+    RESIDUAL_BATCH when the residual is not falling. Sinkhorn's residual
+    falls at a linear rate (Franklin and Lorenz, Linear Algebra Appl. 1989),
+    so on a converging solve the tail is short, and the memory stays O(n).
+    The plan, `marginal_residual` and `reg_value` are computed once, at
+    exit, from the returned (u, v); the exp is taken only where
+    u - C/gamma + v is not below UNDERFLOW_BELOW and the log only where the
+    plan is > 0, which gives the bits of the exp and log of every entry.
 
     The frozen kernels sum in another order than a log-sum-exp of each
     half-step. A sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
@@ -538,14 +543,17 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     max(1, |u|_inf, |v|_inf) of a loop of scipy's logsumexp, with the same
     n_iter; on the perfbench sinkhorn-sgd rounds (n = 100, gamma = 5e-5,
     200 iterations) a solve made 27 lean passes, 6.8% of its half-steps
-    (BENCH_sinkhorn_absorb.json). Reading the residual in batches left u,
-    v, the plan, n_iter and the exit flags of 576 solves as they were
-    (n, gamma and seeds as above, max_iter from 1 to 1000); their dual
-    values moved by at most 7e-14 gamma. It took the 40 solves of five
-    perfbench sinkhorn-sgd runs from 4.59 to 3.93 ms each
-    (BENCH_sinkhorn_batch.json).
+    (BENCH_sinkhorn_absorb.json); lean_passes reads 27.1 there on average.
+    Computing no dual value per iterate, so that a batch holds residuals
+    alone, left u, v, the plan, reg_value, marginal_residual, n_iter and
+    the exit flag of 1,425 solves as they were: n, gamma and seeds as above
+    with max_iter from 1 to 1000, the 40 solves of five perfbench
+    sinkhorn-sgd runs, and 409 small costs, most with entries of 1e300 or
+    1.7e308, 230 of which pin a potential and 156 exit unstable. It took
+    those 40 solves from 3.99 to 3.55 ms each
+    (BENCH_sinkhorn_residual_only.json).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise SolverError("sinkhorn: gamma must be positive")
     r_w, c_w = r.weights, c.weights
     if np.any(r_w <= 0) or np.any(c_w <= 0):
@@ -562,58 +570,46 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     u_ref = v_ref = np.zeros(C.n)
     a = b = ones
     # iterates (u_ref, a, v_ref, b, x) waiting to be read: x is the raw next
-    # row scaling, or (q, residual) from the plan once a potential is pinned
+    # row scaling, or the residual of the plan once a potential is pinned
     batch = []
     size, res_last = FIRST_BATCH, None
-    dual_values = []
     # the first iterate within tol, as (n_iter, u_ref, a, v_ref, b)
     done = None
     # the offsets of pinned potentials, and their masks (None while none is)
     U, V = np.zeros(C.n), np.zeros(C.n)
     u_pin = v_pin = None
 
-    def flush_batch(last_value=True):
-        """Read the residual of each iterate waiting in the batch. The first
-        one within tol is `done`; each iterate before it, or each one when
-        there is none (but the last without last_value), adds its dual value
-        gamma (u.r + v.c - q). When there is none, the residuals set the size
-        of the next batch. One matrix-vector product per quantity for the
-        whole batch."""
+    def flush_batch():
+        """Read the residual of each iterate waiting in the batch, with one
+        matrix-vector product for the whole batch. The first one within tol
+        is `done`; when there is none, the residuals set the size of the
+        next batch."""
         nonlocal done, size, res_last
         if not batch:
             return
-        u_s, a_s, v_s, b_s, x_s = map(np.array, zip(*batch))
+        _, a_s, _, _, x_s = zip(*batch)
         if u_pin is None and v_pin is None:
             # the row sums of each (a, b) over r
-            ratio = a_s / x_s
-            res = np.abs(ratio - 1.0) @ r_w
+            res = np.abs(np.array(a_s) / np.array(x_s) - 1.0) @ r_w
         else:
-            q, res = x_s.T
+            res = np.array(x_s)
         within = np.nonzero(res <= tol)[0]
         if within.size:
             k = int(within[0])
             done = (it - len(batch) + k, *batch[k][:4])
         else:
-            k = len(batch) - (not last_value)
             first = res[0] if res_last is None else res_last
             size = _next_batch_size(first, res[-1], len(res) - (res_last is None), tol)
             res_last = res[-1]
-        if k:
-            if u_pin is None and v_pin is None:
-                # of those k rows alone: the bits of a solve stopped there
-                q = ratio[:k] @ r_w
-            dual_values.extend(gamma * ((np.log(a_s[:k]) + u_s[:k]) @ r_w
-                                        + (np.log(b_s[:k]) + v_s[:k]) @ c_w
-                                        - q[:k] + (U @ r_w + V @ c_w)))
         batch.clear()
 
     def pin(p_new, pinned, offset, cost):
         """Pin each finite entry of the absorbed potential p_new at or above
         PIN_AT: move it into `offset` and into its column of `cost`, the
         other side's layout of -C/gamma, and set it to 0. Returns the mask
-        of pinned entries, None while there is none. The waiting iterates
-        are read first, with the offsets before these; if one is within tol,
-        nothing is pinned."""
+        of pinned entries, None while there is none. The residuals of the
+        waiting iterates are read first; if one is within tol, nothing is
+        pinned."""
         mag = np.abs(p_new)
         new = (mag >= PIN_AT) & (mag < np.inf)
         if new.any():
@@ -651,6 +647,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     # every overflow, 0 and NaN is caught by the band test or the unstable exit
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m_row = _lean_pass(neg_cg, v_ref, z, K_row)
+        lean_passes = 1
         alpha = np.full(C.n, np.nan)  # u has no reference: the first a absorbs
         for it in range(1, max_iter + 1):
             s = K_row @ b
@@ -659,8 +656,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                 if u_pin is None and v_pin is None:
                     batch.append((u_ref, a, v_ref, b, a_new))
                 else:
-                    plan, residual = plan_of(*potentials())
-                    batch.append((u_ref, a, v_ref, b, (plan.sum(), residual)))
+                    batch.append((u_ref, a, v_ref, b, plan_of(*potentials())[1]))
             if u_pin is not None:
                 a_new[u_pin] = 1.0
             if not (minimum(a_new) >= lo and maximum(a_new) <= hi):
@@ -668,6 +664,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                 if u_pin is not None:
                     u_new[u_pin] = 0.0
                 m_col = _lean_pass(neg_cg_t, u_new, z, K_col)
+                lean_passes += 1
                 if not (np.isfinite(u_new).all() and np.isfinite(m_col).all()):
                     unstable = True
                     break
@@ -690,6 +687,7 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                     break
                 v_ref, b_new, beta = v_new, ones, t
                 m_row = _lean_pass(neg_cg, v_ref, z, K_row)
+                lean_passes += 1
                 alpha = np.exp(log_r - m_row - u_ref)
             a, b = a_new, b_new
             if len(batch) >= size:
@@ -698,17 +696,13 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                     break
         if done is None:
             # the max_iter or the unstable exit: an iterate within tol that
-            # waits in the batch comes first; at the unstable exit the last
-            # one, (a, b), is returned, its value from its plan
-            flush_batch(last_value=not unstable)
+            # waits in the batch comes first
+            flush_batch()
     if done is not None:
         it, u_ref, a, v_ref, b = done
         unstable = False
     u, v = potentials()
     plan, residual = plan_of(u, v)
-    if it - unstable > 0:
-        # the returned iterate's own dual value, from its plan
-        dual_values.append(gamma * (u @ r_w + v @ c_w - plan.sum()))
     # log only where the plan is > 0: the bits of the full log
     positive = plan > 0
     ent = np.zeros_like(plan)
@@ -716,9 +710,8 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     np.multiply(ent, plan, out=ent, where=positive)
     reg_value = float((C.entries * plan).sum() + gamma * ent.sum())
     return SinkhornSolution(u=u, v=v, plan=plan, reg_value=reg_value,
-                            marginal_residual=float(residual),
-                            dual_values=np.asarray(dual_values),
-                            n_iter=it, unstable=unstable)
+                            marginal_residual=float(residual), n_iter=it,
+                            unstable=unstable, lean_passes=lean_passes)
 
 
 def boxed_dual_lp(r_weights: np.ndarray, c_weights: np.ndarray, C: CostMatrix,

@@ -247,6 +247,14 @@ def test_config_validation():
                           stepsize=0.3).eta(100) == 0.3
 
 
+def test_config_refuses_a_nan_gamma():
+    # NaN passes a `gamma <= 0` test; run_baseline would count every solve
+    # as unstable
+    with pytest.raises(SolverError, match="gamma > 0"):
+        BaselineConfig(method="sinkhorn_sgd", gamma=float("nan"))
+    assert BaselineConfig(method="sinkhorn_sgd", gamma=float("inf")).gamma == float("inf")
+
+
 @pytest.mark.parametrize("key", ["schedule", "stepper"])
 def test_config_rejects_an_unknown_choice(key):
     with pytest.raises(SolverError, match="'foo'"):

@@ -244,8 +244,14 @@ def test_sinkhorn_contracts():
     # plan factorization invariant
     log_plan = sol.u[:, None] - C.entries / 0.1 + sol.v[None, :]
     np.testing.assert_allclose(sol.plan, np.exp(log_plan), rtol=1e-9)
-    # dual objective is monotone (block-coordinate ascent)
-    assert np.all(np.diff(sol.dual_values) >= -1e-12)
+    # dual objective is monotone (block-coordinate ascent): a solve stopped
+    # at K returns iterate K's bits
+    values = []
+    for K in range(1, 41):
+        stopped = sinkhorn(r, c, C, gamma=0.1, max_iter=K, tol=1e-9)
+        values.append(0.1 * (stopped.u @ r.weights + stopped.v @ c.weights
+                             - stopped.plan.sum()))
+    assert np.all(np.diff(values) >= -1e-12)
 
 
 def test_sinkhorn_small_gamma_near_exact():
@@ -316,21 +322,18 @@ def _cancellation_atol(gamma, u, v, r, c):
 
 def _assert_matches_full_plan_loop(r, c, C, gamma, max_iter, cancellation=False):
     """sinkhorn against the reference loop: the same n_iter, potentials
-    within POTENTIAL_TOL and dual values within rtol 1e-12, and with
-    cancellation also within `_cancellation_atol`; returns sinkhorn's
-    solution."""
+    within POTENTIAL_TOL and the returned iterate's dual value within rtol
+    1e-12 of the loop's last, and with cancellation also within
+    `_cancellation_atol`; returns sinkhorn's solution."""
     sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
     u, v, n_iter, dual_values, _ = _sinkhorn_full_plan_loop(r, c, C, gamma,
                                                             max_iter, 1e-9)
     assert sol.n_iter == n_iter and not sol.unstable
     _assert_potentials_close(sol, u, v)
-    # the half-step dual values differ from the plan's only in rounding;
-    # the returned iterate's own value comes from its plan
-    assert len(sol.dual_values) == sol.n_iter
+    # the returned iterate's dual value, from its plan
     atol = _cancellation_atol(gamma, u, v, r, c) if cancellation else 0.0
-    np.testing.assert_allclose(sol.dual_values, dual_values, rtol=1e-12, atol=atol)
-    expected = gamma * (sol.u @ r.weights + sol.v @ c.weights - sol.plan.sum())
-    np.testing.assert_allclose(sol.dual_values[-1], expected, rtol=1e-12)
+    value = gamma * (sol.u @ r.weights + sol.v @ c.weights - sol.plan.sum())
+    np.testing.assert_allclose(value, dual_values[-1], rtol=1e-12, atol=atol)
     return sol
 
 
@@ -346,9 +349,8 @@ def test_sinkhorn_matches_full_plan_loop(gamma, converged):
 @pytest.mark.parametrize("n", [5, 8, 30, 100])
 def test_sinkhorn_matches_full_plan_loop_over_the_sweep(n, gamma):
     # the sweep sinkhorn's docstring and POTENTIAL_TOL cite; seed 0 holds
-    # the dual values to rtol 1e-12, and seeds 1-3 with the cancellation
-    # atol, which n = 100, gamma = 5e-5, seed 3 needs where a dual value
-    # crosses 0
+    # the dual value to rtol 1e-12, and seeds 1-3 with the cancellation
+    # atol, which a dual value near 0 needs
     for seed in range(4):
         _assert_matches_full_plan_loop(*_sinkhorn_case(n, seed), gamma, 300,
                                        cancellation=seed > 0)
@@ -466,9 +468,9 @@ def test_lean_pass_freezes_the_log_sum_exp_of_each_row(inputs):
 
 
 def _sinkhorn_sha256(sol):
-    """sha256 of u, v, plan, dual_values, reg_value and n_iter."""
+    """sha256 of u, v, plan, reg_value and n_iter."""
     h = hashlib.sha256()
-    for a in (sol.u, sol.v, sol.plan, sol.dual_values, np.float64(sol.reg_value)):
+    for a in (sol.u, sol.v, sol.plan, np.float64(sol.reg_value)):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     h.update(np.int64(sol.n_iter).astype("<i8").tobytes())
     return h.hexdigest()
@@ -476,17 +478,17 @@ def _sinkhorn_sha256(sol):
 
 @pytest.mark.parametrize("gamma, max_iter, n_iter, sha", [
     pytest.param(1e-2, 1000, 401,
-                 "db5f624e4477e76e14831d8569107e27f9088cf11d0027c00493bdc30ffcd63a",
+                 "c6c7f61cbc99cfab7d5166464bc41e413143eccff61415a3c4f2d77bf61a9627",
                  id="1e-2"),
     pytest.param(5e-5, 200, 200,
-                 "7409cdc8e3b9619115f5cbff586c1f41d24af60abdb57a40943a2b2479364168",
+                 "13a204031b623460cdf85fc6daf61fe031e2ae9d4dc902ccb87787b4be17fa64",
                  id="5e-5"),
 ])
 def test_sinkhorn_outputs_seeded_guard(gamma, max_iter, n_iter, sha):
-    # recorded when the loop began to read the residual in batches (u, v,
-    # the plan and reg_value kept the bits of the one scaled loop with
-    # absorption; the dual values moved): gamma=1e-2 converges, and at 5e-5,
-    # where most exps underflow, it stops at max_iter
+    # recorded from the loop that reads the residual in batches (u, v, the
+    # plan and reg_value have the bits of the one scaled loop with
+    # absorption): gamma=1e-2 converges, and at 5e-5, where most exps
+    # underflow, it stops at max_iter
     r, c, C = _sinkhorn_case(100, seed=11)
     sol = sinkhorn(r, c, C, gamma, max_iter=max_iter, tol=1e-9)
     assert sol.n_iter == n_iter and not sol.unstable
@@ -567,6 +569,7 @@ def test_sinkhorn_runs_most_iterations_in_the_scaled_form(monkeypatch):
     sol = sinkhorn(r, c, C, 5e-5, max_iter=200, tol=1e-9)
     assert sol.n_iter == 200 and not sol.unstable
     assert len(passes) <= 0.05 * sol.n_iter
+    assert sol.lean_passes == len(passes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -591,7 +594,8 @@ def test_sinkhorn_exit_has_the_bits_of_the_full_exp_and_log(problem, max_iter):
     assert _same_bits(sol.marginal_residual, residual)
     assert _same_bits(sol.reg_value, reg_value)
     if sol.n_iter - sol.unstable > 0:
-        assert _same_bits(sol.dual_values[-1], dual)
+        value = gamma * (u @ r.weights + v @ c.weights - sol.plan.sum())
+        assert _same_bits(value, dual)
 
 
 # a row, then a column, of -C/gamma near -1e300 and -1.7e308: the first
@@ -616,10 +620,9 @@ def test_sinkhorn_exits_unstable_where_its_exact_half_steps_do(problem, max_iter
     r, c, C, gamma = problem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sol = sinkhorn(r, c, C, gamma, max_iter=max_iter)
-        u, v, n_iter, dual_values, unstable = _sinkhorn_full_plan_loop(
+        u, v, n_iter, _, unstable = _sinkhorn_full_plan_loop(
             r, c, C, gamma, max_iter, 1e-9)
     assert (sol.unstable, sol.n_iter) == (unstable, n_iter)
-    assert sol.dual_values.shape == dual_values.shape
     _assert_potentials_close(sol, u, v)
 
 
@@ -635,7 +638,6 @@ def test_sinkhorn_unstable_exit_returns_the_last_finite_iterate():
         grad, unstable = sinkhorn_gradient(r, c, C, 1e-320)
     assert sol.unstable and sol.n_iter == 1
     assert np.array_equal(sol.u, np.zeros(3)) and np.array_equal(sol.v, np.zeros(3))
-    assert sol.dual_values.shape == (0,)
     assert unstable and np.array_equal(grad, np.zeros(3))
 
 
@@ -643,8 +645,8 @@ def test_sinkhorn_unstable_exit_returns_the_last_finite_iterate():
 def test_sinkhorn_unstable_exit_past_the_first_iteration(monkeypatch, poisoned):
     # a kernel re-frozen with a row max of -inf, as where that row of -C/gamma
     # plus the potential is all -inf, makes the iteration that uses it
-    # unstable: the solve returns the iterate before it, with the bits and
-    # dual values of a solve stopped there. This solve makes 6 lean passes.
+    # unstable: the solve returns the iterate before it, with the bits of a
+    # solve stopped there. This solve makes 6 lean passes.
     r, c, C = _sinkhorn_case(8, seed=0)
     calls = []
     lean_pass = dual_core._lean_pass
@@ -659,11 +661,11 @@ def test_sinkhorn_unstable_exit_past_the_first_iteration(monkeypatch, poisoned):
     monkeypatch.setattr(dual_core, "_lean_pass", poisoning)
     sol = sinkhorn(r, c, C, 5e-5, max_iter=200)
     assert sol.unstable and sol.n_iter >= 2
+    assert sol.lean_passes == len(calls)
     monkeypatch.undo()
     stopped = sinkhorn(r, c, C, 5e-5, max_iter=sol.n_iter - 1)
     for got, expected in ((sol.u, stopped.u), (sol.v, stopped.v),
-                          (sol.plan, stopped.plan),
-                          (sol.dual_values, stopped.dual_values)):
+                          (sol.plan, stopped.plan)):
         assert _same_bits(got, expected)
 
 
@@ -689,7 +691,6 @@ def test_sinkhorn_returns_the_converged_iterate_wherever_it_waits(monkeypatch, n
     for seed in range(4):
         r, c, C = _sinkhorn_case(n, seed)
         expected = _assert_matches_full_plan_loop(r, c, C, gamma, 1000)
-        atol = _cancellation_atol(gamma, expected.u, expected.v, r, c)
         for size in _batch_geometries(monkeypatch):
             sol = sinkhorn(r, c, C, gamma, max_iter=1000, tol=1e-9)
             assert sol.n_iter == expected.n_iter and not sol.unstable
@@ -698,9 +699,6 @@ def test_sinkhorn_returns_the_converged_iterate_wherever_it_waits(monkeypatch, n
                               (sol.marginal_residual, expected.marginal_residual),
                               (sol.reg_value, expected.reg_value)):
                 assert _same_bits(got, want)
-            # each batch sums its dual values in one matrix-vector product
-            np.testing.assert_allclose(sol.dual_values, expected.dual_values,
-                                       rtol=1e-12, atol=atol)
             position = (sol.n_iter - 1) % size
             if size > 2:
                 where.add("first" if position == 0
@@ -717,7 +715,7 @@ def test_next_batch_size_ends_at_the_first_residual_within_tol(rate, steps):
     last = first * rate ** steps
     needed = next(k for k in itertools.count(1) if last * rate ** k <= tol)
     assert (dual_core._next_batch_size(first, last, steps, tol)
-            == min(needed, dual_core.DUAL_BATCH))
+            == min(needed, dual_core.RESIDUAL_BATCH))
 
 
 @pytest.mark.parametrize("first, last, steps, tol", [
@@ -731,7 +729,7 @@ def test_next_batch_size_ends_at_the_first_residual_within_tol(rate, steps):
     (1e-2, 1e-10, 5, 1e-9),      # already within tol
 ])
 def test_next_batch_size_is_the_cap_without_a_rate_below_1(first, last, steps, tol):
-    assert dual_core._next_batch_size(first, last, steps, tol) == dual_core.DUAL_BATCH
+    assert dual_core._next_batch_size(first, last, steps, tol) == dual_core.RESIDUAL_BATCH
 
 
 def test_next_batch_size_of_a_rate_that_rounds_to_1():
@@ -739,10 +737,10 @@ def test_next_batch_size_of_a_rate_that_rounds_to_1():
     # here log(last) == log(first): neither divides by 0
     first, last = 1.0, 1.0 - 2.0 ** -52
     assert (last / first) ** (1 / 63) == 1.0
-    assert dual_core._next_batch_size(first, last, 63, 1e-9) == dual_core.DUAL_BATCH
+    assert dual_core._next_batch_size(first, last, 63, 1e-9) == dual_core.RESIDUAL_BATCH
     first, last = 1e300, np.nextafter(1e300, 0.0)
     assert math.log(last) == math.log(first)
-    assert dual_core._next_batch_size(first, last, 1, 1e-9) == dual_core.DUAL_BATCH
+    assert dual_core._next_batch_size(first, last, 1, 1e-9) == dual_core.RESIDUAL_BATCH
 
 
 @pytest.mark.parametrize("event", ["pin", "unstable"])
@@ -773,10 +771,10 @@ def test_sinkhorn_pin_or_unstable_exit_after_the_converged_iterate(monkeypatch, 
     # the pin stops the loop before pass 7; the poisoned pass 7 makes the
     # next row half-step's u infinite, at pass 8
     assert len(calls) == {"pin": 6, "unstable": 8}[event]
+    assert sol.lean_passes == len(calls)
     assert sol.n_iter == 30 and not sol.unstable
     for got, want in ((sol.u, expected.u), (sol.v, expected.v),
-                      (sol.plan, expected.plan), (sol.dual_values, expected.dual_values),
-                      (sol.reg_value, expected.reg_value)):
+                      (sol.plan, expected.plan), (sol.reg_value, expected.reg_value)):
         assert _same_bits(got, want)
 
 
@@ -820,6 +818,16 @@ def test_sinkhorn_rejects():
         sinkhorn(r, r, C2, gamma=0.0)
     with pytest.raises(SolverError):
         sinkhorn(r, z, C2, gamma=1.0)
+
+
+def test_sinkhorn_refuses_a_nan_gamma():
+    # NaN passes a `gamma <= 0` test; +inf and the subnormal 1e-320 are > 0
+    r = DiscreteMeasure(np.array([0.5, 0.5]))
+    with pytest.raises(SolverError, match="gamma must be positive"):
+        sinkhorn(r, r, C2, gamma=np.nan)
+    for gamma in (np.inf, 1e-320):
+        with np.errstate(over="ignore"):
+            assert sinkhorn(r, r, C2, gamma=gamma).marginal_residual <= 1e-9
 
 
 def test_certify_trivial():
