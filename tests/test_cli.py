@@ -1123,6 +1123,32 @@ def test_a_value_setup_cannot_build_is_one_config_error_line(tmp_path, capsys,
     assert not report.exists() and not ckpt.exists()
 
 
+@pytest.mark.parametrize("content, where", [
+    (b"# grid: 0.0 1.0 3\n0.5,abc,0.5\n",
+     "line 2: not a row of comma-separated numbers"),
+    (b"# grid: 0.0 1.0 three\n0.2,0.3,0.5\n",
+     "line 1: a grid header is '# grid: lo hi n' with n an integer"),
+    (b"# grid: 0.0 1.0\n0.2,0.3,0.5\n",
+     "line 1: a grid header is '# grid: lo hi n' with n an integer"),
+    (None, "cannot be read: Is a directory"),
+    (b"# grid: 0.0 1.0 3\n0.2,0.3,0.5\n0.5,\xff0.5,0\n",
+     "line 3: not UTF-8 text"),
+], ids=["non_numeric", "grid_n_not_integer", "grid_two_fields", "directory",
+        "not_utf8"])
+def test_a_bad_corpus_file_is_one_config_error_line(tmp_path, capsys, content,
+                                                    where):
+    path = tmp_path / "corpus.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run"] + _sets("method=finite_md", "data.kind=finite",
+                                f"data.path={path}", "N=5")) == 1
+    assert capsys.readouterr().err == (
+        f"config error: data.kind='finite', data.path={str(path)!r} and "
+        f"data.weights=None give no corpus: corpus {path} {where}\n")
+
+
 def test_gen_data_on_a_span_with_no_measure_is_the_one_config_error_line(tmp_path):
     # every z of every draw squares past the float range; in a fresh
     # interpreter, so a numpy RuntimeWarning would reach stderr

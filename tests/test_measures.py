@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +210,80 @@ def test_stream_state_roundtrip():
     b = [s2.sample().weights for _ in range(5)]
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+def _one_at_a_time_pair(rng, law):
+    """(mu, sigma) by the Gaussian stream's one-sample loop."""
+    mu = rng.normal(law.mu0, math.sqrt(law.sigma0_sq))
+    sigma = rng.exponential(1.0 / law.rate)
+    while sigma <= 0:
+        sigma = rng.exponential(1.0 / law.rate)
+    return mu, sigma
+
+
+def _outcome(draw):
+    """The weights' bytes, or the MeasureError's message, of draw(), and the
+    messages of every warning it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = draw().weights.tobytes()
+        except MeasureError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+# 1 / rate is the least subnormal float, so about 39% of the sigma draws
+# round to 0 and are redrawn; it needs a long double wider than a double
+_SUBNORMAL_SCALE_RATE = np.longdouble(2) ** 1074
+_RATES = [1e-3, 0.5, 10.0, 1e150, 1e300] + (
+    [_SUBNORMAL_SCALE_RATE] if np.isfinite(_SUBNORMAL_SCALE_RATE) else [])
+
+
+@st.composite
+def gaussian_laws(draw):
+    """Laws with extremes: a rate of 1e300 makes every z of a draw overflow
+    (MeasureError), 1e150 some of them (numpy warnings), and the subnormal
+    scale redraws sigma."""
+    mu0 = draw(st.one_of(st.floats(-20, 20), st.sampled_from([-1e300, 1e300])))
+    sigma0_sq = draw(st.sampled_from([1e-300, 1e-6, 1.0, 100.0, 1e300]))
+    return GaussianParamLaw(mu0, sigma0_sq, draw(st.sampled_from(_RATES)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=gaussian_laws(), n=st.integers(2, 200), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 200), data=st.data())
+def test_block_stream_is_the_one_at_a_time_stream(law, n, seed, count, data):
+    # every sample (bytes, MeasureError and warnings) and the generator state
+    # after it are those of pairs drawn one at a time, so a look-ahead row
+    # that is never served warns of nothing; a state set mid-block (to an
+    # earlier one) gives the samples of a fresh stream set to it
+    grid = Grid1D.uniform(-10, 10, n)
+    stream = MeasureStream.gaussian(law, grid, seed)
+    ref = np.random.Generator(np.random.PCG64(seed))
+    reset_at = data.draw(st.integers(1, count))
+    fresh, states = None, []
+    for k in range(count):
+        if k == reset_at:
+            state = states[data.draw(st.integers(0, k - 1))]
+            stream.rng.bit_generator.state = ref.bit_generator.state = state
+            fresh = MeasureStream.gaussian(law, grid, seed + 1)
+            fresh.rng.bit_generator.state = state
+        states.append(ref.bit_generator.state)
+        want = _outcome(lambda: discretize_gaussian(*_one_at_a_time_pair(ref, law),
+                                                    grid))
+        assert _outcome(stream.sample) == want
+        assert stream.rng.bit_generator.state == ref.bit_generator.state
+        if fresh is not None:
+            assert _outcome(fresh.sample) == want
+
+
+def test_a_served_sample_is_read_only():
+    stream = MeasureStream.gaussian(GaussianParamLaw(0.0, 1.0, 1.0),
+                                    Grid1D.uniform(-5, 5, 16), seed=0)
+    m = stream.sample()
+    with pytest.raises(ValueError, match="read-only"):
+        m.weights[0] = 0.5
 
 
 def test_corpus_roundtrip(tmp_path):
