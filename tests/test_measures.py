@@ -233,11 +233,11 @@ def _outcome(draw):
     return result, [str(w.message) for w in caught]
 
 
-# 1 / rate is the least subnormal float, so about 39% of the sigma draws
-# round to 0 and are redrawn; it needs a long double wider than a double
-_SUBNORMAL_SCALE_RATE = np.longdouble(2) ** 1074
+# a long double wider than a double holds the rate 2^1074, whose 1 / rate is
+# the least subnormal float: about 39% of the sigma draws round to 0 and are
+# redrawn
 _RATES = [1e-3, 0.5, 10.0, 1e150, 1e300] + (
-    [_SUBNORMAL_SCALE_RATE] if np.isfinite(_SUBNORMAL_SCALE_RATE) else [])
+    [np.longdouble(2) ** 1074] if np.finfo(np.longdouble).maxexp > 1075 else [])
 
 
 @st.composite
