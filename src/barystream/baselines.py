@@ -48,6 +48,8 @@ class BaselineConfig:
             raise SolverError(f"unknown baseline method {self.method!r}")
         if self.method == "sinkhorn_sgd" and not self.gamma > 0:
             raise SolverError("sinkhorn_sgd requires gamma > 0")
+        if self.inner_iters < 1:
+            raise SolverError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.schedule not in SCHEDULES:
             raise SolverError(f"unknown stepsize schedule {self.schedule!r}")
         if self.stepper not in STEPPERS:

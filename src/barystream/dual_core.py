@@ -417,7 +417,9 @@ class SinkhornSolution:
 
     lean_passes counts the `_lean_pass` calls of the solve: the two first
     freezes, one per absorption, and those of iterations run past the
-    returned iterate."""
+    returned iterate. iterations_run counts every iteration the loop
+    computed: n_iter, those of runs cut short at a band exit, and those run
+    past the returned iterate."""
 
     u: np.ndarray
     v: np.ndarray
@@ -427,6 +429,7 @@ class SinkhornSolution:
     n_iter: int
     unstable: bool
     lean_passes: int
+    iterations_run: int
 
 
 # the most iterates whose residuals wait to be read together, and how many
@@ -455,6 +458,36 @@ def _next_batch_size(first: float, last: float, steps: int, tol: float) -> int:
     return RESIDUAL_BATCH if k >= RESIDUAL_BATCH else max(1, math.ceil(k))
 
 
+def _run_length(stretch: int, clean: int) -> int:
+    """How many iterations `sinkhorn`'s next speculative run computes, when
+    the last stretch of clean iterations (no absorption) between two
+    absorbing ones held `stretch`, and `clean` have run since the last
+    absorbing one: the rest of a stretch as long. Below 1 no run is made."""
+    return stretch - clean
+
+
+def _scaled_run(K_row: np.ndarray, K_col: np.ndarray, alpha: np.ndarray,
+                beta: np.ndarray, b: np.ndarray, w: int) -> tuple[np.ndarray, int]:
+    """w of `sinkhorn`'s scaled iterations from b, with no band test.
+
+    Returns ab, a fresh (2w, n) buffer holding a_1, b_1, ..., a_w, b_w, and
+    the number of iterations before the first row of ab outside the band
+    [e^-TAU, e^TAU] (w when every row is in it). One min and one max over
+    the whole buffer test it, so NaN, 0 and inf fail as in the per-side
+    test.
+    """
+    ab = np.empty((2 * w, b.size))
+    for j in range(0, 2 * w, 2):
+        np.divide(alpha, K_row.dot(b), out=ab[j])
+        b = np.divide(beta, K_col.dot(ab[j]), out=ab[j + 1])
+    flat = ab.reshape(-1)
+    lo, hi = math.exp(-TAU), math.exp(TAU)
+    if np.minimum.reduce(flat) >= lo and np.maximum.reduce(flat) <= hi:
+        return ab, w
+    in_band = ((ab >= lo) & (ab <= hi)).all(axis=1)
+    return ab, int(np.argmin(in_band)) // 2
+
+
 def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
              gamma: float, max_iter: int = 1000, tol: float = 1e-9) -> SinkhornSolution:
     """Entropy-regularized OT by alternating scaling, stabilized by
@@ -473,8 +506,10 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     0 below. The column half-step runs on K_col, frozen the same way at
     u_ref on the transpose.
     With alpha = e^(log r - m_row - u_ref) and beta = e^(log c - m_col -
-    v_ref), an iteration is s = K_row @ b, a = alpha / s, t = K_col @ a,
-    b = beta / t: two matrix-vector products and a few O(n) divisions.
+    v_ref), an iteration is s = K_row.dot(b), a = alpha / s,
+    t = K_col.dot(a), b = beta / t: two matrix-vector products (one
+    cblas_dgemv each, the call `@` makes, without its overhead) and a few
+    O(n) divisions.
 
     Each new scaling must lie in the band [e^-TAU, e^TAU], TAU = 200, a test
     of its min and max (np.minimum.reduce and np.maximum.reduce, called
@@ -483,6 +518,10 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     log r - m_row - log s, a becomes 1, and one lean pass re-freezes K_col
     at the new u_ref; where b leaves it, v_ref and K_row do the same. u has
     no reference before the first row half-step, which therefore absorbs.
+    An absorbed potential below PIN_AT in size (one abs and one max) is
+    finite and has nothing to pin; only one that is not goes through the
+    unstable and pin checks below.
+
     In the band every kept product K_ij b_j is above
     e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal; every sum holds
     its row's max term, K = 1 there, of at least e^-TAU, and each dropped
@@ -490,6 +529,22 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     below n e^-108.4 of it. So s and t lie in [e^-TAU, n e^TAU]
     wherever the kernel's row max is finite, and the potentials formed from
     them are finite.
+
+    Between absorptions the loop runs its iterations in speculative runs
+    (`_scaled_run`): w iterations with no band test, their a and b written
+    into one fresh (2w, n) buffer, then one min and one max over the whole
+    buffer. When every row is in the band the w iterates are the loop's;
+    otherwise those before the first row outside it are, and that iteration
+    runs again on the per-iteration path, which absorbs. An iteration is a
+    function of the state it starts from, so either way the loop keeps the
+    iterates of a band test on every iteration, bit for bit. Absorptions
+    come at a steady cadence (on the perfbench sinkhorn-sgd solves, a v
+    then a u absorption on the next iteration, every 8 to 10), so w is the
+    length of the last stretch of clean iterations between two absorbing
+    ones less the clean iterations since the last (`_run_length`), once one
+    has run; it is cut to the room left in the residual batch and to
+    max_iter, so the batches and their flushes are those of the
+    per-iteration loop. While a potential is pinned no run is made.
 
     A lean pass at a finite potential gives a row max of -inf exactly where
     that row of -C/gamma plus the potential is all -inf, and its log-sum-exp
@@ -544,17 +599,20 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     n_iter; on the perfbench sinkhorn-sgd rounds (n = 100, gamma = 5e-5,
     200 iterations) a solve made 27 lean passes, 6.8% of its half-steps
     (BENCH_sinkhorn_absorb.json); lean_passes reads 27.1 there on average.
-    Computing no dual value per iterate, so that a batch holds residuals
-    alone, left u, v, the plan, reg_value, marginal_residual, n_iter and
-    the exit flag of 1,425 solves as they were: n, gamma and seeds as above
-    with max_iter from 1 to 1000, the 40 solves of five perfbench
-    sinkhorn-sgd runs, and 409 small costs, most with entries of 1e300 or
-    1.7e308, 230 of which pin a potential and 156 exit unstable. It took
-    those 40 solves from 3.99 to 3.55 ms each
-    (BENCH_sinkhorn_residual_only.json).
+    The speculative runs left u, v, the plan, reg_value, marginal_residual,
+    n_iter, the exit flag and lean_passes of 2,168 solves as they were:
+    n, gamma and seeds as above with max_iter from 1 to 1000, the 40
+    solves of five perfbench sinkhorn-sgd rounds, and 400 small costs,
+    most with entries of 1e300 or 1.7e308, 159 of which exit unstable. On
+    those 40 solves 122 of a solve's 200 iterations ran in runs and 5.8
+    more were computed and discarded (iterations_run reads 205.8); a solve
+    took 3.24 ms against 3.70 ms, the median of 30 interleaved passes on
+    one BLAS thread (BENCH_sinkhorn_runs.json).
     """
     if not gamma > 0:
         raise SolverError("sinkhorn: gamma must be positive")
+    if max_iter < 1:
+        raise SolverError(f"sinkhorn: max_iter must be >= 1, got {max_iter}")
     r_w, c_w = r.weights, c.weights
     if np.any(r_w <= 0) or np.any(c_w <= 0):
         raise SolverError("sinkhorn: marginals must be strictly positive")
@@ -643,14 +701,36 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                       + np.abs(plan.sum(axis=0) - c_w).sum())
 
     unstable = False
-    it = 0
+    it = wasted = 0
+    # clean iterations (no absorption) in the last stretch between two
+    # absorbing ones, and since the last absorbing one
+    stretch = clean = 0
     # every overflow, 0 and NaN is caught by the band test or the unstable exit
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m_row = _lean_pass(neg_cg, v_ref, z, K_row)
         lean_passes = 1
         alpha = np.full(C.n, np.nan)  # u has no reference: the first a absorbs
-        for it in range(1, max_iter + 1):
-            s = K_row @ b
+        while it < max_iter:
+            if len(batch) >= size:
+                flush_batch()
+                if done is not None:
+                    break
+            if clean and u_pin is None and v_pin is None:
+                w = min(_run_length(stretch, clean), size - len(batch), max_iter - it)
+                if w > 0:
+                    ab, kept = _scaled_run(K_row, K_col, alpha, beta, b, w)
+                    for j in range(0, 2 * kept, 2):
+                        batch.append((u_ref, a, v_ref, b, ab[j]))
+                        a, b = ab[j], ab[j + 1]
+                    it += kept
+                    clean += kept
+                    wasted += w - kept
+                    if kept == w:
+                        continue
+                    # the next iteration leaves the band: it runs below
+            it += 1
+            absorbed = False
+            s = K_row.dot(b)
             a_new = alpha / s
             if it > 1:
                 if u_pin is None and v_pin is None:
@@ -665,16 +745,19 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                     u_new[u_pin] = 0.0
                 m_col = _lean_pass(neg_cg_t, u_new, z, K_col)
                 lean_passes += 1
-                if not (np.isfinite(u_new).all() and np.isfinite(m_col).all()):
-                    unstable = True
-                    break
-                # K_col, frozen at u_new, is the same after the fold
-                u_pin = pin(u_new, u_pin, U, neg_cg_t)
-                if done is not None:
-                    break
+                # below PIN_AT in size: finite, and nothing to pin
+                if not (maximum(np.abs(u_new)) < PIN_AT and np.isfinite(m_col).all()):
+                    if not (np.isfinite(u_new).all() and np.isfinite(m_col).all()):
+                        unstable = True
+                        break
+                    # K_col, frozen at u_new, is the same after the fold
+                    u_pin = pin(u_new, u_pin, U, neg_cg_t)
+                    if done is not None:
+                        break
                 u_ref, a_new, alpha = u_new, ones, s
                 beta = np.exp(log_c - m_col - v_ref)
-            t = K_col @ a_new
+                absorbed = True
+            t = K_col.dot(a_new)
             b_new = beta / t
             if v_pin is not None:
                 b_new[v_pin] = 1.0
@@ -682,22 +765,25 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
                 v_new = log_c - m_col - np.log(t)
                 if v_pin is not None:
                     v_new[v_pin] = 0.0
-                v_pin = pin(v_new, v_pin, V, neg_cg)
-                if done is not None:
-                    break
+                if not maximum(np.abs(v_new)) < PIN_AT:
+                    v_pin = pin(v_new, v_pin, V, neg_cg)
+                    if done is not None:
+                        break
                 v_ref, b_new, beta = v_new, ones, t
                 m_row = _lean_pass(neg_cg, v_ref, z, K_row)
                 lean_passes += 1
                 alpha = np.exp(log_r - m_row - u_ref)
+                absorbed = True
             a, b = a_new, b_new
-            if len(batch) >= size:
-                flush_batch()
-                if done is not None:
-                    break
+            if not absorbed:
+                clean += 1
+            elif clean:
+                stretch, clean = clean, 0
         if done is None:
             # the max_iter or the unstable exit: an iterate within tol that
             # waits in the batch comes first
             flush_batch()
+    iterations_run = it + wasted
     if done is not None:
         it, u_ref, a, v_ref, b = done
         unstable = False
@@ -711,7 +797,8 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     reg_value = float((C.entries * plan).sum() + gamma * ent.sum())
     return SinkhornSolution(u=u, v=v, plan=plan, reg_value=reg_value,
                             marginal_residual=float(residual), n_iter=it,
-                            unstable=unstable, lean_passes=lean_passes)
+                            unstable=unstable, lean_passes=lean_passes,
+                            iterations_run=iterations_run)
 
 
 def boxed_dual_lp(r_weights: np.ndarray, c_weights: np.ndarray, C: CostMatrix,

@@ -54,8 +54,9 @@ def gap_surrogate(r, holdout, C: CostMatrix) -> float:
     maximizers at r, so the reported value is max_M F(r, M) -
     min_r' F(r', M*(r)): zero iff r minimizes the empirical objective on the
     holdout. Where r has zero-mass entries or shares a CDF breakpoint with a
-    holdout measure the maximizer is not unique, and the value depends on
-    the one taken; any of them gives an upper bound on the suboptimality.
+    holdout measure, or a holdout measure has zero-mass entries, the
+    maximizer is not unique, and the value depends on the one taken; any of
+    them gives an upper bound on the suboptimality.
     """
     holdout = [m.weights if isinstance(m, DiscreteMeasure) else np.asarray(m, float)
                for m in holdout]

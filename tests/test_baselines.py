@@ -247,6 +247,18 @@ def test_config_validation():
                           stepsize=0.3).eta(100) == 0.3
 
 
+@pytest.mark.parametrize("inner_iters", [0, -3])
+def test_config_refuses_inner_iters_below_1(inner_iters):
+    # as the CLI schema does: sinkhorn_sgd would take zero-gradient steps
+    # from solves of no iteration and count each one unconverged
+    for method in ("sinkhorn_sgd", "lp_sgd"):
+        with pytest.raises(SolverError, match=f"inner_iters must be >= 1, got {inner_iters}"):
+            BaselineConfig(method=method, inner_iters=inner_iters)
+    with pytest.raises(SolverError, match="max_iter must be >= 1"):
+        sinkhorn_gradient(*[DiscreteMeasure(np.array([0.5, 0.5]))] * 2, C2, 1.0,
+                          inner_iters=inner_iters)
+
+
 def test_config_refuses_a_nan_gamma():
     # NaN passes a `gamma <= 0` test; run_baseline would count every solve
     # as unstable
