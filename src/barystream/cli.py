@@ -41,6 +41,7 @@ from barystream.dual_core import (
 from barystream.finite_md import FiniteProblem, FiniteSaddleState
 from barystream.kmd import Kernel, KmdConfig, KmdState, _History
 from barystream.measures import (
+    BlockDraws,
     DiscreteMeasure,
     GaussianParamLaw,
     Grid1D,
@@ -369,13 +370,14 @@ def _restore_state(cold, payload: dict, rows_path: str):
 class _Run:
     """A method set up to run: its grid, cost and start state, step(state),
     which advances state in place and returns it, and rng, the one generator
-    step draws from (finite_md's own or its stream's; a checkpoint saves it)."""
+    step draws from (finite_md's own, in `BlockDraws`, or its stream's); a
+    checkpoint saves and restores rng.bit_generator.state."""
 
     grid: Grid1D
     C: CostMatrix
     state: object
     step: Callable
-    rng: np.random.Generator
+    rng: np.random.Generator | BlockDraws
 
 
 def _finite_md_run(config: dict) -> _Run:
@@ -384,7 +386,7 @@ def _finite_md_run(config: dict) -> _Run:
     grid, measures, law = _finite_family(config)
     C = _build_cost(config, grid)
     problem = FiniteProblem.from_measures(measures, C, law)
-    rng = np.random.Generator(np.random.PCG64(config["seed"]))
+    rng = BlockDraws(np.random.Generator(np.random.PCG64(config["seed"])))
     state = FiniteSaddleState.cold_start(problem, config["N"])
     state.eta *= config["eta_scale"]
     return _Run(grid, C, state, lambda s: finite_md.md_step(s, problem, rng), rng)

@@ -99,8 +99,8 @@ class CarriedSoftmax:
         `what` and step k + 1 and leaves the state as it was; x may be
         shifted.
         """
-        x -= x.max()
-        if not math.isfinite(x.min()):
+        x -= np.maximum.reduce(x)
+        if not math.isfinite(np.minimum.reduce(x)):
             raise NumericalAbort(f"non-finite {what} at k={self.k + 1}")
         self.log_r, self.r = x, _shifted_softmax(x)
 
@@ -141,7 +141,7 @@ def _shifted_softmax(x: np.ndarray) -> np.ndarray:
     at_max = x == 0
     e = np.exp(x)
     e[at_max] = 0.0
-    s = e.sum()
+    s = np.add.reduce(e)
     m = np.count_nonzero(at_max)
     lse = np.log1p(s) if m == 1 else np.log1p(s / m) + np.log(m)
     return np.exp(x - lse)

@@ -24,7 +24,12 @@ from barystream.dual_core import (
     logsumexp,  # unused here; perfbench's finite_md.softmax span wraps it by name
     saddle_gap,
 )
-from barystream.measures import DiscreteMeasure, draw_index, sampling_cdf
+from barystream.measures import (
+    BlockDraws,
+    DiscreteMeasure,
+    draw_index,
+    sampling_cdf,
+)
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def oracle_g(M: np.ndarray, t: int, s: int, C: CostMatrix) -> tuple[int, float]:
     """Sparse primal oracle: coordinate s carries -n * max_j(-C_sj - M_tj),
     computed as n * min_j(C_sj + M_tj): (-a) - b is -(a + b) in IEEE
     arithmetic, so the two differ only in the sign of a zero result."""
-    return s, float(C.n * (C.entries[s] + M[t]).min())
+    return s, float(C.n * np.minimum.reduce(C.entries[s] + M[t]))
 
 
 def oracle_h(M: np.ndarray, t: int, q: int, c_t: np.ndarray,
@@ -177,19 +182,22 @@ def md_step(state: FiniteSaddleState, problem: FiniteProblem,
     h = oracle_h(state.M, t, q, problem.measures[t], C)
 
     eta = state.eta
-    row = state.M[t] - state.beta * eta * h
+    M = state.M
+    # row = M[t] - beta * eta * h, the scalar formed first, in h's buffer
+    h *= state.beta * eta
+    row = np.subtract(M[t], h, out=h)
     bound = problem.box_bound
     np.maximum(row, -bound, out=row)
     np.minimum(row, bound, out=row)
-    if not math.isfinite(row.min()):
+    if not math.isfinite(np.minimum.reduce(row)):
         raise NumericalAbort(f"non-finite iterate at k={state.k + 1}: "
                              f"row {t} of M")
     state.set_log_r_entry(s, state.log_r[s] - state.alpha * eta * g_s, "iterate")
     # row t held its old value through step k - 1: settle those steps first
     state.k = k = state.k + 1
-    state.M_sum[t] += (k - 1 - state.M_since[t]) * state.M[t]
+    state.M_sum[t] += (k - 1 - state.M_since.item(t)) * M[t]
     state.M_since[t] = k - 1
-    state.M[t] = row
+    M[t] = row
     state.avg_num += state.r
     return state
 
@@ -199,7 +207,9 @@ def run_finite(problem: FiniteProblem, N: int, seed: int,
                rng: np.random.Generator | None = None
                ) -> tuple[np.ndarray, np.ndarray, FiniteSaddleState]:
     """Run N total iterations from a cold start, or resume a given state and
-    generator, which advance in place.
+    generator, which advance in place. The steps draw from the generator
+    through `BlockDraws`, which is synced when the run ends or raises, so the
+    generator ends where per-call draws leave it.
 
     Returns (r_avg, M_avg, state), state the last iterate. r_avg and M_avg
     are new arrays computed from the state's sums (`FiniteSaddleState`). They
@@ -211,7 +221,11 @@ def run_finite(problem: FiniteProblem, N: int, seed: int,
         state = FiniteSaddleState.cold_start(problem, N)
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
-    state = drive(state, lambda s: md_step(s, problem, rng), N)
+    draws = BlockDraws(rng)
+    try:
+        state = drive(state, lambda s: md_step(s, problem, draws), N)
+    finally:
+        draws.sync()
     return state.r_avg, state.M_avg, state
 
 

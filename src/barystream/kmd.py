@@ -23,6 +23,12 @@ from barystream.dual_core import (
 from barystream.measures import MeasureStream
 
 STEPSIZE_MODES = ("constant", "dynamic")
+# history rows per product in f_eval's sum. One product over 6,000 rows at
+# n = 100 gives other bytes at 1 and 2 OpenBLAS threads; this build
+# (OpenBLAS 0.3.31, scipy-openblas) does not thread a 2,048 x 100 GEMV: on a
+# 2-vCPU x86_64 VM it takes the same 36 us at 1 and 2 threads, and gives the
+# same bytes there for n from 5 to 400
+F_EVAL_CHUNK = 2048
 KERNEL_FAMILIES = ("linear", "rbf", "diffusion")
 
 
@@ -184,9 +190,17 @@ class KmdState(AveragedIterate):
 
 def f_eval(state: KmdState, kernel: Kernel, c: np.ndarray,
            clip_bound: float) -> np.ndarray:
-    """Dual function value at c: clipped sum of beta^(i) k(c, c^(i))."""
+    """Dual function value at c: clipped sum of beta^(i) k(c, c^(i)).
+
+    The sum over the history is one product per F_EVAL_CHUNK rows, added in
+    row order, so its bytes do not depend on the BLAS thread count; a history
+    of at most F_EVAL_CHUNK rows is one product."""
     kvec = kernel_vec(kernel, np.asarray(c, float), state.history.samples)
-    return _box(kvec @ state.history.betas, clip_bound)
+    betas = state.history.betas
+    f = kvec[:F_EVAL_CHUNK] @ betas[:F_EVAL_CHUNK]
+    for i in range(F_EVAL_CHUNK, kvec.size, F_EVAL_CHUNK):
+        f += kvec[i:i + F_EVAL_CHUNK] @ betas[i:i + F_EVAL_CHUNK]
+    return _box(f, clip_bound)
 
 
 def _box(f: np.ndarray, bound: float) -> np.ndarray:
@@ -214,8 +228,9 @@ def _saddle_update(log_r: np.ndarray, r: np.ndarray, f: np.ndarray,
     step never puts one there.
     """
     scores = C.entries + f
-    J = np.argmin(scores, axis=1)
-    g = scores[np.arange(C.n), J]
+    J = scores.argmin(axis=1)
+    # g_i = scores[i, J_i], gathered from the flat row-major scores
+    g = scores.ravel()[J + np.arange(0, C.n * C.n, C.n)]
     pattern = np.bincount(J, weights=r, minlength=C.n)
     return log_r - eta_k * config.alpha * g, pattern
 
@@ -230,9 +245,13 @@ def _step(state, config: KmdConfig, c_sample: np.ndarray, C: CostMatrix):
     new_log_r, pattern = _saddle_update(state.log_r, state.r,
                                         state.dual(config, c), C, eta_k, config)
     state.set_log_r(new_log_r, "primal iterate in KMD step")
-    state.add(eta_k * config.beta_scale * (pattern - c), c)
+    # beta = eta_k * beta_scale * (pattern - c), the scalar formed first
+    pattern -= c
+    pattern *= eta_k * config.beta_scale
+    state.add(pattern, c)
     weight = eta_k if config.mode == "dynamic" else 1.0
-    state.avg_num += weight * state.r
+    # 1.0 * r is r: a weight of 1 adds r as it is
+    state.avg_num += state.r if weight == 1.0 else weight * state.r
     state.avg_den += weight
     state.k = k
     return state

@@ -39,6 +39,8 @@ WEIGHT_FLOOR = 1e-12
 # repeating: a stream that stops early computes at most about twice the rows
 # it serves
 LOOKAHEAD_ROWS = (8, 16, 32, 64)
+# raw words a BlockDraws takes from its generator at a refill
+DRAW_BLOCK = 256
 
 
 class MeasureError(ValueError):
@@ -126,9 +128,9 @@ class DiscreteMeasure:
 
 
 def sampling_cdf(p: np.ndarray) -> np.ndarray:
-    """The CDF of the index law p that `draw_index` reads: p's cumsum, scaled
-    to end at 1, as `Generator.choice` builds it."""
-    cdf = p.cumsum()
+    """The CDF of the index law p that `draw_index` reads: p's cumsum (its
+    add accumulation), scaled to end at 1, as `Generator.choice` builds it."""
+    cdf = np.add.accumulate(p)
     cdf /= cdf[-1]
     return cdf
 
@@ -142,6 +144,107 @@ def draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
     re-validated here.
     """
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+class BlockDraws:
+    """`random()` and `integers(n)` of a PCG64 Generator, decoded from blocks
+    of its raw 64-bit words, with the values and the generator state of
+    per-call draws, bit for bit.
+
+    A refill draws DRAW_BLOCK words by `rng.integers(0, 2**64, size=B,
+    dtype=np.uint64)`, which are the bit generator's next raw words and leave
+    its buffered half-word alone. They are served as numpy serves them:
+    `random()` is (word >> 11) * 2**-53; `integers(n)` is numpy's buffered
+    32-bit Lemire draw on PCG64's `next_uint32`, which returns the buffered
+    upper half of the last word when there is one, else the lower half of a
+    new word, whose upper half it buffers, with rejection below (2**32 - n)
+    % n. n = 1 draws nothing and n = 2**32 returns `next_uint32` as is;
+    any other n (not an int in [1, 2**32]) syncs and calls rng.integers(n).
+
+    The generator runs ahead of the draws served until `sync()`, which sets
+    it back to the block's first word with the served half-word buffer and
+    steps it over the words served, and drops the rest of the block.
+    `bit_generator` syncs before it returns the generator's, so reading or
+    setting its state sees the exact state; no other Generator attribute is
+    offered, so nothing draws out of order.
+    """
+
+    __slots__ = ("_rng", "_start", "_words", "_next", "_has32", "_u32")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._start = None          # the state at the block's first word
+        self._words: list[int] = []
+        self._next = 0              # words served from the block
+        # the half-word buffer served so far; None until a refill reads the
+        # generator's, after which the generator's is stale until sync()
+        self._has32 = None
+        self._u32 = 0
+
+    def _refill(self) -> None:
+        start = self._rng.bit_generator.state
+        if self._has32 is None:
+            self._has32, self._u32 = start["has_uint32"], start["uinteger"]
+        self._start = start
+        self._words = self._rng.integers(0, 1 << 64, size=DRAW_BLOCK,
+                                         dtype=np.uint64).tolist()
+        self._next = 0
+
+    def _word(self) -> int:
+        try:
+            w = self._words[self._next]
+        except IndexError:
+            self._refill()
+            w = self._words[0]
+        self._next += 1
+        return w
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def _next32(self) -> int:
+        if self._has32 is None:
+            self._refill()
+        if self._has32:
+            self._has32 = 0
+            return self._u32
+        w = self._word()
+        self._has32, self._u32 = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n):
+        if type(n) is not int or not 1 < n <= 1 << 32:
+            if type(n) is int and n == 1:
+                return 0
+            self.sync()
+            return self._rng.integers(n)
+        m = self._next32()
+        if n == 1 << 32:
+            return m
+        m *= n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def sync(self) -> None:
+        """Put the generator where per-call draws would have left it."""
+        start = self._start
+        if start is None:
+            return
+        start["has_uint32"], start["uinteger"] = self._has32, self._u32
+        bit_generator = self._rng.bit_generator
+        bit_generator.state = start
+        if self._next:
+            # raw words step the state and leave the half-word buffer alone
+            bit_generator.random_raw(self._next)
+        self._start, self._words, self._next, self._has32 = None, [], 0, None
+
+    @property
+    def bit_generator(self) -> np.random.BitGenerator:
+        self.sync()
+        return self._rng.bit_generator
 
 
 def sampling_law(weights, m: int) -> np.ndarray:

@@ -447,6 +447,27 @@ def test_a_finite_md_run_halted_at_half_resumes_to_the_straight_runs_bytes(tmp_p
     assert a["state"] == b["state"] and a["rng"] == b["rng"]
 
 
+def test_a_finite_md_run_across_many_draw_blocks_resumes_to_per_call_bytes(
+        tmp_path, monkeypatch):
+    # 600 steps read several blocks of raw words and sync at every checkpoint;
+    # halted at 301 and resumed, the run ends on the uninterrupted run's bytes,
+    # and both on those of draws made by the generator itself
+    common = ["run"] + _sets("N=600", "data.grid.n=8", "seed=6", "checkpoint_every=7",
+                             *_method_args(tmp_path)["finite_md"])
+    full, half = tmp_path / "full.json", tmp_path / "half.json"
+    assert main(common + _sets(f"output.checkpoint={full}")) == 0
+    assert main(common + _sets("halt_after=301", f"output.checkpoint={half}")) == 0
+    assert json.loads(half.read_text())["k"] == 301
+    assert main(["resume", "--checkpoint", str(half)]) == 0
+    monkeypatch.setattr(cli, "BlockDraws", lambda rng: rng)
+    per_call = tmp_path / "per_call.json"
+    assert main(common + _sets(f"output.checkpoint={per_call}")) == 0
+    a, b, c = (json.loads(p.read_text()) for p in (full, half, per_call))
+    assert a["k"] == b["k"] == c["k"] == 600
+    assert a["state"] == b["state"] == c["state"]
+    assert a["rng"] == b["rng"] == c["rng"]
+
+
 def test_a_restored_log_r_is_shifted_to_max_0_and_steps_as_set_log_r(tmp_path,
                                                                       monkeypatch):
     # a hand-edited log_r of max 1 resumes from its shifted copy; each next

@@ -253,6 +253,36 @@ def test_a_non_finite_log_r_or_row_aborts_and_changes_nothing(field, value, abor
     assert _snapshot(state) == before
 
 
+def test_run_finite_leaves_the_generator_where_per_call_draws_do_after_an_abort(
+        monkeypatch):
+    # step 301 aborts after its draws, past one block of raw words; the
+    # caller's generator ends where md_step on the generator itself leaves it
+    grid = Grid1D.uniform(0.0, 1.0, 4)
+    problem = FiniteProblem.from_measures(
+        [normalize(np.array([1.0, 2.0, 3.0, 4.0]), grid),
+         normalize(np.array([4.0, 1.0, 1.0, 2.0]), grid)],
+        squared_distance_cost(grid, 2.0))
+    step = finite_md.md_step
+
+    def aborting(state, problem, rng):
+        if state.k == 300:
+            state.alpha = math.nan
+        return step(state, problem, rng)
+
+    monkeypatch.setattr(finite_md, "md_step", aborting)
+    ends = []
+    for blocks in (False, True):
+        state = FiniteSaddleState.cold_start(problem, 1000)
+        rng = np.random.Generator(np.random.PCG64(17))
+        with pytest.raises(finite_md.NumericalAbort, match="^non-finite iterate at k=301"):
+            if blocks:
+                run_finite(problem, 1000, 0, state=state, rng=rng)
+            else:
+                dual_core.drive(state, lambda s: aborting(s, problem, rng), 1000)
+        ends.append((rng.bit_generator.state, _snapshot(state)))
+    assert ends[0] == ends[1]
+
+
 def test_a_cost_with_an_infinite_entry_is_refused():
     C = CostMatrix.from_entries([[0.0, math.inf], [1.0, 0.0]])
     with pytest.raises(SolverError, match="the cost must be finite"):

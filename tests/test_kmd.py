@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,3 +436,29 @@ def test_one_pass_saddle_update_matches_three_passes(data, n, eta_k):
     for a, b in zip(new, old):
         assert a.dtype == b.dtype == np.float64
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_f_eval_bytes_do_not_depend_on_the_blas_thread_count():
+    # one product over the 8,000-row history gives other bytes at 1 and 2
+    # OpenBLAS threads at n = 100; f_eval's chunked sum does not
+    script = """
+import hashlib
+import numpy as np
+from barystream.kmd import Kernel, KmdState, _History, f_eval
+rng = np.random.default_rng(4)
+k, n = 8000, 100
+state = KmdState.cold_start(n)
+state.history = _History.from_arrays(rng.standard_normal((k, n)),
+                                     rng.dirichlet(np.ones(n), size=k))
+f = f_eval(state, Kernel.rbf(0.5, 1.0), rng.dirichlet(np.ones(n)), 1e300)
+print(hashlib.sha256(f.tobytes()).hexdigest())
+"""
+    src = str(Path(__file__).parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1

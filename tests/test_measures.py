@@ -1,13 +1,16 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from barystream import measures
 from barystream.measures import (
     SIMPLEX_TOL,
     WEIGHT_FLOOR,
+    BlockDraws,
     DiscreteMeasure,
     GaussianParamLaw,
     Grid1D,
@@ -284,6 +287,72 @@ def test_a_served_sample_is_read_only():
     m = stream.sample()
     with pytest.raises(ValueError, match="read-only"):
         m.weights[0] = 0.5
+
+
+# n = 1 draws nothing, 2**32 is next_uint32 as is, 2**31 + 11 rejects about
+# half its first words, and past 2**32 the draw goes to the generator
+BLOCK_DRAW_NS = (1, 2, 5, 2**31 + 11, 2**32, 2**32 + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63), half_word=st.booleans(),
+       block=st.sampled_from((1, 2, 7, measures.DRAW_BLOCK)),
+       ops=st.lists(st.tuples(st.sampled_from(("random", "integers", "sync", "set")),
+                              st.sampled_from(BLOCK_DRAW_NS), st.integers(1, 40)),
+                    max_size=30))
+def test_block_draws_match_a_generators_draws_and_state(seed, half_word, block, ops):
+    # interleaved random()/integers(n) runs that cross block boundaries, syncs,
+    # and states set through .bit_generator in the middle of a block
+    plain = np.random.Generator(np.random.PCG64(seed))
+    if half_word:
+        plain.integers(7)  # leaves the upper half of a word buffered
+    wrapped = np.random.Generator(np.random.PCG64(0))
+    wrapped.bit_generator.state = plain.bit_generator.state
+    draws = BlockDraws(wrapped)
+    with mock.patch.object(measures, "DRAW_BLOCK", block):
+        for op, n, count in ops:
+            if op == "random":
+                for _ in range(count):
+                    assert draws.random() == plain.random()
+            elif op == "integers":
+                for _ in range(count):
+                    assert draws.integers(n) == plain.integers(n)
+            elif op == "sync":
+                draws.sync()
+                assert wrapped.bit_generator.state == plain.bit_generator.state
+            else:
+                other = np.random.Generator(np.random.PCG64(seed + count))
+                other.integers(count)  # a half-word buffered for odd counts
+                draws.bit_generator.state = other.bit_generator.state
+                plain.bit_generator.state = other.bit_generator.state
+            assert draws.bit_generator.state == plain.bit_generator.state
+    draws.sync()
+    assert wrapped.bit_generator.state == plain.bit_generator.state
+
+
+def test_block_draws_offer_only_the_draws_and_the_bit_generator():
+    draws = BlockDraws(np.random.Generator(np.random.PCG64(0)))
+    with pytest.raises(AttributeError):
+        draws.normal
+    with pytest.raises(AttributeError):
+        draws.choice = None
+
+
+def test_block_draws_pass_a_bad_bound_to_the_generator():
+    plain = np.random.Generator(np.random.PCG64(3))
+    draws = BlockDraws(np.random.Generator(np.random.PCG64(3)))
+    draws.random()
+    plain.random()
+    for n in (0, -1):
+        with pytest.raises(ValueError) as want:
+            plain.integers(n)
+        with pytest.raises(ValueError) as got:
+            draws.integers(n)
+        assert str(got.value) == str(want.value)
+    # a numpy integer bound takes the generator's own draw
+    assert draws.integers(np.int64(5)) == plain.integers(5)
+    assert draws.random() == plain.random()
+    assert draws.bit_generator.state == plain.bit_generator.state
 
 
 def test_corpus_roundtrip(tmp_path):
