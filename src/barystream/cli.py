@@ -685,6 +685,10 @@ def cmd_run(config: dict, run: _Run | None = None) -> int:
         print(f"warning: {state.unconverged} of {state.k} Sinkhorn inner solves "
               f"stopped at inner_iters={b['inner_iters']} above "
               f"inner_tol={b['inner_tol']}", file=sys.stderr)
+    if (config["output"]["report"] and config["data"]["kind"] != "gaussian"
+            and not config["eval"]["gap_holdout"]):
+        print("warning: the report's metric columns are empty: finite data has no "
+              "w2_to_truth, and eval.gap_holdout=0 takes no gap_surrogate", file=sys.stderr)
     return 0
 
 

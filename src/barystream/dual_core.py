@@ -75,10 +75,10 @@ class CarriedSoftmax:
     its max, which changes no bit of a log_r whose max is already 0 (x - 0.0
     is x), and every step writes both fields through `set_log_r` or
     `set_log_r_entry`, the only writers of either. A state built without r
-    (a cold start, a checkpoint restore) computes it from log_r here as
-    exp(log_r - logsumexp(log_r)); the writers' r has the bits of that
-    expression on such a log_r, so the carried and the rebuilt r agree.
-    Checkpoints do not store r.
+    (a cold start, a checkpoint restore) computes it here with the writers'
+    `_shifted_softmax`, whose premises hold: the shift leaves a max of
+    +0.0, and cold starts and restores hold only finite entries. So the
+    carried and the rebuilt r agree. Checkpoints do not store r.
     """
 
     r: np.ndarray | None = field(default=None, kw_only=True, repr=False)
@@ -86,7 +86,7 @@ class CarriedSoftmax:
     def __post_init__(self):
         self.log_r -= self.log_r.max()
         if self.r is None:
-            self.r = np.exp(self.log_r - logsumexp(self.log_r))
+            self.r = _shifted_softmax(self.log_r)
 
     def set_log_r(self, x: np.ndarray, what: str) -> None:
         """Make x, shifted in place by its max, the state's log_r, and its
@@ -376,6 +376,12 @@ def logsumexp(x: np.ndarray) -> np.float64:
     log(sum(exp(x))) as scipy does, so -inf, +inf and NaN come out as there.
     scipy < 1.15 computed a + log(sum(exp(x - a))) and is not matched bit for
     bit.
+
+    No step calls it; every r comes from `_shifted_softmax`. It stays as the
+    target of perfbench's `finite_md.softmax` span (through `finite_md`'s
+    import) and as a test reference, and goes in the benchmark change that
+    repoints that span (ROADMAP item 2), with that import, its two tests and
+    the test references, which switch to `scipy.special.logsumexp`.
     """
     a = x.max()
     if not math.isfinite(a):
@@ -490,124 +496,49 @@ def _scaled_run(K_row: np.ndarray, K_col: np.ndarray, alpha: np.ndarray,
 
 def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
              gamma: float, max_iter: int = 1000, tol: float = 1e-9) -> SinkhornSolution:
-    """Entropy-regularized OT by alternating scaling, stabilized by
-    absorption.
+    """Entropy-regularized OT by Cuturi's scaling iteration (NIPS 2013) in
+    the stabilized form of Schmitzer (SIAM J. Sci. Comput. 2019, Alg. 2),
+    which README's Baselines paragraph describes.
 
-    The plan is diag(e^u) e^{-C/gamma} diag(e^v). Each half-step maximizes
-    the regularized dual gamma (u.r + v.c - q), q the plan's total, over one
-    side's potential (block-coordinate ascent), so that value does not
-    decrease from iterate to iterate; the loop does not compute it. The
-    loop is Cuturi's scaling iteration (NIPS 2013) in the stabilized form
-    of Schmitzer (SIAM J. Sci. Comput. 2019, Alg. 2). Each potential is a
-    reference plus the log of a scaling, u = u_ref + log a and
-    v = v_ref + log b. The row half-step runs on a kernel K_row frozen at
-    v_ref by `_lean_pass`: the exps of -C/gamma + v_ref shifted by its row
-    maxima m_row, kept above KEEP_ABOVE = SUBNORMAL_CUT + TAU = -508.4 and
-    0 below. The column half-step runs on K_col, frozen the same way at
-    u_ref on the transpose.
-    With alpha = e^(log r - m_row - u_ref) and beta = e^(log c - m_col -
-    v_ref), an iteration is s = K_row.dot(b), a = alpha / s,
-    t = K_col.dot(a), b = beta / t: two matrix-vector products (one
-    cblas_dgemv each, the call `@` makes, without its overhead) and a few
-    O(n) divisions.
+    Each potential is a reference plus the log of a scaling, u = u_ref +
+    log a and v = v_ref + log b, and a half-step is one matrix-vector
+    product with the kernel `_lean_pass` froze at the other side's
+    reference. Every scaling an iterate holds lies in the band
+    [e^-TAU, e^TAU]. A new one outside it (NaN, 0 and inf included) is
+    absorbed: its reference becomes the potential, and the kernel frozen at
+    it is frozen again. u has no reference before the first row half-step,
+    which therefore absorbs. In the band every kept product K_ij b_j is
+    above e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal, and the
+    dropped terms of a sum are below n e^-108.4 of it; s and t stay in
+    [e^-TAU, n e^TAU] wherever the kernel's row max is finite. Between
+    absorptions the iterations go in speculative runs (`_scaled_run`) with
+    one band test a run; the iterates kept have the bits of a band test on
+    every iteration.
 
-    Each new scaling must lie in the band [e^-TAU, e^TAU], TAU = 200, a test
-    of its min and max (np.minimum.reduce and np.maximum.reduce, called
-    without the method's overhead) that also rejects NaN, 0 and inf. Where
-    a leaves it, the loop absorbs it: u_ref becomes the potential
-    log r - m_row - log s, a becomes 1, and one lean pass re-freezes K_col
-    at the new u_ref; where b leaves it, v_ref and K_row do the same. u has
-    no reference before the first row half-step, which therefore absorbs.
-    An absorbed potential below PIN_AT in size (one abs and one max) is
-    finite and has nothing to pin; only one that is not goes through the
-    unstable and pin checks below.
+    An absorbed potential at or above PIN_AT in size is pinned, since no
+    scaling in the band can move it in float64: it moves into a fixed
+    offset and the other side's kernel, and its reference stays 0 and its
+    scaling 1. From then on the residual comes from the plan of (u, v).
 
-    In the band every kept product K_ij b_j is above
-    e^(KEEP_ABOVE - TAU) = 2**-1022, so none is subnormal; every sum holds
-    its row's max term, K = 1 there, of at least e^-TAU, and each dropped
-    term is below e^(KEEP_ABOVE + TAU), so the dropped terms of a sum are
-    below n e^-108.4 of it. So s and t lie in [e^-TAU, n e^TAU]
-    wherever the kernel's row max is finite, and the potentials formed from
-    them are finite.
+    Otherwise the marginal residual of an iterate is its row part,
+    sum r |a / a_new - 1|, known one half-step late. Iterates wait in a
+    batch (FIRST_BATCH, then `_next_batch_size`) whose residuals one
+    matrix-vector product reads. The first iterate within `tol` is
+    returned with its own n_iter; the iterations run after it change
+    nothing returned. u and v agree with a loop of scipy's logsumexp
+    half-steps to 3.3e-14 of max(1, |u|_inf, |v|_inf), with the same
+    n_iter.
 
-    Between absorptions the loop runs its iterations in speculative runs
-    (`_scaled_run`): w iterations with no band test, their a and b written
-    into one fresh (2w, n) buffer, then one min and one max over the whole
-    buffer. When every row is in the band the w iterates are the loop's;
-    otherwise those before the first row outside it are, and that iteration
-    runs again on the per-iteration path, which absorbs. An iteration is a
-    function of the state it starts from, so either way the loop keeps the
-    iterates of a band test on every iteration, bit for bit. Absorptions
-    come at a steady cadence (on the perfbench sinkhorn-sgd solves, a v
-    then a u absorption on the next iteration, every 8 to 10), so w is the
-    length of the last stretch of clean iterations between two absorbing
-    ones less the clean iterations since the last (`_run_length`), once one
-    has run; it is cut to the room left in the residual batch and to
-    max_iter, so the batches and their flushes are those of the
-    per-iteration loop. While a potential is pinned no run is made.
-
-    A lean pass at a finite potential gives a row max of -inf exactly where
-    that row of -C/gamma plus the potential is all -inf, and its log-sum-exp
-    is -inf. Such a row of K_row makes s = 0 there at the next row
-    half-step, and the u it absorbs is not finite; such a row of K_col
-    would make this iteration's v not finite. Either one is the `unstable`
-    exit: the last finite iterate is returned with the flag set. A grid
-    cost cannot reach it: its zero diagonal puts a finite term in every row
-    and column of -C/gamma plus a finite potential. A cost with no zero
-    entry reaches it once -C/gamma overflows to -inf.
-
-    An absorbed potential at or above PIN_AT = 2**61 in size, as a row or
-    column of -C/gamma near -1e300 gives, is pinned: in float64 no scaling
-    in the band can move it, just as a log-sum-exp half-step leaves it where
-    its first half-step put it. Its value moves into a fixed offset and
-    into its entries of the other side's kernel, where it cancels to
-    entries of ordinary size; its reference stays 0 and its scaling 1 from
-    then on. The plan of (u, v), formed left to right as at exit, then no
-    longer follows the scalings (in a pinned column, u_i - C_ij/gamma
-    rounds to -C_ij/gamma), so once a potential is pinned the residual
-    comes from that plan, formed on each iteration; it waits in the batch
-    as the scalings do.
-
-    Without a pinned potential the loop never forms the plan. The row sums
-    of an iterate (a, b) are r a / a_new, a_new the next row half-step's
-    raw scaling, and its column sums are c up to rounding, since b came from
-    the column half-step against a. So the marginal residual
-    sum r |a / a_new - 1| of each iterate is known one half-step late. The
-    loop does not read it there: each iterate waits, with its a_new, in a
-    batch, and a flush reads the residuals of the whole batch with one
-    matrix-vector product. The first iterate within `tol` is returned, with
-    its own n_iter; the iterations run after it in its batch (the
-    speculative tail, whose absorptions are discarded with it) change
-    nothing returned. A pin reads the batch before it moves anything, and
-    so do the unstable exit and the max_iter exit, so an earlier iterate
-    within `tol` comes first there too. The first batch holds FIRST_BATCH
-    iterates; each flush that finds none sizes the next one by the mean
-    rate of the residuals it read (`_next_batch_size`): the iterations that
-    rate takes to bring the residual to `tol`, at most RESIDUAL_BATCH, or
-    RESIDUAL_BATCH when the residual is not falling. Sinkhorn's residual
-    falls at a linear rate (Franklin and Lorenz, Linear Algebra Appl. 1989),
-    so on a converging solve the tail is short, and the memory stays O(n).
-    The plan, `marginal_residual` and `reg_value` are computed once, at
-    exit, from the returned (u, v); the exp is taken only where
+    Exits: converged, at the first iterate within `tol`; `max_iter`, at the
+    last iterate; `unstable`, when an absorbed potential or a re-frozen
+    kernel's row max is not finite (a row or column of -C/gamma plus a
+    potential all -inf, which a grid cost's zero diagonal rules out): the
+    last finite iterate, with the flag set. A pin and the last two exits
+    read the waiting batch first, so an earlier iterate within `tol` comes
+    first. The plan, `marginal_residual` and `reg_value` are computed once,
+    from the returned (u, v), with the exp taken only where
     u - C/gamma + v is not below UNDERFLOW_BELOW and the log only where the
-    plan is > 0, which gives the bits of the exp and log of every entry.
-
-    The frozen kernels sum in another order than a log-sum-exp of each
-    half-step. A sweep over n in {5, 8, 30, 100}, six gamma from 1 to 5e-5,
-    4 seeds and 300 iterations put u and v within 3.3e-14 of
-    max(1, |u|_inf, |v|_inf) of a loop of scipy's logsumexp, with the same
-    n_iter; on the perfbench sinkhorn-sgd rounds (n = 100, gamma = 5e-5,
-    200 iterations) a solve made 27 lean passes, 6.8% of its half-steps
-    (BENCH_sinkhorn_absorb.json); lean_passes reads 27.1 there on average.
-    The speculative runs left u, v, the plan, reg_value, marginal_residual,
-    n_iter, the exit flag and lean_passes of 2,168 solves as they were:
-    n, gamma and seeds as above with max_iter from 1 to 1000, the 40
-    solves of five perfbench sinkhorn-sgd rounds, and 400 small costs,
-    most with entries of 1e300 or 1.7e308, 159 of which exit unstable. On
-    those 40 solves 122 of a solve's 200 iterations ran in runs and 5.8
-    more were computed and discarded (iterations_run reads 205.8); a solve
-    took 3.24 ms against 3.70 ms, the median of 30 interleaved passes on
-    one BLAS thread (BENCH_sinkhorn_runs.json).
+    plan is > 0: the bits of the exp and log of every entry.
     """
     if not gamma > 0:
         raise SolverError("sinkhorn: gamma must be positive")

@@ -11,16 +11,10 @@ finite, so every weight is non-negative by construction; its sum is checked
 against 1 once, and the measure is then built without the constructor's
 checks, which would only repeat these.
 
-A Gaussian stream discretizes its measures a block at a time. At a refill it
-copies its generator's state into a private look-ahead generator, draws the
-next LOOKAHEAD_ROWS pairs (mu, sigma) from the copy by the one-sample loop,
-and discretizes them in one (B, n) pass of `discretize_gaussian`'s
-arithmetic, which is that pass on one row. Each sample still draws its own
-pair from the stream's generator and takes the block's row only where the
-pair is the block's next one and the row met no bad value; otherwise it runs
-`discretize_gaussian`. So after k samples the generator's state is that of k
-one-at-a-time draws, which is what a checkpoint saves, and every sample, its
-MeasureError and its numpy warnings are those of the one-sample path.
+A Gaussian stream discretizes its measures in look-ahead blocks, as README's
+stream paragraph describes. After k samples its generator holds the state of
+k one-at-a-time draws, which is what a checkpoint saves, and every sample,
+its MeasureError and its numpy warnings are those of the one-sample path.
 """
 
 from __future__ import annotations

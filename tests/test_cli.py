@@ -902,6 +902,27 @@ def test_stable_sinkhorn_run_prints_no_warning(tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+def test_a_report_with_no_metric_to_fill_is_one_warning_line(tmp_path, capsys):
+    warning = ("warning: the report's metric columns are empty: finite data has no "
+               "w2_to_truth, and eval.gap_holdout=0 takes no gap_surrogate\n")
+    corpus, ckpt, report = (tmp_path / name for name in ("c.csv", "s.json", "r.csv"))
+    assert main(["gen-data"] + _sets("data.count=3", "data.grid.n=5",
+                                     f"data.path={corpus}")) == 0
+    run = ("method=finite_md", "data.kind=finite", f"data.path={corpus}", "N=50",
+           "checkpoint_every=10", f"output.report={report}")
+    capsys.readouterr()
+    assert main(["run"] + _sets(*run, "halt_after=20", f"output.checkpoint={ckpt}")) == 0
+    assert capsys.readouterr().err == warning
+    assert main(["resume", "--checkpoint", str(ckpt)]) == 0
+    assert capsys.readouterr().err == warning
+    rows = report.read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.split(",")[1:3] == ["", ""] for row in rows)
+    # a holdout fills gap_surrogate, and with no report there is nothing to fill
+    for extra in ("eval.gap_holdout=1", "output.report=null"):
+        assert main(["run"] + _sets(*run, extra)) == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("method", "adam"),
     ("stepsize_mode", "foo"),

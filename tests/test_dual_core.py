@@ -1084,6 +1084,7 @@ def test_shifted_softmax_is_exp_of_x_minus_logsumexp(x):
     expected = np.exp(x - logsumexp(x))
     assert _same_bits(np.exp(x - dual_core.logsumexp(x)), expected)
     assert _same_bits(dual_core._shifted_softmax(x), expected)
+    assert _same_bits(_Softmax(x.copy()).r, expected)
 
 
 @scipy_lse_arithmetic

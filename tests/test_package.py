@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,12 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append((name, f"{module_name}.{attr_path}"))
     assert tracer.TARGETS and missing == []
+
+
+def test_no_source_file_cites_a_benchmark_record():
+    # measurements live in the BENCH_*.json records, CHANGES.md and README;
+    # the source states what the code guarantees
+    src = Path(barystream.__file__).parent
+    citing = [path.name for path in sorted(src.rglob("*.py"))
+              if re.search(r"BENCH_\w*\.json", path.read_text())]
+    assert citing == []
