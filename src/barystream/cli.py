@@ -51,6 +51,7 @@ from barystream.measures import (
     normalize,
     sampling_law,
     save_corpus,
+    write_file,
 )
 
 CHECKPOINT_VERSION = 5
@@ -230,13 +231,10 @@ def _build_stream(config: dict) -> tuple[MeasureStream, Grid1D]:
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
-    """Write payload's JSON to path through a temporary file. One json.dumps
-    call runs the C encoder, where json.dump streams through the Python one;
-    the bytes are the same."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(payload))
-    os.replace(tmp, path)
+    """Write payload's JSON to path through a temporary file (`write_file`).
+    One json.dumps call runs the C encoder, where json.dump streams through
+    the Python one; the bytes are the same."""
+    write_file(path, json.dumps(payload))
 
 
 def _encode_matrix(a: np.ndarray) -> dict:
@@ -252,16 +250,8 @@ def _decode_matrix(obj: dict) -> np.ndarray:
 
 def _write_rows(path: str, rows: np.ndarray, append: bool) -> None:
     """rows (each a beta, then its sample) as little-endian f8, appended to the
-    rows file at path, or as the whole file through a tmp file and os.replace."""
-    data = np.ascontiguousarray(rows, dtype="<f8").tobytes()
-    if append:
-        with open(path, "ab") as fh:
-            fh.write(data)
-        return
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    rows file at path, or as the whole file (`write_file`)."""
+    write_file(path, np.ascontiguousarray(rows, dtype="<f8").tobytes(), append)
 
 
 def _read_rows(path: str, count: int, n: int) -> _History:

@@ -19,8 +19,9 @@ from barystream.measures import DiscreteMeasure, Grid1D
 
 EXACT_SOLVER_CAP = 64
 FEAS_TOL = 1e-9
-# HiGHS's primal feasibility tolerance for a plan that missed FEAS_TOL at 1e-7
-LP_RETRY_FEAS_TOL = 1e-10
+# HiGHS's primal feasibility tolerance in exact_ot: at its default 1e-7 it
+# can drop a mass below that
+LP_FEAS_TOL = 1e-10
 # exp of every float64 below this is exactly 0.0 (the cut is at -745.1332)
 UNDERFLOW_BELOW = -746.0
 # exp of every float64 at or below this is below 2**-1021: subnormal or 0.0
@@ -227,16 +228,29 @@ class OtSolution:
     gap: float
 
 
+def _marginal_rows(n: int) -> np.ndarray:
+    """The 2n x n^2 matrix of the row sums, then the column sums, of a
+    flattened n x n plan."""
+    return np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+
+
+def _lp_costs(C: CostMatrix, who: str) -> np.ndarray:
+    """C's entries, flattened for an LP; HiGHS takes no infinite entry."""
+    if C.inf_norm == math.inf:
+        raise SolverError(f"{who}: the cost matrix has an infinite entry")
+    return C.entries.ravel()
+
+
 def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolution:
     """Solve the n x n transportation LP with a primal-dual certificate.
 
     The dual is returned in the sign convention of the potentials above:
     feasibility reads -C_ij - lambda_i - mu_j <= 0 and the dual value is
-    -<lambda, r> - <mu, c>. HiGHS works to a primal feasibility tolerance of
-    1e-7 and can drop a mass below it while its gap reads 0, so a plan whose
-    marginals miss r and c by more than FEAS_TOL in L1 is solved once more
-    at a primal feasibility tolerance of LP_RETRY_FEAS_TOL, and refused if it
-    still misses. A plan that meets FEAS_TOL at the first solve is kept.
+    -<lambda, r> - <mu, c>. HiGHS solves once, with presolve off and a primal
+    feasibility tolerance of LP_FEAS_TOL: at its default 1e-7 it can drop a
+    mass below that while its gap reads 0, and its presolve can then report
+    the problem infeasible. A failed solve, and a plan whose marginals miss r
+    and c by more than FEAS_TOL in L1, are refused.
     """
     n = C.n
     if r.n != n or c.n != n:
@@ -246,35 +260,14 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolutio
                           f"{EXACT_SOLVER_CAP}; use sinkhorn")
     if abs(r.weights.sum() - c.weights.sum()) > FEAS_TOL:
         raise SolverError("exact_ot: marginal sums differ")
-
-    # row-sum and column-sum equality constraints on the flattened plan
-    a_eq = np.zeros((2 * n, n * n))
-    for i in range(n):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-        a_eq[n + i, i::n] = 1.0
+    a_eq = _marginal_rows(n)
     b_eq = np.concatenate([r.weights, c.weights])
-
-    def solve(**options):
-        res = linprog(C.entries.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options=options)
-        if not res.success:
-            raise SolverError(f"exact_ot: LP failed: {res.message}")
-        plan = res.x.reshape(n, n)
-        residual = (np.abs(plan.sum(axis=1) - r.weights).sum()
-                    + np.abs(plan.sum(axis=0) - c.weights).sum())
-        return res, plan, residual
-
-    options = {}
-    try:
-        res, plan, residual = solve()
-    except SolverError:
-        # presolve can misreport infeasibility when marginals carry entries
-        # far below its feasibility tolerance; retry without it
-        options = {"presolve": False}
-        res, plan, residual = solve(**options)
-    if residual > FEAS_TOL:
-        res, plan, residual = solve(**options,
-                                    primal_feasibility_tolerance=LP_RETRY_FEAS_TOL)
+    res = linprog(_lp_costs(C, "exact_ot"), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": LP_FEAS_TOL})
+    if not res.success:
+        raise SolverError(f"exact_ot: LP failed: {res.message}")
+    residual = np.abs(a_eq @ res.x - b_eq).sum()
     if residual > FEAS_TOL:
         raise SolverError(f"exact_ot: the plan misses its marginals by {residual:.3g}"
                           f" in L1, past {FEAS_TOL:g}")
@@ -283,8 +276,8 @@ def exact_ot(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix) -> OtSolutio
     mu = -res.eqlin.marginals[n:]
     value = float(res.fun)
     dual_value = float(-(lam @ r.weights) - (mu @ c.weights))
-    return OtSolution(value=value, plan=plan, dual_lambda=lam, dual_mu=mu,
-                      gap=value - dual_value)
+    return OtSolution(value=value, plan=res.x.reshape(n, n), dual_lambda=lam,
+                      dual_mu=mu, gap=value - dual_value)
 
 
 def staircase(r_weights: np.ndarray, c_weights: np.ndarray
@@ -537,8 +530,9 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
     read the waiting batch first, so an earlier iterate within `tol` comes
     first. The plan, `marginal_residual` and `reg_value` are computed once,
     from the returned (u, v), with the exp taken only where
-    u - C/gamma + v is not below UNDERFLOW_BELOW and the log only where the
-    plan is > 0: the bits of the exp and log of every entry.
+    u - C/gamma + v is not below UNDERFLOW_BELOW, and the log and the cost
+    C_ij times the plan only where the plan is > 0: the bits of the exp and
+    log of every entry, and an infinite C_ij adds no NaN.
     """
     if not gamma > 0:
         raise SolverError("sinkhorn: gamma must be positive")
@@ -720,12 +714,15 @@ def sinkhorn(r: DiscreteMeasure, c: DiscreteMeasure, C: CostMatrix,
         unstable = False
     u, v = potentials()
     plan, residual = plan_of(u, v)
-    # log only where the plan is > 0: the bits of the full log
+    # log and cost only where the plan is > 0: the bits of the full log,
+    # and no inf * 0 where an infinite C_ij meets a plan entry of 0
     positive = plan > 0
     ent = np.zeros_like(plan)
     np.log(plan, out=ent, where=positive)
     np.multiply(ent, plan, out=ent, where=positive)
-    reg_value = float((C.entries * plan).sum() + gamma * ent.sum())
+    cost = np.zeros_like(plan)
+    np.multiply(C.entries, plan, out=cost, where=positive)
+    reg_value = float(cost.sum() + gamma * ent.sum())
     return SinkhornSolution(u=u, v=v, plan=plan, reg_value=reg_value,
                             marginal_residual=float(residual), n_iter=it,
                             unstable=unstable, lean_passes=lean_passes,
@@ -739,14 +736,9 @@ def boxed_dual_lp(r_weights: np.ndarray, c_weights: np.ndarray, C: CostMatrix,
     n = C.n
     # variables x = (lambda, mu); minimize <lambda, r> + <mu, c>
     cost = np.concatenate([r_weights, c_weights])
-    a_ub = np.zeros((n * n, 2 * n))
-    rows = np.repeat(np.arange(n), n)
-    cols = np.tile(np.arange(n), n)
-    a_ub[np.arange(n * n), rows] = -1.0
-    a_ub[np.arange(n * n), n + cols] = -1.0
-    b_ub = C.entries.ravel()
     bounds = [(None, None)] * n + [(-box, box)] * n
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=-_marginal_rows(n).T, b_ub=_lp_costs(C, "boxed dual LP"),
+                  bounds=bounds, method="highs")
     if not res.success:
         raise SolverError(f"boxed dual LP failed: {res.message}")
     lam = res.x[:n]

@@ -10,7 +10,6 @@ surrogate on a holdout set scores all methods uniformly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from barystream.measures import (
     Grid1D,
     discretize_gaussian,
     normalize,
+    write_file,
 )
 
 
@@ -116,18 +116,15 @@ class ExperimentReport:
                 raise SolverError(f"report {path} line {number}: {exc}") from None
 
     def write_csv(self, path) -> None:
-        """Put the rows in the report at path: the first call writes the whole
-        file through a tmp file and os.replace, each later one appends the
-        rows added since, so a row is written once."""
-        first = self._written is None
-        with open(f"{path}.tmp" if first else path, "w" if first else "a") as fh:
-            if first:
-                fh.write(CSV_HEADER + "\n")
-            for row in self.rows[self._written or 0:]:
-                w2, gap = row["w2_to_truth"], row["gap_surrogate"]
-                fh.write(f"{row['samples_processed']},{'' if w2 is None else repr(w2)},"
+        """Put the rows in the report at path (`write_file`): the first call
+        writes the whole file, each later one appends the rows added since,
+        so a row is written once."""
+        lines = [CSV_HEADER] if self._written is None else []
+        for row in self.rows[self._written or 0:]:
+            w2, gap = row["w2_to_truth"], row["gap_surrogate"]
+            lines.append(f"{row['samples_processed']},{'' if w2 is None else repr(w2)},"
                          f"{'' if gap is None else repr(gap)},{row['wall_ns']},"
-                         f"{self.method},{self.seed},{self.config_hash}\n")
-        if first:
-            os.replace(f"{path}.tmp", path)
+                         f"{self.method},{self.seed},{self.config_hash}")
+        write_file(path, "".join(line + "\n" for line in lines),
+                   append=self._written is not None)
         self._written = len(self.rows)

@@ -115,8 +115,6 @@ class DiscreteMeasure:
         return float(self.weights @ self.grid.points)
 
     def sd(self) -> float:
-        if self.grid is None:
-            raise MeasureError("measure has no grid")
         m = self.mean()
         return math.sqrt(float(self.weights @ (self.grid.points - m) ** 2))
 
@@ -445,13 +443,25 @@ class MeasureStream:
         return self._draw(self.rng)
 
 
+def write_file(path, data: str | bytes, append: bool = False) -> None:
+    """Write data, text or bytes, to the file at path: appended to it with
+    append, else as the whole file through a temporary file and os.replace,
+    so an interrupted write leaves the old file or the new one. The one
+    function of the package that writes a file."""
+    target = path if append else f"{path}.tmp"
+    mode = ("a" if append else "w") + ("b" if isinstance(data, bytes) else "")
+    with open(target, mode) as fh:
+        fh.write(data)
+    if not append:
+        os.replace(target, path)
+
+
 def save_corpus(path, measures, grid: Grid1D | None = None) -> None:
-    """Write a measure corpus: one CSV row per measure, optional grid header."""
-    with open(path, "w") as fh:
-        if grid is not None:
-            fh.write(f"# grid: {grid.lo!r} {grid.hi!r} {grid.n}\n")
-        for m in measures:
-            fh.write(",".join(repr(float(x)) for x in m.weights) + "\n")
+    """Write a measure corpus (`write_file`): one CSV row per measure,
+    optional grid header."""
+    lines = [] if grid is None else [f"# grid: {grid.lo!r} {grid.hi!r} {grid.n}"]
+    lines += [",".join(repr(float(x)) for x in m.weights) for m in measures]
+    write_file(path, "".join(line + "\n" for line in lines))
 
 
 def load_corpus(path) -> tuple[Grid1D | None, list[DiscreteMeasure]]:

@@ -1191,6 +1191,17 @@ def test_a_bad_corpus_file_is_one_config_error_line(tmp_path, capsys, content,
         f"data.weights=None give no corpus: corpus {path} {where}\n")
 
 
+def test_a_finite_corpus_with_no_grid_header_is_one_config_error_line(tmp_path, capsys):
+    # load_corpus reads such a file; only a corpus with its grid can be run
+    path = tmp_path / "corpus.csv"
+    path.write_text("0.2,0.3,0.5\n0.5,0.25,0.25\n")
+    assert main(["run"] + _sets("method=finite_md", "data.kind=finite",
+                                f"data.path={path}", "N=5")) == 1
+    assert capsys.readouterr().err == (
+        f"config error: data.kind='finite', data.path={str(path)!r} and "
+        f"data.weights=None give no corpus: corpus {path} carries no grid header\n")
+
+
 def test_gen_data_on_a_span_with_no_measure_is_the_one_config_error_line(tmp_path):
     # every z of every draw squares past the float range; in a fresh
     # interpreter, so a numpy RuntimeWarning would reach stderr

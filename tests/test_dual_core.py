@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from barystream.baselines import sinkhorn_gradient
 from barystream.dual_core import (
     CostMatrix,
     SolverError,
+    boxed_dual,
     certify_dual_bound,
     exact_ot,
     lambda_star,
@@ -919,6 +921,67 @@ def test_sinkhorn_pin_or_unstable_exit_after_the_converged_iterate(monkeypatch, 
         assert _same_bits(got, want)
 
 
+def _pinned_lean_passes(monkeypatch, pin_at):
+    """Lower PIN_AT to pin_at and return the list that gets, at each lean
+    pass, a copy of the potential its kernel is frozen at."""
+    frozen_at = []
+    lean_pass = dual_core._lean_pass
+
+    def recorded(neg_cg, p, z, K):
+        frozen_at.append(p.copy())
+        return lean_pass(neg_cg, p, z, K)
+
+    monkeypatch.setattr(dual_core, "_lean_pass", recorded)
+    monkeypatch.setattr(dual_core, "PIN_AT", pin_at)
+    return frozen_at
+
+
+def test_sinkhorn_u_pin_after_the_converged_iterate(monkeypatch):
+    # u at lean pass 8, about 652 in size, is the first potential past
+    # PIN_AT, in iteration 34; iterate 30, within tol, waits in the batch,
+    # so the pin stops the loop and returns it as it is
+    r, c, C, gamma = _drifting_case()
+    expected = sinkhorn(r, c, C, gamma)
+    frozen_at = _pinned_lean_passes(monkeypatch, 640.0)
+    monkeypatch.setattr(dual_core, "_next_batch_size", lambda *args: 40)
+    sol = sinkhorn(r, c, C, gamma)
+    assert len(frozen_at) == sol.lean_passes == 8
+    assert np.abs(frozen_at[7]).max() > 640.0 > np.abs(frozen_at[6]).max()
+    assert sol.n_iter == 30 and not sol.unstable
+    for got, want in ((sol.u, expected.u), (sol.v, expected.v),
+                      (sol.plan, expected.plan), (sol.reg_value, expected.reg_value)):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("side, r, c, pin_at", [
+    ("u", [0.5, 0.5, 1e-19, 1e-15], [0.6, 0.4, 1e-11, 1e-12], 230.0),
+    ("v", [0.5, 0.5, 1e-11, 1e-12], [0.6, 0.4, 1e-19, 1e-15], 200.0),
+])
+def test_sinkhorn_absorbs_again_on_a_pinned_side(monkeypatch, side, r, c, pin_at):
+    # two pairs of tiny masses, each coupled to the rest through e^-1000
+    # only, drift at two rates; the fast pair's potential on one side is
+    # pinned, and the slow pair's is absorbed later on that side. The
+    # pinned entry stays in its offset: absorbed again, it would count
+    # twice in the other side's kernel
+    r, c = normalize(np.array(r)), normalize(np.array(c))
+    entries = np.ones((4, 4)) - np.eye(4)
+    entries[0, 1] = entries[1, 0] = 0.002
+    C = CostMatrix.from_entries(entries)
+    free = sinkhorn(r, c, C, 1e-3, max_iter=80, tol=0.0)
+    frozen_at = _pinned_lean_passes(monkeypatch, pin_at)
+    sol = sinkhorn(r, c, C, 1e-3, max_iter=80, tol=0.0)
+    # the side's kernels are frozen at u (even passes) or v (odd ones, the
+    # first at v = 0 before any absorption): the fast pair's entry is pinned
+    # at one absorption, and the side absorbs again after it
+    passes = frozen_at[1::2] if side == "u" else frozen_at[2::2]
+    pin = next(k for k, p in enumerate(passes) if p[2] == 0.0 or abs(p[2]) >= pin_at)
+    assert pin < len(passes) - 1
+    assert sol.marginal_residual < 1e-10 and not sol.unstable
+    # the main pair sees the tiny ones through e^-1000 times their drift
+    np.testing.assert_allclose(sol.u[:2], free.u[:2], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sol.v[:2], free.v[:2], rtol=0, atol=1e-9)
+
+
 def _dropped_mass_case():
     """HiGHS, at its default 1e-7 feasibility tolerance, drops c's mass of
     2^-23 / (2 + 2^-23): the plan's cost is 1.4999999106 against the true
@@ -931,25 +994,116 @@ def _dropped_mass_case():
 
 
 def test_exact_ot_refuses_a_plan_that_misses_its_marginals(monkeypatch):
-    # a solver that ignores the tighter tolerance of the second solve gives
-    # the loose plan again, and exact_ot refuses it
+    # a solver that reports success with a plan 1e-8 short in one cell: the
+    # row and the column sum each miss by 1e-8, and exact_ot refuses the
+    # plan after its one solve
     C, r, c = _dropped_mass_case()
-    highs, tolerances = dual_core.linprog, []
+    highs, calls = dual_core.linprog, []
 
-    def ignoring_the_tolerance(*args, options, **kwargs):
-        tolerances.append(options.pop("primal_feasibility_tolerance", None))
-        return highs(*args, options=options, **kwargs)
+    def short_of_a_mass(*args, **kwargs):
+        calls.append(kwargs["options"])
+        res = highs(*args, **kwargs)
+        res.x[-1] -= 1e-8
+        return res
 
-    monkeypatch.setattr(dual_core, "linprog", ignoring_the_tolerance)
-    with pytest.raises(SolverError, match="misses its marginals by 1.19e-07"):
+    monkeypatch.setattr(dual_core, "linprog", short_of_a_mass)
+    with pytest.raises(SolverError, match="misses its marginals by 2e-08 in L1, past 1e-09"):
         exact_ot(r, c, C)
-    assert tolerances == [None, dual_core.LP_RETRY_FEAS_TOL]
+    assert calls == [{"presolve": False,
+                      "primal_feasibility_tolerance": dual_core.LP_FEAS_TOL}]
+
+
+def _presolve_infeasible_case():
+    """p = 2 on [0, 1] at 5 points: HiGHS's presolve, at its default 1e-7
+    feasibility tolerance, reports these marginals infeasible."""
+    C = squared_distance_cost(Grid1D.uniform(0, 1, 5), 2)
+    r = DiscreteMeasure(np.array([1.1167904032050892e-07, 0.6952353835787931,
+                                  0.009430215578708597, 1.1167904032050892e-07,
+                                  0.2953341774844176]))
+    c = DiscreteMeasure(np.array([9.782517747462083e-08, 0.499482163797509,
+                                  9.782517747462083e-08, 0.5005175427269585,
+                                  9.782517747462083e-08]))
+    return C, r, c
+
+
+@pytest.mark.parametrize("case", [_dropped_mass_case, _presolve_infeasible_case])
+def test_exact_ot_solves_once(monkeypatch, case):
+    C, r, c = case()
+    highs, calls = dual_core.linprog, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return highs(*args, **kwargs)
+
+    monkeypatch.setattr(dual_core, "linprog", counted)
+    exact = exact_ot(r, c, C)
+    assert len(calls) == 1
+    value = staircase_dual(r.weights, c.weights, C)[0]
+    assert abs(exact.value - value) <= 1e-12 * value
+
+
+def test_exact_ot_solves_a_feasible_4_point_problem_with_tiny_masses():
+    # the first plan at 1e-7 misses r and c by 9.6e-8 in L1, and a second
+    # solve with presolve on reported the problem infeasible
+    C = squared_distance_cost(Grid1D.uniform(0, 1, 4), 2)
+    r = DiscreteMeasure(np.array([2.404260740556955e-08, 0.5029928369762071,
+                                  2.404260740556955e-08, 0.49700711493857797]))
+    c = DiscreteMeasure(np.array([0.23428540240981136, 5.956467591236488e-11,
+                                  5.956467591236488e-11, 0.7657145974710593]))
+    exact = exact_ot(r, c, C)
+    value = staircase_dual(r.weights, c.weights, C)[0]
+    assert value == 0.14545724849209682
+    assert abs(exact.value - value) <= 1e-12 * value
 
 
 def test_exact_ot_keeps_a_dropped_mass_at_the_tighter_tolerance():
     C, r, c = _dropped_mass_case()
     exact = exact_ot(r, c, C)
     assert exact.value == staircase_dual(r.weights, c.weights, C)[0] == 1.4999999403953588
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CostMatrix.from_entries(np.zeros((2, 3))), "cost matrix must be square"),
+    (lambda: CostMatrix.from_entries(np.zeros(3)), "cost matrix must be square"),
+    (lambda: squared_distance_cost(Grid1D.uniform(0, 1, 3), 0.5),
+     "cost exponent p must be >= 1"),
+    (lambda: wasserstein_1d(DiscreteMeasure(np.array([0.5, 0.5])),
+                            DiscreteMeasure(np.array([0.5, 0.5])),
+                            Grid1D.uniform(0, 1, 2), 0.5), "p must be >= 1"),
+    (lambda: exact_ot(DiscreteMeasure(np.array([0.5, 0.5])),
+                      DiscreteMeasure(np.full(3, 1 / 3)), C2), "dimension mismatch"),
+    (lambda: exact_ot(DiscreteMeasure(np.full(3, 1 / 3)),
+                      DiscreteMeasure(np.array([0.5, 0.5])), C2), "dimension mismatch"),
+], ids=["non_square", "vector", "cost_p_below_1", "w1d_p_below_1", "c_size", "r_size"])
+def test_dual_core_refuses_bad_input(make, message):
+    with pytest.raises(SolverError, match=message):
+        make()
+
+
+INF_COST = CostMatrix.from_entries([[0.0, np.inf], [1.0, 0.0]])
+HALVES = DiscreteMeasure(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: exact_ot(HALVES, HALVES, INF_COST),
+    lambda: boxed_dual(HALVES.weights, HALVES.weights, INF_COST),
+    lambda: certify_dual_bound(HALVES, HALVES, INF_COST),
+], ids=["exact_ot", "boxed_dual", "certify_dual_bound"])
+def test_lp_entry_points_refuse_a_cost_with_an_infinite_entry(solve):
+    with pytest.raises(SolverError, match="the cost matrix has an infinite entry"):
+        solve()
+
+
+def test_sinkhorn_reg_value_of_a_cost_with_an_infinite_entry():
+    # the plan is 0 where C is +inf, and that entry adds 0, not inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = sinkhorn(HALVES, HALVES, INF_COST, 0.1)
+    positive = sol.plan > 0
+    assert not positive[0, 1]
+    expected = (INF_COST.entries[positive] * sol.plan[positive]
+                + 0.1 * sol.plan[positive] * np.log(sol.plan[positive])).sum()
+    np.testing.assert_allclose(sol.reg_value, expected, rtol=1e-15)
 
 
 def test_sinkhorn_rejects():

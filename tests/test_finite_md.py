@@ -152,6 +152,16 @@ def test_finite_problem_rejects_non_finite_weights(bad):
         FiniteProblem.from_measures(measures, C2, [bad, 0.0])
 
 
+@pytest.mark.parametrize("measures", [
+    np.full((2, 3), 1 / 3),   # n = 3 against C2's 2
+    np.array([0.5, 0.5]),     # one measure as a vector
+    np.full((2, 2, 2), 0.25),
+], ids=["wider", "vector", "three_axes"])
+def test_finite_problem_refuses_measures_that_do_not_match_c(measures):
+    with pytest.raises(SolverError, match="measures must be m x n matching C"):
+        FiniteProblem(measures, np.full(len(measures), 1 / len(measures)), C2)
+
+
 def test_md_step_hand_trace():
     problem = toy_problem()
     state = FiniteSaddleState.cold_start(problem, N=4)

@@ -364,3 +364,59 @@ def test_corpus_roundtrip(tmp_path):
     assert grid == g
     for m, l in zip(measures, loaded):
         np.testing.assert_allclose(l.weights, m.weights, rtol=1e-15)
+
+
+def _corpus(tmp_path, text):
+    path = tmp_path / "corpus.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: DiscreteMeasure(np.full((2, 2), 0.25)), "weights must be a vector"),
+    (lambda tmp: DiscreteMeasure(np.full(3, 1 / 3), Grid1D.uniform(0, 1, 4)),
+     "weights length does not match grid size"),
+    (lambda tmp: DiscreteMeasure(np.array([0.5, 0.5])).mean(), "measure has no grid"),
+    (lambda tmp: DiscreteMeasure(np.array([0.5, 0.5])).sd(), "measure has no grid"),
+    (lambda tmp: GaussianParamLaw(0.0, 1.0, 0.0), "rate must be > 0"),
+    (lambda tmp: GaussianParamLaw(0.0, 1.0, -1.0), "rate must be > 0"),
+    (lambda tmp: MeasureStream.finite(
+        [DiscreteMeasure(np.array([0.5, 0.5])), DiscreteMeasure(np.full(3, 1 / 3))],
+        None, 0), "finite stream: mixed supports"),
+    (lambda tmp: MeasureStream.finite(
+        [DiscreteMeasure(np.array([0.5, 0.5]), Grid1D.uniform(0, 1, 2)),
+         DiscreteMeasure(np.array([0.5, 0.5]), Grid1D.uniform(0, 2, 2))],
+        None, 0), "finite stream: mixed supports"),
+    (lambda tmp: load_corpus(_corpus(tmp, "# a comment\n\n")), "holds no measures"),
+    # a row before the header is read with no grid; its length is checked
+    # against the header's n once the file is read
+    (lambda tmp: load_corpus(_corpus(tmp, "0.5,0.5\n# grid: 0.0 1.0 3\n0.2,0.3,0.5\n")),
+     "row length does not match grid"),
+], ids=["matrix", "grid_size", "mean_no_grid", "sd_no_grid", "rate_0", "rate_negative",
+        "mixed_sizes", "mixed_grids", "no_measures", "row_before_header"])
+def test_measures_refuse_bad_input(tmp_path, make, message):
+    with pytest.raises(MeasureError, match=message):
+        make(tmp_path)
+
+
+def test_load_corpus_skips_blank_lines(tmp_path):
+    grid, loaded = load_corpus(_corpus(tmp_path, "# grid: 0.0 1.0 2\n\n0.25,0.75\n  \n"))
+    assert grid == Grid1D.uniform(0.0, 1.0, 2)
+    assert [m.weights.tolist() for m in loaded] == [[0.25, 0.75]]
+
+
+def test_save_corpus_leaves_the_old_corpus_until_the_rename(tmp_path, monkeypatch):
+    # a save cut before its rename leaves the old corpus whole, not a
+    # truncated one that loads as fewer measures
+    g = Grid1D.uniform(0, 1, 2)
+    path = tmp_path / "corpus.csv"
+    save_corpus(path, [DiscreteMeasure(np.array([0.25, 0.75]), g)] * 3, g)
+    old = path.read_bytes()
+
+    def cut(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(measures.os, "replace", cut)
+    with pytest.raises(KeyboardInterrupt):
+        save_corpus(path, [DiscreteMeasure(np.array([0.5, 0.5]), g)], g)
+    assert path.read_bytes() == old

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -48,3 +49,33 @@ def test_no_source_file_cites_a_benchmark_record():
     citing = [path.name for path in sorted(src.rglob("*.py"))
               if re.search(r"BENCH_\w*\.json", path.read_text())]
     assert citing == []
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether call is os.replace, or an open whose mode is not a constant
+    read-only one."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "replace" and getattr(func.value, "id", None) == "os"
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(mode.value) <= set("rbt"))
+
+
+def test_only_write_file_writes_a_file():
+    # measures.write_file owns the temporary file and the rename, so no
+    # other writer can leave a file cut short
+    src = Path(barystream.__file__).parent
+    writes = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "write_file"
+                 for node in ast.walk(fn)}
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in owned
+                   and _writes_a_file(node)]
+    assert writes == []
